@@ -1,13 +1,13 @@
 """Sweep dispatch cost across execution backends.
 
 Times one declarative sweep (`firing_rate`, 6 points) through every
-execution backend — serial, thread pool, process pool and sharded worker
-sessions — asserting along the way that all four produce bit-for-bit
-identical rows (the same guarantee `tools/smoke.py` gates CI on).
+execution backend — serial, thread pool and process pool — asserting along
+the way that all three produce bit-for-bit identical rows (the same
+guarantee `tools/smoke.py` gates CI on).
 
 The sweep's points are a few milliseconds each, so this benchmark mostly
 measures *dispatch overhead*: what a backend costs before it pays off.
-Process pools and shards only win once the per-point work dominates their
+Process pools only win once the per-point work dominates their
 start-up (e.g. the `precision` sweep's full-network points); the printed
 table makes that trade-off concrete.
 
@@ -25,9 +25,8 @@ REPEATS = 3
 BACKENDS = (
     ("serial", {"backend": "serial"}),
     ("thread x4", {"backend": "thread", "jobs": 4}),
+    ("process x2", {"backend": "process", "jobs": 2}),
     ("process x4", {"backend": "process", "jobs": 4}),
-    ("sharded x2", {"backend": "sharded", "shards": 2}),
-    ("sharded x4", {"backend": "sharded", "shards": 4}),
 )
 
 

@@ -8,9 +8,9 @@ declarative plan API:
    with a chained low-rate refinement — no point-generator function),
 2. **register** a `SweepSpec` so it becomes a first-class scenario (CLI,
    caching and all execution backends included),
-3. **stream** rows with `Session.run_plan` — first serially, then sharded
-   across two worker sessions — and watch identical rows arrive in
-   different orders,
+3. **stream** rows with `Session.run_plan` — first serially, then through
+   the session's two-process pool, which serves every row from the
+   session's row cache,
 4. **collect** the canonical result with `Session.run`.
 
 Run with::
@@ -66,19 +66,17 @@ SPEC = repro.SweepSpec(
 def main():
     repro.register_sweep(SPEC)
 
-    with repro.Session() as session:
+    with repro.Session(jobs=2, backend="process") as session:
         print(f"registered scenario: {session.describe('sparsity_profile')}\n")
 
         print("=== streaming serially (canonical order) ===")
-        for row in session.run_plan("sparsity_profile"):
+        for row in session.run_plan("sparsity_profile", backend="serial"):
             tag = "cache" if row.cached else "fresh"
             print(f"  [{row.index}] {tag}: rate={row.row['rate']:<5} "
                   f"{row.row['precision']}  cycles={row.row['cycles']:.0f}")
 
-        print("\n=== streaming sharded across 2 worker sessions ===")
-        rows = []
-        for row in session.run_plan("sparsity_profile", backend="sharded", shards=2):
-            rows.append(row)
+        print("\n=== streaming through the session's 2-process pool ===")
+        for row in session.run_plan("sparsity_profile"):
             print(f"  [{row.index}] {'cache' if row.cached else 'fresh'}")
         print("  (every row was served from the session's row cache: the "
               "serial pass already computed them)")

@@ -40,7 +40,6 @@ from .backends import (
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
-    ShardedBackend,
     ThreadBackend,
 )
 from .plan import ParameterSpace, PlanRow, ResultsCache, SweepSpec, collect_plan, iter_plan
@@ -53,9 +52,7 @@ _SERVE_EXPORTS = ("InferenceServer", "ServeClient", "LoadGenerator", "MetricsReg
 
 #: Distributed-tier entry points, same lazy treatment (``repro.Coordinator``
 #: without paying the :mod:`repro.net` import up front).
-_NET_EXPORTS = (
-    "Coordinator", "NetWorker", "NetworkShardedBackend", "ReplicatedResultStore"
-)
+_NET_EXPORTS = ("Coordinator", "NetWorker", "ReplicatedResultStore")
 
 
 def __getattr__(name: str):
@@ -77,7 +74,6 @@ __all__ = [
     "LoadGenerator",
     "MetricsRegistry",
     "NetWorker",
-    "NetworkShardedBackend",
     "ReplicatedResultStore",
     "ServeClient",
     "RunConfig",
@@ -87,7 +83,6 @@ __all__ = [
     "ExecutorBackend",
     "ProcessBackend",
     "SerialBackend",
-    "ShardedBackend",
     "ThreadBackend",
     "ParameterSpace",
     "PlanRow",

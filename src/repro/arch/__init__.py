@@ -5,33 +5,15 @@ II-B of the paper at the level of detail needed to reproduce its runtime,
 utilization and energy results:
 
 * :mod:`repro.arch.params`  — cluster geometry and cost-model coefficients.
-* :mod:`repro.arch.ssr`     — stream registers (4-D affine and 1-D indirect).
-* :mod:`repro.arch.frep`    — the FP repetition buffer (hardware loop).
-* :mod:`repro.arch.fpu`     — SIMD FPU widths and latencies.
 * :mod:`repro.arch.tcdm`    — the 128 KiB, 32-bank scratchpad and its
   conflict model.
 * :mod:`repro.arch.icache`  — the shared instruction cache.
-* :mod:`repro.arch.dma`     — the 512-bit DMA engine.
-* :mod:`repro.arch.core`    — per-core cycle accounting with decoupled
-  integer/FP pipelines.
-* :mod:`repro.arch.cluster` — the eight worker cores plus DMA core.
 * :mod:`repro.arch.trace`   — statistics records shared by all components.
 """
 
 from .params import ClusterParams, CostModelParams, DEFAULT_CLUSTER, DEFAULT_COSTS
-from .ssr import (
-    AffineStreamConfig,
-    IndirectStreamConfig,
-    StreamRegister,
-    StridedIndirectStreamConfig,
-)
-from .frep import FrepConfig, FrepUnit
-from .fpu import FpuModel
 from .tcdm import Tcdm, TcdmAllocationError
 from .icache import InstructionCache
-from .dma import DmaEngine, DmaTransfer
-from .core import SnitchCore
-from .cluster import SnitchCluster
 from .trace import ClusterStats, CoreStats
 
 __all__ = [
@@ -39,20 +21,9 @@ __all__ = [
     "CostModelParams",
     "DEFAULT_CLUSTER",
     "DEFAULT_COSTS",
-    "AffineStreamConfig",
-    "IndirectStreamConfig",
-    "StridedIndirectStreamConfig",
-    "StreamRegister",
-    "FrepConfig",
-    "FrepUnit",
-    "FpuModel",
     "Tcdm",
     "TcdmAllocationError",
     "InstructionCache",
-    "DmaEngine",
-    "DmaTransfer",
-    "SnitchCore",
-    "SnitchCluster",
     "ClusterStats",
     "CoreStats",
 ]

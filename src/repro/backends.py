@@ -7,7 +7,7 @@ so consumers (:func:`repro.plan.iter_plan` / :func:`~repro.plan.collect_plan`)
 can reassemble the canonical row order regardless of completion order —
 every backend is therefore bit-for-bit interchangeable with every other.
 
-Four strategies ship:
+Three strategies ship:
 
 * :class:`SerialBackend` — in-process, lazily one point at a time (the
   reference semantics, and what everything falls back to);
@@ -15,26 +15,19 @@ Four strategies ship:
   :mod:`concurrent.futures` pool per ``execute`` call;
 * :class:`ExecutorBackend` — dispatch onto a long-lived executor owned by
   someone else (e.g. a :class:`repro.session.Session`'s shared pool) without
-  ever shutting it down;
-* :class:`ShardedBackend` — partition the points deterministically across N
-  worker :class:`~repro.session.Session` instances (round-robin by index),
-  run the shards concurrently, re-dispatch the unfinished points of a killed
-  shard, and merge every worker's results cache / result store back into the
-  dispatching session.
+  ever shutting it down.
 
-Failure policy (shared with the PR-1 runner): only pool *infrastructure*
-failures — ``OSError`` while building a pool, ``BrokenExecutor`` /
-``PicklingError`` while dispatching, a killed shard — degrade to the serial
-path; an exception raised by a point function itself propagates unchanged,
-because it would fail serially too.
+Failure policy: only pool *infrastructure* failures — ``OSError`` while
+building a pool, ``BrokenExecutor`` / ``PicklingError`` while dispatching
+(e.g. a pool worker killed mid-sweep) — degrade to the serial path, which
+re-runs the undelivered points; an exception raised by a point function
+itself propagates unchanged, because it would fail serially too.
 """
 
 from __future__ import annotations
 
 import pickle
-import queue
 import sys
-import threading
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -42,7 +35,10 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     as_completed,
 )
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+
+#: Backend names accepted by :func:`make_backend`, ``Session`` and the CLI.
+BACKENDS = ("process", "thread", "serial")
 
 PointFn = Callable[[Dict[str, object]], Dict[str, object]]
 RowStream = Iterator[Tuple[int, Dict[str, object]]]
@@ -52,19 +48,10 @@ RowStream = Iterator[Tuple[int, Dict[str, object]]]
 POOL_BUILD_ERRORS = (OSError, BrokenExecutor)
 
 #: Errors that mean "the execution infrastructure died mid-dispatch", never
-#: "the point was wrong": these trigger serial fallback / shard re-dispatch.
+#: "the point was wrong": these trigger serial fallback.
 #: Deliberately excludes OSError — a point function raising e.g.
 #: FileNotFoundError is a point error and must propagate unchanged.
 DISPATCH_ERRORS = (BrokenExecutor, pickle.PicklingError)
-
-
-class ShardKilled(RuntimeError):
-    """A shard worker died mid-sweep.
-
-    Raised (or injected, e.g. by tests and chaos tooling) inside a shard to
-    signal that its remaining points must be re-dispatched elsewhere; it is
-    classified as an infrastructure failure, not a point error.
-    """
 
 
 def _warn_fallback(backend: str, error: BaseException) -> None:
@@ -74,10 +61,8 @@ def _warn_fallback(backend: str, error: BaseException) -> None:
     )
 
 
-def _serial_stream(fn: PointFn, tasks: Sequence[Dict[str, object]],
-                   indices: Optional[Sequence[int]] = None) -> RowStream:
-    for position, task in enumerate(tasks):
-        index = indices[position] if indices is not None else position
+def _serial_stream(fn: PointFn, tasks: Sequence[Dict[str, object]]) -> RowStream:
+    for index, task in enumerate(tasks):
         yield index, fn(task)
 
 
@@ -125,26 +110,9 @@ class ExecutionBackend:
     #: short name used in warnings and CLI help
     name = "abstract"
 
-    def execute(self, fn: PointFn, tasks: Sequence[Dict[str, object]],
-                keys: Optional[Sequence[str]] = None) -> RowStream:
-        """Yield ``(index, row)`` for every task exactly once, as completed.
-
-        ``keys`` is an optional parallel list of canonical row-cache keys;
-        backends that maintain their own caches (:class:`ShardedBackend`'s
-        worker sessions) memoize under them, all others ignore it.
-        """
+    def execute(self, fn: PointFn, tasks: Sequence[Dict[str, object]]) -> RowStream:
+        """Yield ``(index, row)`` for every task exactly once, as completed."""
         raise NotImplementedError
-
-    def bind(self, cache=None, store=None) -> None:
-        """Attach merge targets (results cache / result store) to the backend.
-
-        Only backends that spawn their own workers with private caches care
-        (:class:`ShardedBackend`); the default is a no-op so callers can bind
-        unconditionally.  ``None`` arguments leave existing targets in place.
-        """
-
-    def close(self) -> None:
-        """Release backend-owned resources (default: nothing to release)."""
 
 
 class SerialBackend(ExecutionBackend):
@@ -152,7 +120,7 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def execute(self, fn, tasks, keys=None):
+    def execute(self, fn, tasks):
         return _serial_stream(fn, tasks)
 
 
@@ -166,7 +134,7 @@ class _OwnedPoolBackend(ExecutionBackend):
             raise ValueError(f"jobs must be positive, got {jobs}")
         self.jobs = jobs
 
-    def execute(self, fn, tasks, keys=None):
+    def execute(self, fn, tasks):
         if len(tasks) <= 1 or self.jobs <= 1:
             yield from _serial_stream(fn, tasks)
             return
@@ -206,225 +174,30 @@ class ExecutorBackend(ExecutionBackend):
     def __init__(self, executor: Executor):
         self.executor = executor
 
-    def execute(self, fn, tasks, keys=None):
+    def execute(self, fn, tasks):
         if len(tasks) <= 1:
             yield from _serial_stream(fn, tasks)
             return
         yield from _stream_futures(self.executor, fn, tasks, self.name)
 
 
-class ShardedBackend(ExecutionBackend):
-    """Partition one spec's points deterministically across N Session workers.
-
-    Shard ``s`` owns the points whose canonical index is congruent to ``s``
-    modulo ``shards`` (round-robin), so the partition depends only on the
-    point order — never on timing, worker count changes re-partition
-    deterministically, and a re-run assigns every point to the same shard.
-    Each shard evaluates its points through a private worker
-    :class:`~repro.session.Session` (serial, ``jobs=1``) on its own thread,
-    memoizing rows in the worker's results cache; rows stream back to the
-    consumer as they complete.
-
-    Fault tolerance: a shard that dies with an infrastructure error (or
-    :class:`ShardKilled`) forfeits its unfinished points, which are
-    re-dispatched onto a fresh rescue worker after the surviving shards
-    drain — the sweep always completes with every row.  A *point* error
-    still propagates to the caller unchanged.
-
-    After every ``execute`` the workers' :class:`~repro.plan.ResultsCache`
-    (and :class:`~repro.session.ResultStore`) contents merge into the
-    targets attached via :meth:`bind` — typically the dispatching session's
-    own cache and store — so nothing a shard computed is lost to the
-    service.
-    """
-
-    name = "sharded"
-
-    def __init__(self, shards: int = 2, session_factory: Optional[Callable[[], object]] = None):
-        if shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
-        self.shards = shards
-        self._session_factory = session_factory
-        self._parent_cache = None
-        self._parent_store = None
-        #: worker sessions of the most recent execute (introspection/tests)
-        self.last_workers: List[object] = []
-        #: points re-dispatched after shard deaths, cumulative
-        self.redispatched = 0
-
-    def bind(self, cache=None, store=None) -> None:
-        if cache is not None:
-            self._parent_cache = cache
-        if store is not None:
-            self._parent_store = store
-
-    def _make_worker(self):
-        if self._session_factory is not None:
-            return self._session_factory()
-        from .session import Session  # runtime import: session imports this module
-
-        return Session(jobs=1, backend="serial")
-
-    def partition(self, count: int) -> List[List[int]]:
-        """Round-robin index partition; shard ``s`` gets ``s, s+N, s+2N, …``."""
-        return [list(range(start, count, self.shards))
-                for start in range(min(self.shards, count))]
-
-    def _evaluate(self, worker, fn, task, key):
-        """One point through a worker session's row cache.
-
-        Separated out so tests (and chaos tooling) can inject shard deaths
-        at point granularity by patching this method.
-        """
-        cache = getattr(worker, "sweep_cache", None)
-        if key is not None and cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        row = fn(task)
-        if key is not None and cache is not None:
-            cache.put(key, row)
-        return row
-
-    def _shard_loop(self, shard_index, worker, fn, assigned, tasks, keys, out, stop):
-        for position, index in enumerate(assigned):
-            if stop.is_set():
-                break
-            key = keys[index] if keys is not None else None
-            try:
-                row = self._evaluate(worker, fn, tasks[index], key)
-            except DISPATCH_ERRORS + (ShardKilled,) as error:
-                out.put(("failed", shard_index, assigned[position:], error))
-                return
-            except BaseException as error:  # a point error: hand to the consumer
-                out.put(("error", error))
-                return
-            out.put(("row", index, row))
-        out.put(("done", shard_index))
-
-    def _consume(self, out, shard_count, fn, tasks, keys, stop, workers) -> RowStream:
-        """Stream rows off the fleet's out-queue, rescuing orphaned points.
-
-        The heart of the sharded failure policy, shared verbatim by the
-        in-process fleet and :class:`repro.net.backend.NetworkShardedBackend`
-        (whose shards are worker *processes* on the wire): every shard —
-        thread or connection — posts the same ``("row" | "done" | "failed"
-        | "error")`` messages.  Points forfeited by failed shards re-run on
-        a fresh local rescue worker after the survivors drain; the rescue
-        worker is appended to ``workers`` so the caller's merge/close path
-        adopts it.  A *point* error stops the fleet and propagates.
-        """
-        finished = 0
-        orphaned: List[int] = []
-        while finished < shard_count:
-            message = out.get()
-            kind = message[0]
-            if kind == "row":
-                yield message[1], message[2]
-            elif kind == "done":
-                finished += 1
-            elif kind == "failed":
-                _, shard_index, remaining, error = message
-                finished += 1
-                print(
-                    f"warning: shard {shard_index} died ({error!r}); "
-                    f"re-dispatching its {len(remaining)} unfinished point(s)",
-                    file=sys.stderr,
-                )
-                orphaned.extend(remaining)
-            else:  # "error": a point raised — stop the fleet and propagate
-                stop.set()
-                raise message[1]
-        if orphaned:
-            rescue = self._make_worker()
-            workers.append(rescue)
-            self.last_workers = list(workers)
-            for index in sorted(orphaned):
-                key = keys[index] if keys is not None else None
-                yield index, self._evaluate(rescue, fn, tasks[index], key)
-                self.redispatched += 1
-
-    def execute(self, fn, tasks, keys=None):
-        if not tasks:
-            return
-        assignments = self.partition(len(tasks))
-        workers = [self._make_worker() for _ in assignments]
-        self.last_workers = list(workers)
-        out: "queue.Queue[tuple]" = queue.Queue()
-        stop = threading.Event()
-        threads = [
-            threading.Thread(
-                target=self._shard_loop,
-                args=(shard, workers[shard], fn, assigned, tasks, keys, out, stop),
-                name=f"sweep-shard-{shard}",
-                daemon=True,
-            )
-            for shard, assigned in enumerate(assignments)
-        ]
-        try:
-            for thread in threads:
-                thread.start()
-            yield from self._consume(out, len(threads), fn, tasks, keys, stop, workers)
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=10.0)
-            # Only workers whose shard thread actually exited are merged and
-            # closed: after a join timeout (a point still running while the
-            # consumer bailed out) touching that worker's cache would race
-            # with its thread.  Rescue workers (beyond the thread list) ran
-            # on this thread and are always safe.
-            settled = [
-                worker for worker, thread in zip(workers, threads)
-                if not thread.is_alive()
-            ]
-            settled.extend(workers[len(threads):])
-            self._merge(settled)
-            for worker in settled:
-                close = getattr(worker, "close", None)
-                if close is not None:
-                    close()
-
-    def _merge(self, workers) -> None:
-        for worker in workers:
-            worker_cache = getattr(worker, "sweep_cache", None)
-            if self._parent_cache is not None and worker_cache is not None:
-                self._parent_cache.merge_from(worker_cache)
-            worker_store = getattr(worker, "store", None)
-            if self._parent_store is not None and worker_store is not None:
-                self._parent_store.merge_from(worker_store)
-
-
 def make_backend(
     backend: str,
     jobs: int = 1,
     executor: Optional[Executor] = None,
-    shards: int = 2,
 ) -> ExecutionBackend:
-    """Resolve the (name, jobs, executor, shards) knobs into a backend object.
+    """Resolve the (name, jobs, executor) knobs into a backend object.
 
-    Precedence: an explicit ``"sharded"`` request wins (it brings its own
-    workers), then a caller-owned ``executor`` (the session's shared pool),
+    Precedence: a caller-owned ``executor`` (the session's shared pool) wins,
     then the named pool kind — degraded to :class:`SerialBackend` when
     ``jobs`` stays at 1, matching the historical runner semantics.
     """
-    if backend == "sharded":
-        return ShardedBackend(shards=shards)
-    if backend == "net":
-        # Runtime import: repro.net rides on serve/session, which import
-        # this module at load time.
-        from .net.backend import NetworkShardedBackend
-
-        return NetworkShardedBackend(shards=shards)
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
+        )
     if executor is not None:
         return ExecutorBackend(executor)
     if jobs <= 1 or backend == "serial":
         return SerialBackend()
-    if backend == "thread":
-        return ThreadBackend(jobs)
-    if backend == "process":
-        return ProcessBackend(jobs)
-    raise ValueError(
-        f"unknown backend {backend!r}; expected serial, thread, process, "
-        f"sharded or net"
-    )
+    return ThreadBackend(jobs) if backend == "thread" else ProcessBackend(jobs)

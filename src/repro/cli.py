@@ -10,7 +10,6 @@ Six subcommands cover the common workflows, all built on the unified
     python -m repro.cli compare    --timesteps 500                   # Figure-5 comparison
     python -m repro.cli spva       --lengths 1 8 64                  # Listing-1 micro-benchmark
     python -m repro.cli sweep      --sweep firing_rate --jobs 4      # parallel parameter sweep
-    python -m repro.cli sweep      --sweep firing_rate --backend sharded --shards 4
     python -m repro.cli plan       --list                            # declarative sweep specs
     python -m repro.cli serve      --workers 2 --max-batch 16        # micro-batching service demo
     python -m repro.cli serve      --trace-out spans.jsonl --stats-out stats.json
@@ -20,9 +19,8 @@ Six subcommands cover the common workflows, all built on the unified
 Every command prints an aligned text table (the same rows the corresponding
 paper figure reports); ``run`` and ``sweep`` can also emit machine-readable
 JSON or CSV (``--format json|csv``) through one shared reporting path.
-``--jobs``/``--backend`` size the session's shared worker pool
-(``--backend sharded --shards N`` instead partitions sweep points across N
-worker sessions), and ``--cache-dir`` points the session's persistent
+``--jobs``/``--backend`` size the session's shared worker pool, and
+``--cache-dir`` points the session's persistent
 result store (whole inference runs) and sweep row cache at a directory, so
 repeated invocations — e.g. regenerating several figures that share the
 same S-VGG11 variant runs — skip work already done.
@@ -34,6 +32,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .backends import BACKENDS
 from .config import baseline_config, spikestream_config
 from .eval.experiments import ExperimentResult
 from .eval.reporting import EXPORT_FORMATS, export_experiment, format_table
@@ -67,16 +66,8 @@ def _positive_int(value: str) -> int:
 def _add_session_arguments(parser: argparse.ArgumentParser, jobs_default: int = 1) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=jobs_default,
                         help="worker count of the session's shared pool (1 = serial)")
-    parser.add_argument("--backend",
-                        choices=("process", "thread", "serial", "sharded", "net"),
-                        default="process",
-                        help="execution backend: a worker-pool kind used when "
-                             "--jobs > 1, 'sharded' to partition sweep points "
-                             "across --shards worker sessions, or 'net' to run "
-                             "each shard in a worker OS process over the "
-                             "repro.net wire")
-    parser.add_argument("--shards", type=_positive_int, default=2,
-                        help="worker-session count of the sharded/net backends")
+    parser.add_argument("--backend", choices=BACKENDS, default="process",
+                        help="worker-pool kind used when --jobs > 1")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="directory persisting the session's result store and "
                              "sweep row cache across invocations")
@@ -155,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spva.add_argument("--lengths", type=int, nargs="+", default=[1, 2, 4, 8, 16, 32, 64, 128])
 
     sweep = subparsers.add_parser(
-        "sweep", help="run a parameter sweep over a worker pool or sharded sessions"
+        "sweep", help="run a parameter sweep over a worker pool"
     )
     sweep.add_argument("--sweep", required=True, choices=available_sweeps())
     sweep.add_argument("--batch", type=_positive_int, default=4,
@@ -266,8 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a repro.net worker host connected to a coordinator",
         description="Connect to a repro.net coordinator (e.g. `repro.cli "
                     "serve --distributed`), register, heartbeat, and execute "
-                    "pulled micro-batches and plan shards until the cluster "
-                    "shuts down.",
+                    "pushed micro-batches until the cluster shuts down.",
     )
     worker.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="the coordinator's listen address")
@@ -347,7 +337,6 @@ def _session_from_args(args: argparse.Namespace, **kwargs) -> Session:
         backend=getattr(args, "backend", "process"),
         cache_dir=getattr(args, "cache_dir", None),
         seed=getattr(args, "seed", 2025),
-        shards=getattr(args, "shards", 2),
         cache_limit=getattr(args, "cache_limit", None),
         **kwargs,
     )

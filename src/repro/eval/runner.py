@@ -1,10 +1,10 @@
-"""Built-in sweep specs and the legacy parallel sweep runner entry point.
+"""Built-in sweep specs and the parallel sweep runner entry point.
 
 The five ablation sweeps are declarative :class:`~repro.plan.SweepSpec`
 instances (:data:`SWEEPS`): a named :class:`~repro.plan.ParameterSpace`, a
 picklable point function, a row schema and a headline finalizer.  Nothing
 here knows *how* points are executed — :func:`run_sweep` resolves the
-``jobs``/``backend``/``executor``/``shards`` knobs into a
+``jobs``/``backend``/``executor`` knobs into a
 :class:`repro.backends.ExecutionBackend` and hands the spec to
 :func:`repro.plan.collect_plan`.  The same specs are what
 :meth:`repro.session.Session.run_plan` streams and what the
@@ -16,7 +16,7 @@ Execution guarantees (inherited from the plan executor and backends):
   seed, the sweep name and the point's parameters
   (:func:`~repro.plan.point_seed`), so results are independent of
   evaluation order, of which subset of points is requested, and of which
-  backend or shard executes them;
+  backend executes them;
 * **results cache** — rows are memoized in a
   :class:`~repro.plan.ResultsCache` keyed only on the knobs a sweep
   actually consumes, optionally persisted to JSON;
@@ -30,7 +30,7 @@ Registering a new sweep takes one :func:`register_sweep` call with a
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -66,12 +66,8 @@ from .sweeps import (
     strided_indirect_point,
 )
 
-#: Backwards-compatible name: sweep definitions *are* sweep specs now.
-SweepDefinition = SweepSpec
-
-
 # --------------------------------------------------------------------------- #
-# Point tasks (top-level functions so process pools and shards can pickle them)
+# Point tasks (top-level functions so process pools can pickle them)
 # --------------------------------------------------------------------------- #
 def _run_firing_rate_point(task: Dict[str, object]) -> Dict[str, object]:
     return firing_rate_point(
@@ -255,35 +251,6 @@ def get_sweep(name: str) -> SweepSpec:
     return SWEEPS[name]
 
 
-def _task_seed(definition: SweepSpec, base_seed: int,
-               params: Mapping[str, object]) -> int:
-    """Backwards-compatible alias for :meth:`SweepSpec.task_seed`."""
-    return definition.task_seed(base_seed, params)
-
-
-def _execute(
-    run_point: Callable[[Dict[str, object]], Dict[str, object]],
-    tasks: List[Dict[str, object]],
-    jobs: int,
-    backend: str,
-    executor=None,
-) -> List[Dict[str, object]]:
-    """Run point tasks through a backend, returning rows in task order.
-
-    Thin bridge kept for callers that predate the backend objects (e.g.
-    :meth:`repro.session.Session._run_statistical_many`): the
-    dispatch-with-serial-fallback policy now lives in
-    :mod:`repro.backends`.  When ``executor`` is given it is used and *not*
-    shut down; otherwise ``jobs``/``backend`` pick a private pool.
-    """
-    rows: List[Optional[Dict[str, object]]] = [None] * len(tasks)
-    for index, row in make_backend(backend, jobs=jobs, executor=executor).execute(
-        run_point, tasks
-    ):
-        rows[index] = row
-    return rows
-
-
 def run_sweep(
     name: str,
     jobs: int = 1,
@@ -292,7 +259,6 @@ def run_sweep(
     batch_size: int = 4,
     cache: Optional[ResultsCache] = None,
     executor=None,
-    shards: int = 2,
     **point_kwargs,
 ) -> ExperimentResult:
     """Run one registered sweep, fanning its points over an execution backend.
@@ -302,11 +268,9 @@ def run_sweep(
     name:
         A sweep from :func:`available_sweeps`.
     jobs:
-        Worker count; ``1`` runs serially (unless ``backend="sharded"``).
+        Worker count; ``1`` runs serially.
     backend:
-        ``"process"`` (default), ``"thread"``, ``"serial"`` or
-        ``"sharded"`` (partition the points across ``shards`` worker
-        sessions).
+        ``"process"`` (default), ``"thread"`` or ``"serial"``.
     seed:
         Base seed; every point derives its own seed via
         :func:`~repro.plan.point_seed`.
@@ -320,19 +284,13 @@ def run_sweep(
         Optional long-lived :class:`concurrent.futures.Executor` to dispatch
         the points onto instead of creating (and tearing down) a private
         pool; :class:`repro.session.Session` passes its shared pool here.
-    shards:
-        Worker-session count when ``backend="sharded"``.
     point_kwargs:
         Axis overrides declared by the spec (e.g. ``rates=...``,
         ``core_counts=...``, ``precisions=...``, ``lengths=...``).
     """
-    spec = get_sweep(name)
-    backend_obj = make_backend(backend, jobs=jobs, executor=executor, shards=shards)
-    if cache is not None:
-        backend_obj.bind(cache=cache)
     return collect_plan(
-        spec, backend_obj, seed=seed, batch_size=batch_size,
-        cache=cache, point_kwargs=point_kwargs,
+        get_sweep(name), make_backend(backend, jobs=jobs, executor=executor),
+        seed=seed, batch_size=batch_size, cache=cache, point_kwargs=point_kwargs,
     )
 
 
@@ -340,7 +298,6 @@ __all__ = [
     "ParameterSpace",
     "PlanRow",
     "ResultsCache",
-    "SweepDefinition",
     "SweepSpec",
     "SWEEPS",
     "available_sweeps",

@@ -53,26 +53,6 @@ def counts_for_rate(spec: ConvLayerSpec, rate: float, rng: np.random.Generator) 
     return pad_counts(spec, counts)
 
 
-#: Former private names of :func:`conv6_spec` / :func:`counts_for_rate`.
-#: They were imported across modules (``repro.eval.runner``), so they are now
-#: public; the underscore aliases warn once per call site and will go away.
-_DEPRECATED_ALIASES = {"_conv6_spec": conv6_spec, "_counts_for_rate": counts_for_rate}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_ALIASES:
-        import warnings
-
-        public = _DEPRECATED_ALIASES[name]
-        warnings.warn(
-            f"repro.eval.sweeps.{name} is deprecated; use {public.__name__}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return public
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def firing_rate_point(
     rate: float,
     precision: Precision = Precision.FP16,
@@ -318,7 +298,7 @@ def functional_point(
     Builds the deterministic network, records ``batch`` synthetic frames'
     real spike activity through the batched forward pass and costs it with
     the batched functional engine.  Deterministic in ``(batch, precision,
-    seed)``, so the row is backend- and shard-invariant.
+    seed)``, so the row is backend-invariant.
     """
     from ..snn.datasets import SyntheticCIFAR10
 

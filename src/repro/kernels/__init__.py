@@ -35,7 +35,6 @@ from .encode import (
     encode_layer_perf,
     encode_layer_perf_batch,
 )
-from .pool import PoolLayerSpec, pool_layer_functional, pool_layer_perf
 from .tiling import TilePlan, plan_conv_tiles, plan_fc_tiles
 
 __all__ = [
@@ -59,9 +58,6 @@ __all__ = [
     "encode_layer_functional",
     "encode_layer_perf",
     "encode_layer_perf_batch",
-    "PoolLayerSpec",
-    "pool_layer_functional",
-    "pool_layer_perf",
     "TilePlan",
     "plan_conv_tiles",
     "plan_fc_tiles",

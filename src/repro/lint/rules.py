@@ -334,7 +334,7 @@ class DtypeDisciplineRule(Rule):
 class UnpicklablePointRule(Rule):
     """``SweepSpec.point`` must be a module-level function.
 
-    Process pools and shard workers pickle the point function; a lambda or
+    Process pools pickle the point function; a lambda or
     a closure pickles on no platform and fails only when someone first runs
     the sweep with ``--backend process`` — far from where it was written.
     (``finalize=`` may stay a lambda: only ``point`` crosses processes.)
@@ -375,8 +375,8 @@ class UnpicklablePointRule(Rule):
                         module.finding(
                             self.name,
                             value,
-                            "sweep point function is a lambda; process/shard "
-                            "backends cannot pickle it — use a module-level "
+                            "sweep point function is a lambda; the process "
+                            "backend cannot pickle it — use a module-level "
                             "function",
                         )
                     )
@@ -386,8 +386,8 @@ class UnpicklablePointRule(Rule):
                             self.name,
                             value,
                             f"sweep point function {value.id!r} is defined "
-                            f"inside another function (a closure); process/"
-                            f"shard backends cannot pickle it",
+                            f"inside another function (a closure); the "
+                            f"process backend cannot pickle it",
                         )
                     )
         return findings

@@ -10,9 +10,7 @@ remote hosts — to N :class:`~repro.net.worker.NetWorker` processes that
 register with a credit window, heartbeat, execute pushed
 fingerprint-compatible micro-batches and stream bit-for-bit results back.
 :class:`~repro.net.store.ReplicatedResultStore` makes a cache hit on any
-host short-circuit cluster-wide, and
-:class:`~repro.net.backend.NetworkShardedBackend` fans one sweep plan out
-across worker processes on the same wire.
+host short-circuit cluster-wide.
 
 Quickstart (two terminals)::
 
@@ -34,15 +32,12 @@ from .framing import (
     VersionMismatch,
     WIRE_VERSION,
     decode_frame,
-    decode_frame_v1,
     encode_frame,
-    encode_frame_v1,
     recv_message,
     request_from_wire,
     request_to_wire,
     send_message,
 )
-from .backend import NetworkShardedBackend
 from .store import ReplicatedResultStore, ResultStoreProtocol
 from .worker import DEFAULT_CREDIT, NetWorker, spawn_worker
 
@@ -56,7 +51,6 @@ __all__ = [
     "FramedConnection",
     "Message",
     "NetWorker",
-    "NetworkShardedBackend",
     "ReplicatedResultStore",
     "ResultStoreProtocol",
     "TruncatedFrame",
@@ -64,9 +58,7 @@ __all__ = [
     "WIRE_VERSION",
     "array_digest",
     "decode_frame",
-    "decode_frame_v1",
     "encode_frame",
-    "encode_frame_v1",
     "recv_message",
     "request_from_wire",
     "request_to_wire",

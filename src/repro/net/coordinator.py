@@ -31,8 +31,7 @@ Large arrays ride the frame protocol's content-addressed blob cache
 weight panels cross each link once, after which batches reference them by
 digest (``net.blob.*`` telemetry counts the savings).
 
-Failure semantics — the generalization of
-:class:`~repro.backends.ShardedBackend`'s rescue worker:
+Failure semantics:
 
 * **dead worker** — heartbeats stop for longer than ``liveness_timeout_s``
   (or the connection drops): every in-flight request of that worker whose
@@ -914,6 +913,13 @@ class Coordinator(InferenceServer):
             self._shutting_down = True
             links = list(self._links.values())
         self._stop_monitor.set()
+        # Closing a listening socket does not wake a thread blocked in
+        # accept(); shutting it down first does, so the accept thread exits
+        # now instead of idling out the join timeout below.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._listener.close()
         for link in links:
             if link.alive:

@@ -16,9 +16,9 @@ Every message on a :mod:`repro.net` connection is one *frame*:
 
 The prefix is big-endian (:data:`PREFIX` then :data:`V2_HEADER`), ``magic``
 is :data:`MAGIC` (``b"RPNT"``), and the *version field is validated before
-anything else is read*, so a v1 peer always gets a clean
-:class:`VersionMismatch` instead of a garbled decode (and vice versa — the
-v1 header also put ``version`` before the length).
+anything else is read*, so a peer speaking another version — including a v1
+peer, whose header also put ``version`` right after the magic — always gets
+a clean :class:`VersionMismatch` instead of a garbled decode.
 
 What changed from v1 (one pickled blob after a length header):
 
@@ -86,7 +86,6 @@ __all__ = [
     "ConnectionClosed",
     "FrameError",
     "FramedConnection",
-    "HEADER",
     "MAGIC",
     "MAX_BUFFER_BYTES",
     "MAX_FRAME_BYTES",
@@ -98,10 +97,8 @@ __all__ = [
     "VersionMismatch",
     "WIRE_VERSION",
     "decode_frame",
-    "decode_frame_v1",
     "encode_frame",
     "encode_frame_segments",
-    "encode_frame_v1",
     "recv_message",
     "request_from_wire",
     "request_to_wire",
@@ -116,9 +113,6 @@ PREFIX = struct.Struct("!4sH")  # magic, wire version
 #: Rest of the v2 header: flags, kind length, buffer-table entry count,
 #: pickled-table length, metadata length.
 V2_HEADER = struct.Struct("!HHHIQ")
-#: The legacy v1 header (magic, version, payload length) — kept for the v1
-#: codec used by handshake tests and the wire microbenchmark.
-HEADER = struct.Struct("!4sHI")
 # The metadata + table of a frame bigger than this is a corrupted header,
 # not a real payload; legitimate metadata (requests minus their arrays) is
 # a few KB.  Raw buffers have their own, larger bound below.
@@ -488,53 +482,6 @@ def decode_frame(data: bytes,
 
     payload = _finish_payload(meta, pb_buffers, arrays, blob_arrays)
     return Message(kind, payload), offset
-
-
-# -- legacy v1 codec ---------------------------------------------------------
-# Kept for the version-negotiation tests and as the comparison arm of
-# benchmarks/bench_wire.py.  v1 frames are HEADER + one pickled
-# (kind, payload) blob; v1 also put the version before the length, so both
-# generations reject each other with a clean VersionMismatch.
-
-def encode_frame_v1(message: Message) -> bytes:
-    """``message`` as one legacy v1 frame (header + pickled payload)."""
-    payload = pickle.dumps(
-        (message.kind, message.payload), protocol=pickle.HIGHEST_PROTOCOL
-    )
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"payload of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame bound"
-        )
-    return HEADER.pack(MAGIC, 1, len(payload)) + payload
-
-
-def decode_frame_v1(data: bytes) -> Tuple[Message, int]:
-    """Decode one legacy v1 frame; raises :class:`VersionMismatch` on v2."""
-    if len(data) < HEADER.size:
-        raise TruncatedFrame(
-            f"{len(data)} bytes is shorter than the {HEADER.size}-byte header"
-        )
-    magic, version, length = HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise FrameError(f"bad frame magic {magic!r} (expected {MAGIC!r})")
-    if version != 1:
-        raise VersionMismatch(
-            f"peer speaks wire version {version}, this decoder speaks 1"
-        )
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame announces {length} payload bytes, over the "
-            f"{MAX_FRAME_BYTES}-byte bound"
-        )
-    end = HEADER.size + length
-    if len(data) < end:
-        raise TruncatedFrame(
-            f"frame announces {length} payload bytes but only "
-            f"{len(data) - HEADER.size} are present"
-        )
-    kind, payload = pickle.loads(data[HEADER.size:end])
-    return Message(kind, payload), end
 
 
 # -- socket paths ------------------------------------------------------------

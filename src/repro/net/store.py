@@ -7,7 +7,7 @@ computed (or cached) on any host should short-circuit the identical request
 everywhere.  Two pieces deliver it:
 
 * :class:`ResultStoreProtocol` — the structural interface every store-like
-  object must satisfy (``get``/``put``/``merge_from``/``stats``).  The
+  object must satisfy (``get``/``put``/``stats``).  The
   coordinator, the workers and :class:`ReplicatedResultStore` all program
   against this protocol, so a plain in-memory store, a disk-backed store
   and a replicated wrapper are interchangeable.
@@ -55,9 +55,6 @@ class ResultStoreProtocol(Protocol):
 
     def put(self, fingerprint: str, result: object) -> None:
         """Store one result under ``fingerprint``."""
-
-    def merge_from(self, other: "ResultStoreProtocol") -> int:
-        """Adopt every result of ``other`` this store lacks; returns count."""
 
     def stats(self) -> Dict[str, float]:
         """Flat counter/occupancy snapshot."""
@@ -159,9 +156,6 @@ class ReplicatedResultStore:
         else:
             for fingerprint, result in pairs:
                 self.put(fingerprint, result, origin=origin, adopt=adopt)
-
-    def merge_from(self, other: ResultStoreProtocol) -> int:
-        return self.base.merge_from(other)
 
     def stats(self) -> Dict[str, float]:
         """The base store's snapshot plus replication counters."""

@@ -16,10 +16,6 @@ readiness with a single ``pull``, and then serves a pushed stream of work:
   With ``credit > 1`` the next batch is usually already queued in the
   socket buffer when results go out — compute overlaps wire latency
   instead of alternating with it.
-* ``plan`` — evaluate the shard's points through the (module-level,
-  picklable) point function, streaming one ``plan_row`` per point and a
-  final ``plan_done`` carrying the worker's fresh row-cache delta for
-  merge-back.
 * ``store_put`` / ``store_put_many`` — replication traffic from the
   coordinator (results other workers computed, one entry or a whole
   results frame's worth); applied to the local store without
@@ -153,10 +149,7 @@ class NetWorker:
             "batches": 0,
             "requests": 0,
             "local_hits": 0,
-            "plan_chunks": 0,
-            "plan_rows": 0,
         }
-        self._plan_rows: Dict[str, Dict[str, object]] = {}
         self._stop = threading.Event()
         self._connection: Optional[FramedConnection] = None
         self._heartbeat_thread: Optional[threading.Thread] = None
@@ -166,7 +159,7 @@ class NetWorker:
         """Serve until the coordinator shuts the cluster down.
 
         Returns the worker's counter snapshot (batches, requests served,
-        local store hits, plan rows evaluated).
+        local store hits).
         """
         connection = FramedConnection.connect(
             self.address,
@@ -219,9 +212,9 @@ class NetWorker:
 
     # -- the protocol loop --------------------------------------------------
     def _serve(self, connection: FramedConnection) -> None:
-        # One pull announces readiness (the plan backend keys its shard
-        # hand-off on it); after that the coordinator pushes work up to the
-        # advertised credit window, so the loop is recv-driven.
+        # One pull announces readiness; after that the coordinator pushes
+        # work up to the advertised credit window, so the loop is
+        # recv-driven.
         connection.send("pull", worker_id=self.worker_id)
         while not self._stop.is_set():
             message = self._next_work(connection)
@@ -231,8 +224,6 @@ class NetWorker:
                 return
             if message.kind == "batch":
                 self._handle_batch(connection, message)
-            elif message.kind == "plan":
-                self._handle_plan(connection, message)
             # unknown kinds: ignored (forward compatibility inside one
             # wire version)
 
@@ -336,46 +327,6 @@ class NetWorker:
             payload["spans"] = spans
             payload["span_clock"] = (received_at, time.monotonic())
         connection.send("results", **payload)
-
-    # -- evaluate plan shards -----------------------------------------------
-    def _handle_plan(self, connection: FramedConnection, message: Message) -> None:
-        self.counters["plan_chunks"] += 1
-        fn = message["fn"]
-        tasks = message["tasks"]
-        indices = message["indices"]
-        keys = message.get("keys")
-        delta: Dict[str, Dict[str, object]] = {}
-        for position, index in enumerate(indices):
-            self._chaos_plan()
-            key = keys[position] if keys is not None else None
-            cached = self._plan_rows.get(key) if key is not None else None
-            if cached is not None:
-                row = cached
-            else:
-                try:
-                    row = fn(tasks[position])
-                except BaseException as error:  # noqa: BLE001 — propagates home
-                    connection.send(
-                        "plan_error", index=index, error=_wire_error(error)
-                    )
-                    return
-                if key is not None:
-                    self._plan_rows[key] = row
-                    delta[key] = row
-            self.counters["plan_rows"] += 1
-            connection.send("plan_row", index=index, row=row, key=key)
-        connection.send("plan_done", cache_delta=delta)
-
-    def _chaos_plan(self) -> None:
-        if self.chaos_exit_after is not None and (
-            self.counters["plan_rows"] >= self.chaos_exit_after
-        ):
-            os._exit(3)
-        if self.chaos_hang_after is not None and (
-            self.counters["plan_rows"] >= self.chaos_hang_after
-        ):
-            self._stop.wait()
-            raise FrameError("chaos hang released by stop()")
 
 
 def spawn_worker(

@@ -21,9 +21,8 @@ adding a scenario meant editing three modules and the CLI.  A sweep is now
   (``collect_plan``).
 
 Execution strategy lives entirely behind the backend object, so the same
-spec runs serially, on a thread/process pool, or sharded across N
-:class:`~repro.session.Session` workers without changing a line of its
-definition::
+spec runs serially or on a thread/process pool without changing a line of
+its definition::
 
     spec = SweepSpec(
         name="my_sweep",
@@ -36,7 +35,7 @@ definition::
 Determinism contract: every point derives its own seed from the base seed,
 the sweep name and its parameters (:func:`point_seed`), so rows never
 depend on evaluation order, on which subset of points is requested, or on
-which backend/shard executed them.
+which backend executed them.
 """
 
 from __future__ import annotations
@@ -100,9 +99,7 @@ class ResultsCache:
     Thread safety: one cache is shared by every worker of a threaded
     backend and by concurrent serve requests resolving against the same
     session, so every access to the row dict, the dirty flag and the
-    hit/miss counters holds ``_lock``.  ``merge_from`` snapshots the other
-    cache under *its* lock before touching this one — the two locks are
-    never held together, so opposite-direction merges cannot deadlock.
+    hit/miss counters holds ``_lock``.
     """
 
     def __init__(self, path: Optional[Path] = None):
@@ -170,29 +167,6 @@ class ResultsCache:
         with self._lock:
             self._rows[key] = dict(row)
             self._dirty = True
-
-    def merge_from(self, other: "ResultsCache") -> int:
-        """Adopt every row of ``other`` this cache does not hold yet.
-
-        Used by :class:`repro.backends.ShardedBackend` to fold the row
-        caches of its worker sessions back into the dispatching session's
-        cache.  Existing entries win (both sides computed them under the
-        same key, so they are interchangeable); returns the number of newly
-        adopted rows.
-        """
-        # Snapshot under the *other* cache's lock, merge under ours —
-        # sequential acquisition, so two caches merging from each other on
-        # different threads cannot deadlock on lock order.
-        with other._lock:
-            snapshot = list(other._rows.items())
-        added = 0
-        with self._lock:
-            for key, row in snapshot:
-                if key not in self._rows:
-                    self._rows[key] = dict(row)
-                    self._dirty = True
-                    added += 1
-        return added
 
     def __len__(self) -> int:
         with self._lock:
@@ -440,11 +414,11 @@ class SweepSpec:
 
     ``point`` is called with a *task* dictionary (the point's parameters
     plus the derived ``seed`` and ``batch``) and returns one row
-    dictionary; it must be a top-level function so process pools and shard
-    workers can pickle it.  ``finalize`` receives the collected rows, the
-    executed task dicts and a ``run_cached`` callable evaluating one extra
-    point through the results cache; it returns the headline and may add
-    derived columns to the rows.
+    dictionary; it must be a top-level function so process pools can pickle
+    it.  ``finalize`` receives the collected rows, the executed task dicts
+    and a ``run_cached`` callable evaluating one extra point through the
+    results cache; it returns the headline and may add derived columns to
+    the rows.
 
     ``kwarg_axes`` maps user-facing keyword parameters (e.g. ``rates=``)
     onto axis names (``rate``); scalars pin an axis to a single value,
@@ -581,7 +555,6 @@ def iter_plan(
     points = spec.points(**(point_kwargs or {}))
     tasks = [spec.task(params, seed, batch_size) for params in points]
     keys = [spec.cache_key(params, seed, batch_size) for params in points]
-    backend.bind(cache=cache)
 
     pending: List[int] = []
     for index in range(len(tasks)):
@@ -595,8 +568,7 @@ def iter_plan(
     if not pending:
         return
     sub_tasks = [tasks[i] for i in pending]
-    sub_keys = [keys[i] for i in pending]
-    for local_index, row in backend.execute(spec.point, sub_tasks, keys=sub_keys):
+    for local_index, row in backend.execute(spec.point, sub_tasks):
         index = pending[local_index]
         if cache is not None:
             cache.put(keys[index], row)

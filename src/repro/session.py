@@ -57,7 +57,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .arch.params import ClusterParams, CostModelParams, DEFAULT_CLUSTER, DEFAULT_COSTS
-from .backends import ExecutionBackend, ExecutorBackend, SerialBackend, make_backend
+from .backends import BACKENDS, ExecutionBackend, make_backend
 from .config import RunConfig, spikestream_config
 from .core.pipeline import SpikeStreamInference
 from .core.results import InferenceResult
@@ -73,13 +73,11 @@ from .eval.experiments import (
     svgg11_variant_configs,
 )
 from .eval.metrics import ratio
-from .eval.runner import ResultsCache, SWEEPS, _execute, get_sweep, run_sweep
+from .eval.runner import ResultsCache, SWEEPS, get_sweep, run_sweep
 from .eval.runner import register_sweep as _register_sweep_spec
 from .plan import PlanRow, SweepSpec, collect_plan, iter_plan
 from .snn.numerics import NumericsPolicy, resolve as resolve_numerics
 from .utils.serialization import atomic_write_text, canonical_json
-
-_BACKENDS = ("process", "thread", "serial", "sharded", "net")
 
 _SIZE_SUFFIXES = {"b": 1, "kb": 1024, "mb": 1024**2, "gb": 1024**3}
 
@@ -177,7 +175,7 @@ class ResultStore:
         self._memory: "OrderedDict[str, InferenceResult]" = OrderedDict()
         self._sizes: Dict[str, int] = {}
         # One store is shared by every server worker thread in repro.serve;
-        # the reentrant lock makes get/put/merge atomic without changing
+        # the reentrant lock makes get/put atomic without changing
         # single-threaded behavior.
         self._lock = threading.RLock()
         self.total_bytes = 0
@@ -336,28 +334,6 @@ class ResultStore:
             total -= size
             with self._lock:
                 self.disk_evictions += 1
-
-    def merge_from(self, other: "ResultStore") -> int:
-        """Adopt every in-memory result of ``other`` this store lacks.
-
-        Used by :class:`repro.backends.ShardedBackend` to fold shard
-        workers' stores back into the dispatching session's store; adopted
-        results persist/evict under this store's own policy.  Returns the
-        number of newly adopted results.
-        """
-        added = 0
-        with other._lock:
-            pending = list(other._memory.items())
-        for fingerprint, result in pending:
-            # Only the membership check runs under the lock: put() encodes,
-            # copies and persists outside it by design, and a long merge
-            # must not stall every serving admission for its full duration.
-            with self._lock:
-                known = fingerprint in self._memory
-            if not known:
-                self.put(fingerprint, result)
-                added += 1
-        return added
 
     def stats(self) -> Dict[str, float]:
         """One flat snapshot of the store's counters and occupancy.
@@ -557,7 +533,6 @@ def _make_sweep_runner(sweep_name: str) -> Callable[..., ExperimentResult]:
             batch_size=4 if batch_size is None else batch_size,
             cache=session.sweep_cache,
             executor=session.shared_executor(),
-            shards=session.shards,
             **point_kwargs,
         )
 
@@ -667,9 +642,8 @@ class Session:
     jobs:
         Worker count of the shared pool; ``1`` keeps everything serial.
     backend:
-        ``"process"`` (default), ``"thread"``, ``"serial"`` or
-        ``"sharded"`` (sweep points partitioned across ``shards`` worker
-        sessions; see :class:`repro.backends.ShardedBackend`).
+        Kind of the shared pool: ``"process"`` (default), ``"thread"`` or
+        ``"serial"``.
     cache_dir:
         Directory persisting the result store (``cache_dir/results/``) and
         the sweep row cache (``cache_dir/sweep_rows.json``) across
@@ -680,8 +654,6 @@ class Session:
     sweep_cache:
         Explicit :class:`~repro.plan.ResultsCache` overriding the
         ``cache_dir``-derived sweep row cache (the CLI's ``--cache`` flag).
-    shards:
-        Worker-session count of the ``"sharded"`` backend.
     cache_limit:
         Bound on the result store: an integer caps the in-memory entry
         count, a size string (``"64MB"``) caps the in-memory canonical-JSON
@@ -704,15 +676,12 @@ class Session:
         cache_dir: Optional[Union[str, Path]] = None,
         seed: int = 2025,
         sweep_cache: Optional[ResultsCache] = None,
-        shards: int = 2,
         cache_limit: Union[None, int, str] = None,
     ):
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
         if jobs <= 0:
             raise ValueError(f"jobs must be positive, got {jobs}")
-        if shards <= 0:
-            raise ValueError(f"shards must be positive, got {shards}")
         self.config = config if config is not None else spikestream_config()
         self.cluster = cluster
         self.costs = costs
@@ -720,7 +689,6 @@ class Session:
         self.jobs = jobs
         self.backend = backend
         self.seed = seed
-        self.shards = shards
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         max_entries, max_bytes, max_disk_bytes = _parse_cache_limit(cache_limit)
         self.store = ResultStore(
@@ -756,9 +724,7 @@ class Session:
         degrades to serial execution permanently instead of re-dispatching
         onto a broken executor on every call.
         """
-        # The sharded backend brings its own worker sessions; a shared pool
-        # on top of them would only add idle threads.
-        if self.jobs <= 1 or self.backend in ("serial", "sharded") or self._executor_failed:
+        if self.jobs <= 1 or self.backend == "serial" or self._executor_failed:
             return None
         with self._lifecycle_lock:
             if self._executor is not None and getattr(self._executor, "_broken", False):
@@ -1038,15 +1004,12 @@ class Session:
              batch_size, firing_rates, seed, timesteps)
             for config in configs
         ]
-        # _execute carries the shared dispatch-with-serial-fallback policy;
-        # jobs=1 keeps it from creating a private pool when the session has
-        # no shared executor.  Sharding applies to sweep *points*, not to
-        # the handful of variant runs, so a sharded session computes these
-        # serially rather than spinning up worker sessions.
-        backend = "serial" if self.backend == "sharded" else self.backend
-        return _execute(
-            _statistical_task, payloads, 1, backend, self.shared_executor()
-        )
+        # The backend carries the shared dispatch-with-serial-fallback
+        # policy; jobs=1 keeps it from creating a private pool when the
+        # session has no shared executor.
+        backend = make_backend(self.backend, jobs=1, executor=self.shared_executor())
+        results = dict(backend.execute(_statistical_task, payloads))
+        return [results[index] for index in range(len(payloads))]
 
     # -- declarative plans ---------------------------------------------------
     def _resolve_spec(self, spec: Union[str, SweepSpec]) -> SweepSpec:
@@ -1057,25 +1020,18 @@ class Session:
     def plan_backend(
         self,
         backend: Union[None, str, ExecutionBackend] = None,
-        shards: Optional[int] = None,
     ) -> ExecutionBackend:
         """Resolve a plan's execution backend under this session's knobs.
 
         ``None`` means "the session's own strategy": the shared pool when
-        one exists, the sharded fleet when the session was built with
-        ``backend="sharded"``, serial otherwise.  A string picks a strategy
-        ad hoc for one plan; a ready-made
-        :class:`~repro.backends.ExecutionBackend` passes through.
+        one exists, serial otherwise.  A string picks a strategy ad hoc for
+        one plan; a ready-made :class:`~repro.backends.ExecutionBackend`
+        passes through.
         """
         if isinstance(backend, ExecutionBackend):
             return backend
-        shard_count = self.shards if shards is None else shards
         if backend is None:
             backend = self.backend
-        if backend in ("sharded", "net"):
-            # Both bring their own workers (threads or processes) and merge
-            # caches back; neither rides the session's shared pool.
-            return make_backend(backend, shards=shard_count)
         executor = self.shared_executor() if backend == self.backend else None
         return make_backend(backend, jobs=self.jobs, executor=executor)
 
@@ -1085,7 +1041,6 @@ class Session:
         backend: Union[None, str, ExecutionBackend] = None,
         seed: Optional[int] = None,
         batch_size: Optional[int] = None,
-        shards: Optional[int] = None,
         **point_kwargs,
     ) -> Iterator[PlanRow]:
         """Stream a declarative sweep's rows as they complete.
@@ -1096,13 +1051,10 @@ class Session:
         them — cache hits first, then completion order — each carrying its
         canonical ``index``, so a consumer can render progress long before
         the sweep ends and still reassemble the deterministic row order.
-        The session's sweep row cache memoizes every fresh row; for sharded
-        backends the worker sessions' caches and stores merge back into this
-        session on completion.
+        The session's sweep row cache memoizes every fresh row.
         """
         resolved = self._resolve_spec(spec)
-        backend_obj = self.plan_backend(backend, shards)
-        backend_obj.bind(cache=self.sweep_cache, store=self.store)
+        backend_obj = self.plan_backend(backend)
 
         def stream() -> Iterator[PlanRow]:
             try:
@@ -1125,17 +1077,13 @@ class Session:
         backend: Union[None, str, ExecutionBackend] = None,
         seed: Optional[int] = None,
         batch_size: Optional[int] = None,
-        shards: Optional[int] = None,
         **point_kwargs,
     ) -> ExperimentResult:
         """Run a declarative sweep to completion (collected counterpart of
         :meth:`run_plan`): canonical row order, finalized headline."""
-        resolved = self._resolve_spec(spec)
-        backend_obj = self.plan_backend(backend, shards)
-        backend_obj.bind(cache=self.sweep_cache, store=self.store)
         return collect_plan(
-            resolved,
-            backend_obj,
+            self._resolve_spec(spec),
+            self.plan_backend(backend),
             seed=self.seed if seed is None else seed,
             batch_size=4 if batch_size is None else batch_size,
             cache=self.sweep_cache,

@@ -1,115 +1,8 @@
-"""Tests for the per-core and cluster-level cycle accounting."""
+"""Tests for the per-core and cluster-level cycle-accounting records."""
 
 import pytest
 
-from repro.arch.cluster import SnitchCluster
-from repro.arch.core import SnitchCore
-from repro.arch.fpu import FpuModel
-from repro.arch.frep import FrepConfig, FrepUnit
-from repro.arch.params import ClusterParams
 from repro.arch.trace import ClusterStats, CoreStats
-from repro.types import Precision
-
-
-class TestFpuModel:
-    def test_simd_widths(self):
-        fpu = FpuModel()
-        assert fpu.simd_width(Precision.FP64) == 1
-        assert fpu.simd_width(Precision.FP16) == 4
-        assert fpu.simd_width(Precision.FP8) == 8
-
-    def test_groups_for_channels_rounds_up(self):
-        fpu = FpuModel()
-        assert fpu.groups_for_channels(512, Precision.FP16) == 128
-        assert fpu.groups_for_channels(10, Precision.FP8) == 2
-
-    def test_issue_accounting(self):
-        fpu = FpuModel()
-        fpu.issue(Precision.FP16, 10)
-        fpu.issue(Precision.FP8, 5)
-        assert fpu.total_ops == 15
-        assert fpu.elementwise_ops(Precision.FP16) == 40
-        fpu.reset()
-        assert fpu.total_ops == 0
-
-    def test_invalid_inputs(self):
-        fpu = FpuModel()
-        with pytest.raises(ValueError):
-            fpu.groups_for_channels(0, Precision.FP16)
-        with pytest.raises(ValueError):
-            fpu.issue(Precision.FP16, -1)
-
-
-class TestFrepUnit:
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FrepConfig(num_instructions=0, iterations=1)
-        with pytest.raises(ValueError):
-            FrepConfig(num_instructions=1, iterations=-1)
-
-    def test_execute_counts_fp_instructions(self):
-        unit = FrepUnit()
-        issued = unit.execute(FrepConfig(num_instructions=2, iterations=10))
-        assert issued == 20
-        assert unit.loops_executed == 1
-        assert unit.fp_instructions_issued == 20
-
-    def test_buffer_size_limit(self):
-        unit = FrepUnit()
-        with pytest.raises(ValueError):
-            unit.execute(FrepConfig(num_instructions=32, iterations=1))
-
-
-class TestSnitchCore:
-    def test_sequential_block_accumulates_cycles(self):
-        core = SnitchCore()
-        cycles = core.sequential_block(int_instructions=10, fp_instructions=2, stall_cycles=3)
-        assert cycles == 15
-        assert core.stats.total_cycles == 15
-        assert core.stats.instructions == 12
-        assert core.stats.fpu_busy_cycles == 2
-
-    def test_decoupled_block_takes_max(self):
-        core = SnitchCore()
-        cycles = core.decoupled_block(int_instructions=10, fp_cycles=30, fp_instructions=20)
-        assert cycles == 30
-        assert core.stats.fpu_busy_cycles == 20
-        # Utilization reflects the overlapped execution.
-        assert core.stats.fpu_utilization == pytest.approx(20 / 30)
-
-    def test_decoupled_block_int_bound(self):
-        core = SnitchCore()
-        cycles = core.decoupled_block(int_instructions=50, fp_cycles=10, fp_instructions=10)
-        assert cycles == 50
-
-    def test_decoupled_rejects_fp_instrs_above_cycles(self):
-        core = SnitchCore()
-        with pytest.raises(ValueError):
-            core.decoupled_block(fp_cycles=5, fp_instructions=6)
-
-    def test_stall_and_atomic(self):
-        core = SnitchCore()
-        core.stall(7)
-        core.atomic_operation()
-        assert core.stats.total_cycles == 7 + core.costs.atomic_operation_cycles
-        assert core.stats.atomic_operations == 1
-
-    def test_negative_values_rejected(self):
-        core = SnitchCore()
-        with pytest.raises(ValueError):
-            core.sequential_block(int_instructions=-1)
-
-    def test_ssrs_match_cluster_params(self):
-        core = SnitchCore()
-        assert len(core.ssrs) == 3
-        assert len(core.indirect_ssrs) == 2
-        assert core.ssr(0).supports_indirect
-
-    def test_reset(self):
-        core = SnitchCore()
-        core.sequential_block(int_instructions=5)
-        core.reset()
-        assert core.stats.total_cycles == 0
 
 
 class TestCoreStats:
@@ -164,42 +57,3 @@ class TestClusterStats:
     def test_runtime_seconds(self):
         stats = self._make([1000])
         assert stats.runtime_seconds(1e9) == pytest.approx(1e-6)
-
-
-class TestSnitchCluster:
-    def test_construction(self):
-        cluster = SnitchCluster()
-        assert cluster.num_cores == 8
-        assert len(cluster.cores) == 8
-
-    def test_finalize_hides_dma_behind_compute(self):
-        cluster = SnitchCluster()
-        cluster.cores[0].sequential_block(int_instructions=10_000)
-        cluster.dma.submit_1d("tile", 64 * 100)  # ~120 cycles, fully hidden
-        stats = cluster.finalize(label="layer")
-        assert stats.dma_exposed_cycles == 0
-        assert stats.total_cycles == pytest.approx(10_000)
-
-    def test_finalize_exposes_dma_when_compute_short(self):
-        cluster = SnitchCluster()
-        cluster.cores[0].sequential_block(int_instructions=10)
-        cluster.dma.submit_1d("tile", 64 * 10_000)
-        stats = cluster.finalize()
-        assert stats.dma_exposed_cycles > 0
-        assert stats.total_cycles > stats.compute_cycles - 1
-
-    def test_reset(self):
-        cluster = SnitchCluster()
-        cluster.cores[0].sequential_block(int_instructions=10)
-        cluster.dma.submit_1d("tile", 100)
-        cluster.tcdm.allocate("a", 64)
-        cluster.reset()
-        assert cluster.cores[0].stats.total_cycles == 0
-        assert cluster.dma.total_bytes == 0
-        assert cluster.tcdm.used_bytes == 0
-
-    def test_conflict_factor_uses_all_cores_by_default(self):
-        cluster = SnitchCluster(params=ClusterParams(num_worker_cores=4))
-        assert cluster.conflict_stall_factor() == pytest.approx(
-            cluster.tcdm.conflict_stall_factor(4)
-        )

@@ -1,10 +1,8 @@
-"""Tests for the TCDM, instruction cache and DMA models."""
+"""Tests for the TCDM and instruction cache models."""
 
 import pytest
 
-from repro.arch.dma import DmaEngine, DmaTransfer
 from repro.arch.icache import InstructionCache
-from repro.arch.params import ClusterParams, CostModelParams
 from repro.arch.tcdm import Tcdm, TcdmAllocationError
 
 
@@ -104,40 +102,3 @@ class TestInstructionCache:
             icache.miss_cycles(-1)
         with pytest.raises(ValueError):
             icache.miss_cycles(1, tiles=-1)
-
-
-class TestDmaEngine:
-    def test_transfer_cycles_at_bus_width(self):
-        dma = DmaEngine()
-        transfer = DmaTransfer(name="tile", bytes_moved=6400)
-        cycles = dma.transfer_cycles(transfer)
-        assert cycles == pytest.approx(6400 / 64 + 20)
-
-    def test_2d_transfer_pays_setup_per_row(self):
-        dma = DmaEngine()
-        flat = dma.submit_1d("flat", 64 * 100)
-        dma.reset()
-        strided = dma.submit_2d("im2row", bytes_per_row=64, rows=100)
-        assert strided > flat
-
-    def test_byte_accounting(self):
-        dma = DmaEngine()
-        dma.submit_1d("in", 1000)
-        dma.submit_1d("out", 500, is_write_back=True)
-        assert dma.total_bytes == 1500
-        assert dma.bytes_read == 1000
-        assert dma.bytes_written == 500
-        assert dma.total_cycles > 0
-
-    def test_reset_clears_log(self):
-        dma = DmaEngine()
-        dma.submit_1d("in", 128)
-        dma.reset()
-        assert dma.total_bytes == 0
-        assert dma.transfers == []
-
-    def test_invalid_transfers_rejected(self):
-        with pytest.raises(ValueError):
-            DmaTransfer(name="bad", bytes_moved=-1)
-        with pytest.raises(ValueError):
-            DmaTransfer(name="bad", bytes_moved=1, rows=0)

@@ -1,7 +1,7 @@
 """Tier-1 wiring of the tools/smoke.py backend matrix.
 
 One declarative SweepSpec runs through every execution backend
-(serial / thread / process / sharded-2) and the rows must be bit-for-bit
+(serial / thread / process) and the rows must be bit-for-bit
 identical.  The check itself lives in ``tools/smoke.py`` so the standalone
 smoke script and this fast ``smoke``-marked test can never drift; the test
 makes every plain ``pytest`` run cover the whole backend matrix.
@@ -27,7 +27,7 @@ def _load_smoke():
 @pytest.mark.smoke
 def test_one_spec_identical_through_every_backend():
     smoke = _load_smoke()
-    # Deterministic, kernel-only sweep: the whole 4-backend matrix stays fast.
+    # Deterministic, kernel-only sweep: the whole backend matrix stays fast.
     smoke.backend_matrix_check("stream_length", lengths=(1, 4, 16, 64))
 
 
@@ -35,5 +35,5 @@ def test_one_spec_identical_through_every_backend():
 def test_seeded_spec_identical_through_every_backend():
     smoke = _load_smoke()
     # A seeded sweep too: per-point seed derivation must not depend on the
-    # executing backend or shard.
+    # executing backend.
     smoke.backend_matrix_check("firing_rate", rates=(0.05, 0.3))

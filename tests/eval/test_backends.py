@@ -1,4 +1,6 @@
-"""Tests for the pluggable execution backends, including sharded dispatch."""
+"""Tests for the pluggable execution backends."""
+
+import os
 
 import pytest
 
@@ -6,13 +8,11 @@ from repro.backends import (
     ExecutorBackend,
     ProcessBackend,
     SerialBackend,
-    ShardKilled,
-    ShardedBackend,
     ThreadBackend,
     make_backend,
 )
-from repro.eval.runner import run_sweep
-from repro.plan import ParameterSpace, ResultsCache, SweepSpec, collect_plan
+from repro.plan import ParameterSpace, SweepSpec, collect_plan
+from repro.session import Session
 
 
 def _square_point(task):
@@ -35,6 +35,30 @@ SPEC = SweepSpec(
 )
 
 
+def _die_once_point(task):
+    """Kill the pool worker on the first point any process evaluates.
+
+    Creating the marker file is atomic, so exactly one evaluation exits;
+    every later one — in a surviving worker or in the serial retry —
+    computes the row normally.
+    """
+    try:
+        os.close(os.open(task["marker"], os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return _square_point(task)
+    os._exit(3)
+
+
+def _dying_spec(marker):
+    return SweepSpec(
+        name="square_dies_once",
+        space=ParameterSpace.grid(n=(1, 2, 3, 4, 5, 6), marker=(str(marker),)),
+        point=_die_once_point,
+        row_schema=("n", "squared"),
+        seeded=False,
+    )
+
+
 def _tasks(count=5):
     return [{"n": n, "seed": 0, "batch": 0} for n in range(1, count + 1)]
 
@@ -44,30 +68,27 @@ class TestMakeBackend:
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("thread", jobs=2), ThreadBackend)
         assert isinstance(make_backend("process", jobs=2), ProcessBackend)
-        assert isinstance(make_backend("sharded", shards=3), ShardedBackend)
         # jobs=1 degrades pool kinds to serial (historical runner semantics).
         assert isinstance(make_backend("thread", jobs=1), SerialBackend)
 
-    def test_executor_wins_over_pool_kinds_but_not_sharded(self):
+    def test_executor_wins_over_pool_kinds(self):
         class FakeExecutor:
             pass
 
         backend = make_backend("process", jobs=4, executor=FakeExecutor())
         assert isinstance(backend, ExecutorBackend)
-        assert isinstance(
-            make_backend("sharded", jobs=4, executor=FakeExecutor(), shards=2),
-            ShardedBackend,
-        )
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpu", jobs=2)
+        with pytest.raises(ValueError, match="unknown backend"):
+            make_backend("net")  # rejected even when jobs=1 would run serially
 
 
 class TestStreamingBackends:
     @pytest.mark.parametrize("backend", [
-        SerialBackend(), ThreadBackend(3), ShardedBackend(shards=2)
-    ], ids=["serial", "thread", "sharded"])
+        SerialBackend(), ThreadBackend(3), ProcessBackend(2)
+    ], ids=["serial", "thread", "process"])
     def test_every_index_exactly_once(self, backend):
         seen = dict(backend.execute(_square_point, _tasks()))
         assert sorted(seen) == [0, 1, 2, 3, 4]
@@ -80,116 +101,46 @@ class TestStreamingBackends:
             list(backend.execute(_fragile_point, tasks))
         assert "pool failed" not in capsys.readouterr().err
 
-    def test_sharded_point_error_propagates(self):
-        backend = ShardedBackend(shards=2)
+    def test_process_point_error_propagates(self, capsys):
+        backend = ProcessBackend(2)
         with pytest.raises(ValueError, match="negative point"):
             list(backend.execute(_fragile_point, [{"n": 1}, {"n": -5}, {"n": 3}]))
+        assert "pool failed" not in capsys.readouterr().err
 
     def test_point_oserror_is_a_point_error_not_infra(self, capsys):
         # A point reading a missing file must propagate immediately — it is
-        # the point's error, not a dead pool/shard, and must never trigger
-        # the serial fallback or a shard re-dispatch (it would just fail
-        # deterministically again after recomputing everything).
+        # the point's error, not a dead pool, and must never trigger the
+        # serial fallback (it would just fail deterministically again after
+        # recomputing everything).
         def missing_file_point(task):
             raise FileNotFoundError(f"no dataset for n={task['n']}")
 
         with pytest.raises(FileNotFoundError):
             list(ThreadBackend(2).execute(missing_file_point, _tasks(3)))
         assert "pool failed" not in capsys.readouterr().err
-        backend = ShardedBackend(shards=2)
-        with pytest.raises(FileNotFoundError):
-            list(backend.execute(missing_file_point, _tasks(3)))
-        err = capsys.readouterr().err
-        assert "re-dispatching" not in err
-        assert backend.redispatched == 0
 
 
-class TestShardedBackend:
-    def test_partition_is_deterministic_round_robin(self):
-        backend = ShardedBackend(shards=3)
-        assert backend.partition(7) == [[0, 3, 6], [1, 4], [2, 5]]
-        assert backend.partition(2) == [[0], [1]]  # never more shards than points
-        assert ShardedBackend(shards=1).partition(3) == [[0, 1, 2]]
+class TestDeadPoolWorker:
+    """A pool worker killed mid-sweep costs time, never rows."""
 
-    def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError, match="shards"):
-            ShardedBackend(shards=0)
+    def _expected_and_armed(self, marker):
+        spec = _dying_spec(marker)
+        marker.touch()  # disarmed: the serial reference must not exit
+        expected = collect_plan(spec, SerialBackend(), seed=0, batch_size=0)
+        marker.unlink()  # armed: the first pool worker to run a point dies
+        return spec, expected
 
-    def test_sharded_rows_identical_to_serial(self):
-        # The ISSUE acceptance check at API level: same spec, serial vs
-        # ShardedBackend(3), identical rows in canonical order.
-        serial = run_sweep("firing_rate", seed=13, rates=(0.05, 0.2, 0.4, 0.5))
-        sharded = run_sweep("firing_rate", seed=13, backend="sharded", shards=3,
-                            rates=(0.05, 0.2, 0.4, 0.5))
-        assert serial.rows == sharded.rows
-        assert serial.headline == sharded.headline
+    def test_process_backend_reruns_the_lost_points(self, tmp_path, capsys):
+        spec, expected = self._expected_and_armed(tmp_path / "died")
+        result = collect_plan(spec, ProcessBackend(2), seed=0, batch_size=0)
+        assert (tmp_path / "died").exists()  # a worker really exited
+        assert result.rows == expected.rows
+        assert "process pool failed" in capsys.readouterr().err
 
-    def test_killed_shard_points_are_redispatched(self, monkeypatch):
-        # Shard 0 dies on its first point; every row must still arrive, and
-        # the redispatch counter must record the rescued points.
-        backend = ShardedBackend(shards=2)
-        original = ShardedBackend._evaluate
-        killed = []
-
-        def flaky_evaluate(self, worker, fn, task, key):
-            if not killed and task["n"] % 2 == 1:  # first odd point: shard 0
-                killed.append(task["n"])
-                raise ShardKilled("simulated shard death")
-            return original(self, worker, fn, task, key)
-
-        monkeypatch.setattr(ShardedBackend, "_evaluate", flaky_evaluate)
-        rows = dict(backend.execute(_square_point, _tasks(6)))
-        assert sorted(rows) == [0, 1, 2, 3, 4, 5]
-        assert all(rows[i]["squared"] == (i + 1) ** 2 for i in rows)
-        assert backend.redispatched >= 1
-        assert killed  # the kill actually fired
-
-    def test_killed_shard_warning_names_the_shard(self, monkeypatch, capsys):
-        backend = ShardedBackend(shards=2)
-        fired = []
-
-        def dead_evaluate(self, worker, fn, task, key):
-            if task["n"] == 1 and not fired:  # die once; the rescue retry succeeds
-                fired.append(task["n"])
-                raise ShardKilled("kill -9")
-            return _square_point(task)
-
-        monkeypatch.setattr(ShardedBackend, "_evaluate", dead_evaluate)
-        rows = dict(backend.execute(_square_point, _tasks(4)))
-        assert sorted(rows) == [0, 1, 2, 3]
-        err = capsys.readouterr().err
-        assert "shard 0 died" in err and "re-dispatching" in err
-
-    def test_worker_caches_merge_into_parent(self):
-        parent = ResultsCache()
-        backend = ShardedBackend(shards=2)
-        backend.bind(cache=parent)
-        result = collect_plan(SPEC, backend, seed=0, batch_size=0, cache=parent)
-        assert [row["squared"] for row in result.rows] == [1, 4, 9, 16, 25]
-        # Every row is in the parent cache: both from streaming puts and the
-        # merged worker caches (merge adds nothing new, but must not fail).
-        assert len(parent) == 5
-
-    def test_sharded_results_hit_parent_cache_on_rerun(self):
-        cache = ResultsCache()
-        backend = ShardedBackend(shards=2)
-        backend.bind(cache=cache)
-        collect_plan(SPEC, backend, seed=0, batch_size=0, cache=cache)
-        cache.hits = cache.misses = 0
-        rerun = collect_plan(SPEC, ShardedBackend(shards=2), seed=0, batch_size=0,
-                             cache=cache)
-        assert cache.hits == 5 and cache.misses == 0
-        assert [row["squared"] for row in rerun.rows] == [1, 4, 9, 16, 25]
-
-
-class TestResultsCacheMerge:
-    def test_merge_from_adopts_only_new_rows(self):
-        a = ResultsCache()
-        b = ResultsCache()
-        a.put("k1", {"v": 1})
-        b.put("k1", {"v": 999})  # existing entry must win
-        b.put("k2", {"v": 2})
-        added = a.merge_from(b)
-        assert added == 1
-        assert a.get("k1") == {"v": 1}
-        assert a.get("k2") == {"v": 2}
+    def test_session_shared_pool_degrades_to_serial(self, tmp_path):
+        spec, expected = self._expected_and_armed(tmp_path / "died")
+        with Session(jobs=2, backend="process") as session:
+            result = session.run_spec(spec)
+            assert (tmp_path / "died").exists()
+            assert result.rows == expected.rows
+            assert session.shared_executor() is None

@@ -112,7 +112,7 @@ class TestSweepSpec:
         with pytest.raises(TypeError, match="unexpected point parameter"):
             _spec().points(bogus=(1,))
 
-    def test_task_seed_matches_point_seed_and_skips_compute_params(self):
+    def test_seed_per_task_matches_point_seed_and_skips_compute_params(self):
         spec = _spec(compute_params=("precision",))
         params = {"n": 3, "precision": "fp16"}
         assert spec.task_seed(11, params) == point_seed(11, "double", {"n": 3})
@@ -218,15 +218,3 @@ class TestPublicSweepHelpers:
         assert spec.name == "conv6"
         counts = counts_for_rate(spec, 0.2, np.random.default_rng(0))
         assert counts.shape == (10, 10)  # 8x8 ifmap + padding ring
-
-    def test_deprecated_private_aliases_warn_but_work(self):
-        import numpy as np
-
-        from repro.eval import sweeps
-
-        with pytest.warns(DeprecationWarning, match="conv6_spec"):
-            spec = sweeps._conv6_spec()
-        assert spec.name == "conv6"
-        with pytest.warns(DeprecationWarning, match="counts_for_rate"):
-            counts = sweeps._counts_for_rate(spec, 0.1, np.random.default_rng(0))
-        assert counts.shape == (10, 10)

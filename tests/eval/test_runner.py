@@ -21,21 +21,18 @@ class TestPointSeed:
         assert a == point_seed(2025, "firing_rate", {"rate": 0.1, "precision": "fp16"})
 
     def test_compute_params_share_one_data_seed(self):
-        from repro.eval.runner import SWEEPS, _task_seed
-
         # Every precision must run the same random batch, and every core
         # count must cost the same spike-count map.
-        assert _task_seed(SWEEPS["precision"], 2025, {"precision": "fp16"}) == \
-            _task_seed(SWEEPS["precision"], 2025, {"precision": "fp8"})
-        assert _task_seed(SWEEPS["core_count"], 2025,
-                          {"cores": 2, "rate": 0.3, "precision": "fp16"}) == \
-            _task_seed(SWEEPS["core_count"], 2025,
-                       {"cores": 8, "rate": 0.3, "precision": "fp16"})
+        precision = SWEEPS["precision"]
+        assert precision.task_seed(2025, {"precision": "fp16"}) == \
+            precision.task_seed(2025, {"precision": "fp8"})
+        core_count = SWEEPS["core_count"]
+        assert core_count.task_seed(2025, {"cores": 2, "rate": 0.3, "precision": "fp16"}) == \
+            core_count.task_seed(2025, {"cores": 8, "rate": 0.3, "precision": "fp16"})
         # Data-shaping parameters still separate the streams.
-        assert _task_seed(SWEEPS["firing_rate"], 2025,
-                          {"rate": 0.1, "precision": "fp16"}) != \
-            _task_seed(SWEEPS["firing_rate"], 2025,
-                       {"rate": 0.2, "precision": "fp16"})
+        firing_rate = SWEEPS["firing_rate"]
+        assert firing_rate.task_seed(2025, {"rate": 0.1, "precision": "fp16"}) != \
+            firing_rate.task_seed(2025, {"rate": 0.2, "precision": "fp16"})
 
     def test_varies_with_inputs(self):
         base = point_seed(2025, "firing_rate", {"rate": 0.1})

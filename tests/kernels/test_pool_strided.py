@@ -1,96 +1,14 @@
-"""Tests for the pooling kernel and the strided-indirect extension."""
+"""Tests for the strided-indirect extension's costing in the conv and SpVA kernels."""
 
 import numpy as np
 import pytest
 
-from repro.arch.ssr import StridedIndirectStreamConfig, StreamRegister
-from repro.formats.convert import compress_ifmap, decompress_ifmap
 from repro.kernels.conv import ConvLayerSpec, conv_layer_perf
-from repro.kernels.pool import PoolLayerSpec, pool_layer_functional, pool_layer_perf
 from repro.kernels.spva import streaming_spva_cost
-from repro.snn.reference import maxpool2d_hwc
 from repro.types import Precision, TensorShape
 
 
-class TestPoolFunctional:
-    def test_matches_reference_pooling(self, rng):
-        dense = rng.random((8, 8, 6)) < 0.3
-        spec = PoolLayerSpec(name="pool", input_shape=TensorShape(8, 8, 6))
-        pooled = pool_layer_functional(spec, compress_ifmap(dense))
-        expected = maxpool2d_hwc(dense, 2, 2)
-        assert np.array_equal(decompress_ifmap(pooled), expected)
-
-    def test_shape_mismatch_rejected(self, rng):
-        spec = PoolLayerSpec(name="pool", input_shape=TensorShape(8, 8, 6))
-        wrong = compress_ifmap(rng.random((4, 4, 6)) < 0.5)
-        with pytest.raises(ValueError):
-            pool_layer_functional(spec, wrong)
-
-    def test_output_shape(self):
-        spec = PoolLayerSpec(name="pool", input_shape=TensorShape(9, 9, 3), kernel_size=3, stride=3)
-        assert spec.output_shape == TensorShape(3, 3, 3)
-        with pytest.raises(ValueError):
-            PoolLayerSpec(name="bad", input_shape=TensorShape(2, 2, 1), kernel_size=4).output_shape
-
-
-class TestPoolPerf:
-    def test_cycles_scale_with_activity(self, rng):
-        spec = PoolLayerSpec(name="pool", input_shape=TensorShape(16, 16, 32))
-        sparse = rng.binomial(32, 0.05, size=(16, 16)).astype(float)
-        dense = rng.binomial(32, 0.6, size=(16, 16)).astype(float)
-        assert (
-            pool_layer_perf(spec, dense).total_cycles > pool_layer_perf(spec, sparse).total_cycles
-        )
-
-    def test_no_fp_work(self, rng):
-        spec = PoolLayerSpec(name="pool", input_shape=TensorShape(8, 8, 16))
-        counts = rng.binomial(16, 0.3, size=(8, 8)).astype(float)
-        stats = pool_layer_perf(spec, counts)
-        assert stats.total_fp_instructions == 0
-        assert stats.fpu_utilization == 0.0
-
-    def test_counts_shape_validated(self):
-        spec = PoolLayerSpec(name="pool", input_shape=TensorShape(8, 8, 16))
-        with pytest.raises(ValueError):
-            pool_layer_perf(spec, np.zeros((4, 4)))
-
-    def test_pooling_much_cheaper_than_conv(self, rng):
-        """Pooling must be a negligible fraction of a conv layer's cycles."""
-        conv_spec = ConvLayerSpec(
-            name="conv", input_shape=TensorShape(16, 16, 32), in_channels=32, out_channels=32
-        )
-        counts_unpadded = rng.binomial(32, 0.3, size=(16, 16)).astype(float)
-        conv_stats = conv_layer_perf(
-            conv_spec, np.pad(counts_unpadded, 1), Precision.FP16, streaming=True
-        )
-        pool_spec = PoolLayerSpec(name="pool", input_shape=TensorShape(16, 16, 32))
-        pool_stats = pool_layer_perf(pool_spec, counts_unpadded)
-        assert pool_stats.total_cycles < 0.2 * conv_stats.total_cycles
-
-
 class TestStridedIndirect:
-    def test_address_generation_replays_indices_per_group(self):
-        config = StridedIndirectStreamConfig(
-            base_address=100, indices=[1, 3], element_bytes=8, group_stride_bytes=64, num_groups=3
-        )
-        assert config.length == 6
-        assert config.addresses().tolist() == [108, 124, 172, 188, 236, 252]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StridedIndirectStreamConfig(0, [1], element_bytes=8, group_stride_bytes=8, num_groups=0)
-        with pytest.raises(ValueError):
-            StridedIndirectStreamConfig(0, [-1], element_bytes=8, group_stride_bytes=8, num_groups=1)
-
-    def test_accepted_by_indirect_capable_register_only(self):
-        config = StridedIndirectStreamConfig(0, [0, 1], 8, 64, 2)
-        indirect = StreamRegister(index=0, supports_indirect=True)
-        indirect.configure(config)
-        assert indirect.spm_accesses_per_element(config) == 1
-        affine_only = StreamRegister(index=2, supports_indirect=False)
-        with pytest.raises(ValueError):
-            affine_only.configure(config)
-
     def test_spva_cost_override(self):
         standard = streaming_spva_cost(100.0)
         strided = streaming_spva_cost(100.0, cycles_per_element=1.15)

@@ -122,6 +122,16 @@ class TestClusterEquivalence:
         assert stats["net.store_replications"] >= 1
 
 
+class TestLifecycle:
+    def test_close_wakes_the_blocked_accept_thread(self):
+        # The accept thread sits in accept() for the coordinator's whole
+        # life; close() must wake it rather than wait out its join timeout.
+        coordinator = Coordinator()
+        assert coordinator._accept_thread.is_alive()
+        coordinator.close()
+        assert not coordinator._accept_thread.is_alive()
+
+
 class TestTelemetrySurface:
     def test_stats_snapshot_declares_the_net_surface(self):
         coordinator = Coordinator()

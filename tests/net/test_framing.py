@@ -1,14 +1,16 @@
 """The repro.net wire format: round trips, truncation, version gating.
 
-Every payload class the cluster ships — :class:`InferenceRequest` wire
-dicts, :class:`PlanRow` objects, full :class:`InferenceResult` objects —
-must cross a real ``socketpair`` bit-for-bit, and the error taxonomy must
+Every payload class — :class:`InferenceRequest` wire dicts, frozen
+dataclasses such as :class:`PlanRow`, full :class:`InferenceResult`
+objects — must cross a real ``socketpair`` bit-for-bit, and the error taxonomy must
 hold: clean EOF between frames is :class:`ConnectionClosed`, EOF inside a
 frame is :class:`TruncatedFrame`, a foreign wire version is
 :class:`VersionMismatch` and never decoded.
 """
 
+import pickle
 import socket
+import struct
 import threading
 import time
 
@@ -18,7 +20,6 @@ import pytest
 from repro.config import spikestream_config
 from repro.net.framing import (
     ARRAY_OOB_BYTES,
-    HEADER,
     MAGIC,
     MAX_FRAME_BYTES,
     PREFIX,
@@ -31,9 +32,7 @@ from repro.net.framing import (
     VersionMismatch,
     WIRE_VERSION,
     decode_frame,
-    decode_frame_v1,
     encode_frame,
-    encode_frame_v1,
     recv_message,
     request_from_wire,
     request_to_wire,
@@ -84,7 +83,7 @@ class TestFrameCodec:
     def test_decode_short_buffer_is_truncated(self):
         frame = encode_frame(Message("probe", {"n": 17}))
         with pytest.raises(TruncatedFrame):
-            decode_frame(frame[: HEADER.size - 1])
+            decode_frame(frame[: PREFIX.size + V2_HEADER.size - 1])
         with pytest.raises(TruncatedFrame):
             decode_frame(frame[:-1])
 
@@ -208,20 +207,14 @@ class TestSocketPaths:
 
     def test_v1_peer_rejected_by_v2_reader(self, pair):
         # Both generations put the version right after the magic, so a v1
-        # frame hitting a v2 reader fails the handshake cleanly instead of
-        # being misparsed as lengths.
+        # frame (magic, version 1, payload length, one pickled blob) hitting
+        # a v2 reader fails the handshake cleanly instead of being misparsed
+        # as lengths.
         left, right = pair
-        left.sendall(encode_frame_v1(Message("probe", {"n": 1})))
+        payload = pickle.dumps(("probe", {"n": 1}))
+        left.sendall(struct.pack("!4sHI", MAGIC, 1, len(payload)) + payload)
         with pytest.raises(VersionMismatch):
             recv_message(right)
-
-    def test_v2_frame_rejected_by_v1_decoder(self, pair):
-        left, right = pair
-        frame = encode_frame(Message("probe", {"n": 1}))
-        left.sendall(frame)
-        received = right.recv(len(frame), socket.MSG_WAITALL)
-        with pytest.raises(VersionMismatch):
-            decode_frame_v1(received)
 
     def test_eof_inside_oob_buffer_section_is_truncated(self, pair):
         # The peer dies after the metadata but mid-way through the raw

@@ -184,24 +184,23 @@ class TestPlanCli:
             main(["plan", "--describe", "bogus"])
 
 
-class TestShardedCli:
-    def test_sweep_sharded_matches_serial_bit_for_bit(self, capsys):
-        # The ISSUE acceptance criterion, at CLI level: the sharded and
-        # serial paths must render byte-identical machine-readable output.
-        assert main(["sweep", "--sweep", "firing_rate", "--backend", "sharded",
-                     "--shards", "2", "--format", "json"]) == 0
-        sharded = capsys.readouterr().out
+class TestSweepBackendsCli:
+    def test_sweep_process_matches_serial_bit_for_bit(self, capsys):
+        # The process pool and the serial path must render byte-identical
+        # machine-readable output.
+        assert main(["sweep", "--sweep", "firing_rate", "--backend", "process",
+                     "--jobs", "2", "--format", "json"]) == 0
+        parallel = capsys.readouterr().out
         assert main(["sweep", "--sweep", "firing_rate", "--backend", "serial",
                      "--format", "json"]) == 0
         serial = capsys.readouterr().out
-        assert sharded == serial
-        assert json.loads(sharded)["rows"]
+        assert parallel == serial
+        assert json.loads(parallel)["rows"]
 
-    def test_invalid_shards_rejected_at_parse_time(self, capsys):
+    def test_backend_accepts_only_pool_kinds(self, capsys):
         with pytest.raises(SystemExit):
-            main(["sweep", "--sweep", "stream_length", "--backend", "sharded",
-                  "--shards", "0"])
-        assert "positive integer" in capsys.readouterr().err
+            main(["sweep", "--sweep", "stream_length", "--backend", "net"])
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestRunExport:

@@ -1,8 +1,8 @@
-"""Tests for Session.run_plan streaming, sharded sessions, store eviction."""
+"""Tests for Session.run_plan streaming, process-pool sessions, store eviction."""
 
 import pytest
 
-from repro.backends import ShardedBackend
+from repro.backends import ThreadBackend
 from repro.core.pipeline import SpikeStreamInference
 from repro.config import spikestream_config
 from repro.eval.runner import SWEEPS
@@ -74,19 +74,19 @@ class TestRunPlan:
         assert [row["tripled"] for row in result.rows] == [3, 6, 9, 12]
         assert result.name == "parallel_triple_sweep"
 
-    def test_sharded_session_matches_serial_rows(self):
+    def test_process_session_matches_serial_rows(self):
         with Session() as serial_session:
             serial = serial_session.run("firing_rate", seed=21, rates=(0.1, 0.3))
-        with Session(backend="sharded", shards=2) as sharded_session:
-            sharded = sharded_session.run("firing_rate", seed=21, rates=(0.1, 0.3))
-            assert sharded_session.shared_executor() is None  # shards own the work
-        assert serial.rows == sharded.rows
-        assert serial.headline == sharded.headline
+        with Session(jobs=2, backend="process") as process_session:
+            parallel = process_session.run("firing_rate", seed=21, rates=(0.1, 0.3))
+            assert process_session.pool_launches == 1  # the shared pool ran it
+        assert serial.rows == parallel.rows
+        assert serial.headline == parallel.headline
 
-    def test_run_plan_explicit_sharded_backend(self):
+    def test_run_plan_explicit_backend_object(self):
         with Session() as session:
             rows = sorted(
-                session.run_plan(_STREAM_SPEC, backend=ShardedBackend(shards=2)),
+                session.run_plan(_STREAM_SPEC, backend=ThreadBackend(2)),
                 key=lambda row: row.index,
             )
         assert [row.row["n"] for row in rows] == [1, 2, 3, 4]
@@ -164,16 +164,6 @@ class TestResultStoreEviction:
             ResultStore(max_entries=0)
         with pytest.raises(ValueError, match="max_bytes"):
             ResultStore(max_bytes=0)
-
-    def test_merge_from_respects_bounds(self):
-        src = ResultStore()
-        result = self._result()
-        src.put("a", result)
-        src.put("b", result)
-        dst = ResultStore(max_entries=1)
-        added = dst.merge_from(src)
-        assert added == 2
-        assert len(dst) == 1  # bounded even through merges
 
 
 class TestCacheLimitKnob:

@@ -4,7 +4,7 @@ Runs the repository's tier-1 pytest suite, exercises the ``repro.cli
 sweep`` path end-to-end (stream-length sweep, two workers, JSON output,
 machine-readable payload), runs one declarative
 :class:`~repro.plan.SweepSpec` through EVERY execution backend
-(serial / thread / process / sharded-2) asserting bit-for-bit row equality,
+(serial / thread / process) asserting bit-for-bit row equality,
 checks the batched *functional* engine against its per-frame reference loop
 (bit-for-bit, on a small SVGG-style network), drives the ``repro.serve``
 inference service with 32 concurrent mixed-mode requests asserting every
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -107,12 +108,11 @@ def run_fast_sweep() -> int:
 
 
 #: (label, run_sweep keyword arguments) of every execution backend the
-#: matrix check exercises; sharded runs with two worker sessions.
+#: matrix check exercises.
 BACKEND_MATRIX = (
     ("serial", {"backend": "serial"}),
     ("thread", {"backend": "thread", "jobs": 2}),
     ("process", {"backend": "process", "jobs": 2}),
-    ("sharded-2", {"backend": "sharded", "shards": 2}),
 )
 
 
@@ -511,7 +511,7 @@ def cluster_check(seed: int = 53) -> None:
        cross each link exactly once (``__need_blob__`` traffic and
        ``net.blob`` misses stay flat across the second wave) and the
        per-request dispatch bytes of that second wave must be at least 5x
-       smaller than the same batch under the v1 monolithic-pickle codec;
+       smaller than the same request pickled whole;
     4. every response must be bit-for-bit identical to a direct
        :class:`~repro.session.Session` call, and the lock tracer must come
        back clean (no order cycles, no unguarded link-table access).
@@ -522,7 +522,6 @@ def cluster_check(seed: int = 53) -> None:
     from repro.eval.sweeps import functional_network
     from repro.lint.locktrace import instrument_coordinator
     from repro.net import Coordinator, spawn_worker
-    from repro.net.framing import Message, encode_frame_v1
     from repro.session import Session
     from repro.snn.datasets import SyntheticCIFAR10
     from repro.snn.layers import (
@@ -641,23 +640,19 @@ def cluster_check(seed: int = 53) -> None:
 
         # And the dedup must show up as wire savings: wave-4 dispatch
         # traffic per request must be >= 5x smaller than the same single
-        # request under the v1 monolithic-pickle codec, which re-ships the
-        # weights every time.
+        # request pickled whole, which carries the weights every time.
         wave4_batch_bytes = (
             after_wave4["net.bytes"]["sent_by_kind"].get("batch", 0)
             - after_wave3["net.bytes"]["sent_by_kind"].get("batch", 0)
         )
-        v1_request_bytes = len(encode_frame_v1(Message("batch", {
-            "batch_id": 0,
-            "requests": [{
-                "mode": "functional", "config": config,
-                "network": big_network, "frames": big_frames[4:5],
-            }],
-        })))
-        assert wave4_batch_bytes / 4 * 5 <= v1_request_bytes, (
+        pickled_request_bytes = len(pickle.dumps({
+            "mode": "functional", "config": config,
+            "network": big_network, "frames": big_frames[4:5],
+        }))
+        assert wave4_batch_bytes / 4 * 5 <= pickled_request_bytes, (
             f"big-FC dispatch costs {wave4_batch_bytes / 4:.0f} B/request "
-            f"on the v2 wire — not even 5x below the {v1_request_bytes} B "
-            f"a v1 frame would need"
+            f"on the wire — not even 5x below the {pickled_request_bytes} B "
+            f"of the request pickled whole"
         )
         served.extend(big_served)
         stats = coordinator.stats()
