@@ -23,7 +23,9 @@ layer-major, takes each layer's whole-batch workload — stacked padded
 spike-count maps for conv layers, per-frame nnz for FC layers, a plain
 frame count for the dense encoding layer — and costs it through the
 kernels' ``*_perf_batch`` entry points (vectorized SpVA costs, batched
-window aggregation, and a batch-parallel workload-stealing simulation).
+window aggregation, and a workload-stealing simulation that takes, per
+frame, a closed-form round-robin when every item costs the same, the heap
+when few frames remain, and a numpy loop across frames otherwise).
 The two modes differ only in where those spike counts come from:
 
 * statistical draws them from per-frame RNG streams

@@ -140,8 +140,9 @@ def window_sum_batch(values: np.ndarray, kernel: int, stride: int) -> np.ndarray
     Batched counterpart of :func:`window_sum`; each ``values[b]`` produces the
     exact same (bit-for-bit) window sums as ``window_sum(values[b], ...)``
     because :func:`numpy.cumsum` accumulates strictly sequentially along the
-    requested axis and the corner gathers/subtractions are element-wise in
-    the same operand order.
+    requested axis, and the four corners of every window, read from the
+    integral image as strided slices, are combined element-wise in the same
+    operand order.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 3:
@@ -150,15 +151,22 @@ def window_sum_batch(values: np.ndarray, kernel: int, stride: int) -> np.ndarray
     if kernel > height or kernel > width:
         raise ValueError("kernel larger than the map")
     integral = np.zeros((batch, height + 1, width + 1), dtype=np.float64)
-    integral[:, 1:, 1:] = np.cumsum(np.cumsum(values, axis=1), axis=2)
+    inner = integral[:, 1:, 1:]
+    np.cumsum(values, axis=1, out=inner)
+    np.cumsum(inner, axis=2, out=inner)
     out_h = (height - kernel) // stride + 1
     out_w = (width - kernel) // stride + 1
-    ys = np.arange(out_h) * stride
-    xs = np.arange(out_w) * stride
-    y0, x0 = np.meshgrid(ys, xs, indexing="ij")
-    y1, x1 = y0 + kernel, x0 + kernel
+
+    def span(start: int, count: int) -> slice:
+        return slice(start, start + (count - 1) * stride + 1, stride)
+
+    top, bottom = span(0, out_h), span(kernel, out_h)
+    left, right = span(0, out_w), span(kernel, out_w)
     return (
-        integral[:, y1, x1] - integral[:, y0, x1] - integral[:, y1, x0] + integral[:, y0, x0]
+        integral[:, bottom, right]
+        - integral[:, top, right]
+        - integral[:, bottom, left]
+        + integral[:, top, left]
     )
 
 
@@ -319,10 +327,12 @@ def conv_layer_perf_batch(
     """Batch-axis entry point of :func:`conv_layer_perf`.
 
     ``spike_counts`` has shape ``(B, Hp, Wp)``: one padded per-position
-    spike-count map per frame.  All per-position SpVA costs, the per-RF
-    window aggregation and the workload-stealing schedule are computed for
-    the whole batch in one vectorized pass; only the cheap per-frame
-    reductions (per-core sums, tiling plan, icache model) remain in Python.
+    spike-count map per frame.  All per-position SpVA costs and the per-RF
+    window aggregation are computed for the whole batch in one vectorized
+    pass, and the workload-stealing schedules of all frames in one
+    :func:`~repro.kernels.scheduler.workload_stealing_schedule_batch` call;
+    only the cheap per-frame reductions (per-core sums, tiling plan, icache
+    model) remain in Python.
     The returned list holds one :class:`ClusterStats` per frame that is
     bit-for-bit identical to calling :func:`conv_layer_perf` on that frame's
     map alone.
@@ -384,7 +394,7 @@ def conv_layer_perf_batch(
     rf_spm = groups * (rf_spva_spm + 4.0)  # membrane load/store + ofmap append
     rf_ssr = groups * rf_spva_ssr
 
-    # ---- workload stealing, all frames simultaneously ---------------------
+    # ---- workload stealing, all frames in one call -----------------------
     schedule = workload_stealing_schedule_batch(
         rf_cycles, num_cores, atomic_cost_cycles=costs.atomic_operation_cycles
     )

@@ -151,8 +151,9 @@ def fc_layer_perf_batch(
     """Batch-axis entry point of :func:`fc_layer_perf`.
 
     ``nnz`` holds the spiking input count of every frame in the batch.  The
-    SpVA costs of all ``batch x groups`` output-channel groups and the
-    workload-stealing schedules are computed in one vectorized pass; the
+    SpVA costs of all ``batch x groups`` output-channel groups are computed
+    in one vectorized pass.  All groups of a frame cost the same, so the
+    scheduler deals them to the cores round-robin in closed form.  The
     returned per-frame :class:`ClusterStats` are bit-for-bit identical to
     per-frame :func:`fc_layer_perf` calls.
     """

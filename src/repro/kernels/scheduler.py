@@ -3,17 +3,28 @@
 Because the ifmaps are compressed, the work per receptive field (RF) varies
 with the local spike count; a static partition would leave cores idle.  The
 paper therefore lets each core, once it finishes its RF, atomically claim the
-next unprocessed RF.  The function below simulates that policy over a vector
-of per-RF costs and returns the resulting per-core load.
+next unprocessed RF.  :func:`workload_stealing_schedule` simulates that policy
+over one vector of per-RF costs with a heap of core availability times; it is
+the oracle.  :func:`workload_stealing_schedule_batch` produces the same
+schedule for a whole batch of cost vectors, picking per frame the cheapest
+exact method its input allows: a closed-form round-robin for frames whose
+items all cost the same, the heap once per frame for small batches, and a
+numpy loop over the items, vectorised across frames, for large ones.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
+
+#: Frames left after the closed form are simulated with the heap one by one
+#: when there are fewer than this many, else with the loop across frames.
+#: On a 2-CPU Xeon host (Python 3.11, numpy 2.4) the crossover lies at
+#: 5-10 frames for 64-1024 items on 8 cores.
+SMALL_BATCH = 8
 
 
 @dataclass
@@ -86,6 +97,16 @@ class BatchStealingSchedule:
         ]
 
 
+def _checked_costs(values, name: str) -> np.ndarray:
+    """``values`` as float64, rejecting negative and non-finite costs."""
+    costs = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(costs).all():
+        raise ValueError(f"{name} must be finite")
+    if (costs < 0).any():
+        raise ValueError(f"{name} must be non-negative")
+    return costs
+
+
 def workload_stealing_schedule_batch(
     item_costs: np.ndarray,
     num_cores: int,
@@ -94,46 +115,122 @@ def workload_stealing_schedule_batch(
     """Simulate dynamic workload stealing for a batch of frames at once.
 
     ``item_costs`` has shape ``(batch, num_items)``: one cost vector per
-    frame.  The sequential dependency of the stealing policy runs over the
-    items, so the simulation loops over the (shared) item axis and resolves
-    all frames simultaneously with vectorized argmin/updates.  The per-frame
-    outcome is bit-for-bit identical to :func:`workload_stealing_schedule`:
-    the scalar version keeps exactly one heap entry per core, so popping the
-    smallest ``(available_at, core)`` tuple is an argmin over the per-core
-    availability times with ties broken by the lowest core id — precisely
-    what :func:`numpy.argmin` returns — and the busy/atomic accumulations
-    happen in the same item order with the same float operand order.
+    frame.  Every frame's outcome is bit-for-bit identical to
+    :func:`workload_stealing_schedule` on that row; each frame takes the
+    first of three exact methods that applies to it:
+
+    * frames whose items all cost the same are dealt round-robin
+      (:func:`_round_robin_rows`);
+    * if fewer than :data:`SMALL_BATCH` frames remain, each is simulated
+      with the heap;
+    * otherwise the remaining frames are simulated together by
+      :func:`_stealing_loop`.
     """
     if num_cores <= 0:
         raise ValueError(f"num_cores must be positive, got {num_cores}")
-    costs = np.asarray(item_costs, dtype=np.float64)
+    costs = _checked_costs(item_costs, "item_costs")
     if costs.ndim != 2:
         raise ValueError(f"item_costs must be 2-D (batch, items), got shape {costs.shape}")
-    if np.any(costs < 0):
-        raise ValueError("item_costs must be non-negative")
     batch, num_items = costs.shape
-    available = np.zeros((batch, num_cores), dtype=np.float64)
+    core_of_item = np.empty((batch, num_items), dtype=np.int64)
     busy = np.zeros((batch, num_cores), dtype=np.float64)
-    atomics = np.zeros((batch, num_cores), dtype=np.float64)
     finish = np.zeros((batch, num_cores), dtype=np.float64)
-    core_of_item = np.zeros((batch, num_items), dtype=np.int64)
-    frames = np.arange(batch)
-    costs_by_item = np.ascontiguousarray(costs.T)  # contiguous per-item rows
-    for item in range(num_items):
-        chosen = available.argmin(axis=1)
-        cost = costs_by_item[item]
-        end = available[frames, chosen] + atomic_cost_cycles + cost
-        available[frames, chosen] = end
-        busy[frames, chosen] += cost
-        atomics[frames, chosen] += 1.0
-        finish[frames, chosen] = end
-        core_of_item[:, item] = chosen
+    claims = np.zeros((batch, num_cores), dtype=np.float64)
+
+    closed = np.zeros(batch, dtype=bool)
+    uniform = np.flatnonzero((costs == costs[:, :1]).all(axis=1))
+    if len(uniform):
+        exact, rr_busy, rr_finish, rr_claims = _round_robin_rows(
+            costs[uniform, :1], num_items, num_cores, atomic_cost_cycles
+        )
+        rows = uniform[exact]
+        core_of_item[rows] = np.arange(num_items) % num_cores
+        busy[rows], finish[rows], claims[rows] = rr_busy[exact], rr_finish[exact], rr_claims
+        closed[rows] = True
+    rest = np.flatnonzero(~closed)
+    if len(rest) < SMALL_BATCH:
+        for frame in rest:
+            schedule = workload_stealing_schedule(costs[frame], num_cores, atomic_cost_cycles)
+            for core, items in enumerate(schedule.assignments):
+                core_of_item[frame, items] = core
+            busy[frame] = schedule.core_busy_cycles
+            finish[frame] = schedule.core_finish_cycles
+            claims[frame] = schedule.atomic_operations_per_core
+    else:
+        core_of_item[rest], busy[rest], finish[rest], claims[rest] = _stealing_loop(
+            costs[rest], num_cores, atomic_cost_cycles
+        )
     return BatchStealingSchedule(
         num_cores=num_cores,
         core_of_item=core_of_item,
         core_busy_cycles=busy,
         core_finish_cycles=finish,
-        atomic_operations_per_core=atomics,
+        atomic_operations_per_core=claims,
+    )
+
+
+def _round_robin_rows(
+    cost: np.ndarray, num_items: int, num_cores: int, atomic_cost_cycles: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form schedules of frames whose ``num_items`` items all cost ``cost``.
+
+    ``cost`` has shape ``(frames, 1)``.  While each round of claims ends
+    strictly later than the one before, every claim goes to the free core
+    with the lowest id, so item ``i`` lands on core ``i % num_cores`` and
+    core ``j`` makes ``rounds + (j < num_items % num_cores)`` claims.  The
+    finish time after ``r`` rounds is accumulated sequentially as
+    ``(end + atomic) + cost`` and the busy time as ``busy + cost``, the
+    heap's operations in its order.  Returns the mask of frames for which
+    the round-robin holds (the others need a full simulation) plus, for all
+    frames, the per-core busy and finish times and the claim counts.
+    """
+    frames = len(cost)
+    rounds = -(-num_items // num_cores)
+    steps = np.zeros((frames, 2 * rounds + 1), dtype=np.float64)
+    steps[:, 1::2] = atomic_cost_cycles
+    steps[:, 2::2] = cost
+    ends = np.cumsum(steps, axis=1)[:, ::2]
+    work = np.zeros((frames, rounds + 1), dtype=np.float64)
+    work[:, 1:] = cost
+    done = np.cumsum(work, axis=1)
+    exact = (ends[:, 1:] > ends[:, :-1]).all(axis=1)
+    per_core = num_items // num_cores + (np.arange(num_cores) < num_items % num_cores)
+    return exact, done[:, per_core], ends[:, per_core], per_core.astype(np.float64)
+
+
+def _stealing_loop(
+    costs: np.ndarray, num_cores: int, atomic_cost_cycles: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate all frames of ``costs`` together, one item at a time.
+
+    The heap keeps one entry per core, so popping the smallest
+    ``(available_at, core)`` is an argmin over the per-core availability
+    with ties to the lowest core id, which is what :func:`numpy.argmin`
+    returns.  Only availability and the claiming core are carried through
+    the loop.  Each core's finish time is its final availability, and
+    :func:`numpy.bincount` adds the busy cycles of a core in item order, as
+    the heap does.  Returns ``(core_of_item, busy, finish, claims)``.
+    """
+    frames, num_items = costs.shape
+    available = np.zeros((frames, num_cores), dtype=np.float64)
+    flat_available = available.reshape(-1)
+    offsets = np.arange(frames) * num_cores
+    core_by_item = np.empty((num_items, frames), dtype=np.int64)
+    for item, cost in enumerate(np.ascontiguousarray(costs.T)):
+        chosen = available.argmin(axis=1)
+        slots = offsets + chosen
+        flat_available[slots] = flat_available[slots] + atomic_cost_cycles + cost
+        core_by_item[item] = chosen
+    core_of_item = core_by_item.T
+    bins = (offsets[:, None] + core_of_item).reshape(-1)
+    size = frames * num_cores
+    busy = np.bincount(bins, weights=costs.reshape(-1), minlength=size)
+    claims = np.bincount(bins, minlength=size).astype(np.float64)
+    return (
+        core_of_item,
+        busy.reshape(frames, num_cores),
+        available,
+        claims.reshape(frames, num_cores),
     )
 
 
@@ -144,6 +241,10 @@ def workload_stealing_schedule(
     static: bool = False,
 ) -> StealingSchedule:
     """Simulate dynamic workload stealing (or a static block partition).
+
+    Each claim pops the core that frees up first (ties to the lowest core
+    id) from a heap of ``(available_at, core)`` entries and pushes it back
+    at ``(available_at + atomic_cost_cycles) + cost``.
 
     Parameters
     ----------
@@ -160,44 +261,45 @@ def workload_stealing_schedule(
     """
     if num_cores <= 0:
         raise ValueError(f"num_cores must be positive, got {num_cores}")
-    costs = np.asarray(list(rf_costs), dtype=np.float64)
-    if np.any(costs < 0):
-        raise ValueError("rf_costs must be non-negative")
+    if not isinstance(rf_costs, np.ndarray):
+        rf_costs = list(rf_costs)
+    costs = _checked_costs(rf_costs, "rf_costs")
     assignments: List[List[int]] = [[] for _ in range(num_cores)]
-    busy = np.zeros(num_cores, dtype=np.float64)
-    atomics = np.zeros(num_cores, dtype=np.float64)
 
     if static:
         # Contiguous block partition: core c gets RFs [c*chunk, (c+1)*chunk).
+        busy = np.zeros(num_cores, dtype=np.float64)
         chunks = np.array_split(np.arange(len(costs)), num_cores)
         for core, chunk in enumerate(chunks):
             assignments[core] = [int(i) for i in chunk]
             busy[core] = float(np.sum(costs[chunk]))
-        finish = busy.copy()
         return StealingSchedule(
             num_cores=num_cores,
             assignments=assignments,
             core_busy_cycles=busy,
-            core_finish_cycles=finish,
-            atomic_operations_per_core=atomics,
+            core_finish_cycles=busy.copy(),
+            atomic_operations_per_core=np.zeros(num_cores, dtype=np.float64),
         )
 
     # Dynamic stealing: each core grabs the next RF as soon as it is free.
+    # The sorted initial list is already a heap; a core's last push is its
+    # finish time.
     heap = [(0.0, core) for core in range(num_cores)]
-    heapq.heapify(heap)
-    finish = np.zeros(num_cores, dtype=np.float64)
-    for rf_index, cost in enumerate(costs):
-        available_at, core = heapq.heappop(heap)
-        end = available_at + atomic_cost_cycles + cost
+    busy_cycles = [0.0] * num_cores
+    for rf_index, cost in enumerate(costs.tolist()):
+        available_at, core = heap[0]
         assignments[core].append(rf_index)
-        busy[core] += cost
-        atomics[core] += 1
-        finish[core] = end
-        heapq.heappush(heap, (end, core))
+        busy_cycles[core] += cost
+        heapq.heapreplace(heap, (available_at + atomic_cost_cycles + cost, core))
+    finish = np.zeros(num_cores, dtype=np.float64)
+    for available_at, core in heap:
+        finish[core] = available_at
     return StealingSchedule(
         num_cores=num_cores,
         assignments=assignments,
-        core_busy_cycles=busy,
+        core_busy_cycles=np.array(busy_cycles, dtype=np.float64),
         core_finish_cycles=finish,
-        atomic_operations_per_core=atomics,
+        atomic_operations_per_core=np.array(
+            [len(items) for items in assignments], dtype=np.float64
+        ),
     )

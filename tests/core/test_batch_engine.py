@@ -9,6 +9,8 @@ exact equality (no tolerances).
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.arch.params import ClusterParams
 from repro.config import baseline_config, spikestream_config
@@ -24,6 +26,7 @@ from repro.kernels.conv import (
 from repro.kernels.encode import encode_layer_perf, encode_layer_perf_batch
 from repro.kernels.fc import FcLayerSpec, fc_layer_perf, fc_layer_perf_batch
 from repro.kernels.scheduler import (
+    SMALL_BATCH,
     workload_stealing_schedule,
     workload_stealing_schedule_batch,
 )
@@ -78,6 +81,64 @@ class TestBatchScheduler:
             workload_stealing_schedule_batch(np.ones(3), num_cores=2)
         with pytest.raises(ValueError):
             workload_stealing_schedule_batch(-np.ones((2, 3)), num_cores=2)
+        for bad in (np.nan, np.inf, -np.inf):
+            costs = np.array([[5.0, 1.0, 2.0, 3.0, 4.0, 6.0], [5.0, bad, 1.0, 2.0, 3.0, 4.0]])
+            with pytest.raises(ValueError, match="finite"):
+                workload_stealing_schedule_batch(costs, num_cores=2)
+
+
+def assert_schedule_matches_heap(batched, costs, num_cores, atomic):
+    """Every frame of a batched schedule equals the heap's, bit for bit."""
+    assert batched.core_of_item.shape == costs.shape
+    for frame, row in enumerate(costs):
+        scalar = workload_stealing_schedule(row, num_cores, atomic_cost_cycles=atomic)
+        assert batched.frame_assignments(frame) == scalar.assignments
+        for name in ("core_busy_cycles", "core_finish_cycles", "atomic_operations_per_core"):
+            assert getattr(batched, name)[frame].tobytes() == getattr(scalar, name).tobytes(), name
+
+
+_ATOMIC_COSTS = st.sampled_from([0.0, 0.5, 3.0, 1.0 / 3.0])
+
+
+class TestBatchSchedulerProperties:
+    """The closed form, the per-frame heap and the loop across frames all
+    reproduce :func:`workload_stealing_schedule` exactly; batch sizes run to
+    3x :data:`SMALL_BATCH` so both sides of the crossover are drawn."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 3 * SMALL_BATCH),
+        items=st.integers(0, 60),
+        cores=st.integers(1, 9),
+        atomic=_ATOMIC_COSTS,
+        high=st.sampled_from([0, 1, 3, 1000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_integer_costs_with_ties(self, batch, items, cores, atomic, high, seed):
+        costs = np.random.default_rng(seed).integers(0, high + 1, size=(batch, items))
+        costs = costs.astype(np.float64)
+        batched = workload_stealing_schedule_batch(costs, cores, atomic_cost_cycles=atomic)
+        assert_schedule_matches_heap(batched, costs, cores, atomic)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 3 * SMALL_BATCH),
+        items=st.integers(0, 60),
+        cores=st.integers(1, 9),
+        atomic=_ATOMIC_COSTS,
+        scale=st.sampled_from([0.0, 1e-300, 1e-3, 1.0, 7.25, 1e6, 1e12]),
+        mixed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_uniform_rows(self, batch, items, cores, atomic, scale, mixed, seed):
+        """Rows of one repeated cost, down to zero cost with zero atomic cost,
+        where ties never rotate and the closed form must fall back."""
+        rng = np.random.default_rng(seed)
+        costs = np.repeat(scale * rng.integers(0, 4, size=(batch, 1)), items, axis=1)
+        if mixed and items:
+            costs[rng.random(batch) < 0.5, -1] += 1.0
+        batched = workload_stealing_schedule_batch(costs, cores, atomic_cost_cycles=atomic)
+        assert_schedule_matches_heap(batched, costs, cores, atomic)
 
 
 class TestBatchWindowSum:
@@ -92,6 +153,24 @@ class TestBatchWindowSum:
     def test_rejects_non_3d(self):
         with pytest.raises(ValueError):
             window_sum_batch(np.ones((4, 4)), 2, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        height=st.integers(1, 14),
+        width=st.integers(1, 14),
+        kernel=st.integers(1, 4),
+        stride=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_per_frame(self, batch, height, width, kernel, stride, seed):
+        assume(kernel <= height and kernel <= width)
+        values = np.random.default_rng(seed).random((batch, height, width)) * 100.0
+        batched = window_sum_batch(values, kernel, stride)
+        for frame in range(batch):
+            expected = window_sum(values[frame], kernel, stride)
+            assert batched[frame].shape == expected.shape
+            assert batched[frame].tobytes() == expected.tobytes()
 
 
 class TestBatchKernels:

@@ -64,6 +64,9 @@ class TestWorkloadStealing:
             workload_stealing_schedule([1.0], num_cores=0)
         with pytest.raises(ValueError):
             workload_stealing_schedule([-1.0], num_cores=2)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                workload_stealing_schedule([5.0, bad, 1.0, 2.0, 3.0, 4.0], num_cores=2)
 
     @settings(max_examples=40, deadline=None)
     @given(
