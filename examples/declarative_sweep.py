@@ -6,11 +6,11 @@ declarative plan API:
 
 1. **describe** the parameter space as data (`ParameterSpace.grid` composed
    with a chained low-rate refinement — no point-generator function),
-2. **register** a `SweepSpec` so it becomes a first-class scenario (CLI,
-   caching and all execution backends included),
+2. **register** a `SweepSpec` so it becomes a first-class scenario (CLI
+   and all execution backends included),
 3. **stream** rows with `Session.run_plan` — first serially, then through
-   the session's two-process pool, which serves every row from the
-   session's row cache,
+   the session's two-process pool, whose rows (in completion order) equal
+   the serial ones point for point,
 4. **collect** the canonical result with `Session.run`.
 
 Run with::
@@ -55,7 +55,7 @@ SPEC = repro.SweepSpec(
     space=SPACE,
     point=sparsity_point,
     row_schema=("rate", "precision", "cycles", "fpu_util"),
-    finalize=lambda rows, tasks, run_cached: {
+    finalize=lambda rows, tasks, run_point: {
         "best_util": max(r["fpu_util"] for r in rows)
     },
     kwarg_axes={"rates": "rate", "precisions": "precision"},
@@ -70,16 +70,16 @@ def main():
         print(f"registered scenario: {session.describe('sparsity_profile')}\n")
 
         print("=== streaming serially (canonical order) ===")
+        serial = {}
         for row in session.run_plan("sparsity_profile", backend="serial"):
-            tag = "cache" if row.cached else "fresh"
-            print(f"  [{row.index}] {tag}: rate={row.row['rate']:<5} "
+            serial[row.index] = row.row
+            print(f"  [{row.index}] rate={row.row['rate']:<5} "
                   f"{row.row['precision']}  cycles={row.row['cycles']:.0f}")
 
         print("\n=== streaming through the session's 2-process pool ===")
         for row in session.run_plan("sparsity_profile"):
-            print(f"  [{row.index}] {'cache' if row.cached else 'fresh'}")
-        print("  (every row was served from the session's row cache: the "
-              "serial pass already computed them)")
+            same = "equals" if row.row == serial[row.index] else "DIFFERS from"
+            print(f"  [{row.index}] {same} the serial row")
 
         print("\n=== collected canonical result ===")
         result = session.run("sparsity_profile")

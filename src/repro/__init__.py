@@ -42,7 +42,7 @@ from .backends import (
     SerialBackend,
     ThreadBackend,
 )
-from .plan import ParameterSpace, PlanRow, ResultsCache, SweepSpec, collect_plan, iter_plan
+from .plan import ParameterSpace, PlanRow, SweepSpec, collect_plan, iter_plan
 from .snn.numerics import NumericsPolicy
 from .session import ResultStore, Scenario, Session, default_session, register_sweep
 
@@ -52,7 +52,7 @@ _SERVE_EXPORTS = ("InferenceServer", "ServeClient", "LoadGenerator", "MetricsReg
 
 #: Distributed-tier entry points, same lazy treatment (``repro.Coordinator``
 #: without paying the :mod:`repro.net` import up front).
-_NET_EXPORTS = ("Coordinator", "NetWorker", "ReplicatedResultStore")
+_NET_EXPORTS = ("Coordinator", "NetWorker")
 
 
 def __getattr__(name: str):
@@ -74,7 +74,6 @@ __all__ = [
     "LoadGenerator",
     "MetricsRegistry",
     "NetWorker",
-    "ReplicatedResultStore",
     "ServeClient",
     "RunConfig",
     "baseline_config",
@@ -86,7 +85,6 @@ __all__ = [
     "ThreadBackend",
     "ParameterSpace",
     "PlanRow",
-    "ResultsCache",
     "SweepSpec",
     "collect_plan",
     "iter_plan",

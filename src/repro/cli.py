@@ -20,10 +20,10 @@ Every command prints an aligned text table (the same rows the corresponding
 paper figure reports); ``run`` and ``sweep`` can also emit machine-readable
 JSON or CSV (``--format json|csv``) through one shared reporting path.
 ``--jobs``/``--backend`` size the session's shared worker pool, and
-``--cache-dir`` points the session's persistent
-result store (whole inference runs) and sweep row cache at a directory, so
-repeated invocations — e.g. regenerating several figures that share the
-same S-VGG11 variant runs — skip work already done.
+``--cache-dir`` points the session's persistent result store (whole
+inference runs) at a directory, so repeated invocations — e.g.
+regenerating several figures that share the same S-VGG11 variant runs —
+skip work already done.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .backends import BACKENDS
 from .config import baseline_config, spikestream_config
 from .eval.experiments import ExperimentResult
 from .eval.reporting import EXPORT_FORMATS, export_experiment, format_table
-from .eval.runner import ResultsCache, SWEEPS, available_sweeps, get_sweep
+from .eval.runner import SWEEPS, available_sweeps, get_sweep
 from .session import Session
 from .snn.numerics import FORWARD_PATHS as NUMERICS_FORWARD_PATHS
 from .snn.numerics import PRECISIONS as NUMERICS_PRECISIONS
@@ -69,8 +69,8 @@ def _add_session_arguments(parser: argparse.ArgumentParser, jobs_default: int = 
     parser.add_argument("--backend", choices=BACKENDS, default="process",
                         help="worker-pool kind used when --jobs > 1")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="directory persisting the session's result store and "
-                             "sweep row cache across invocations")
+                        help="directory persisting the session's result store "
+                             "across invocations")
     parser.add_argument("--cache-limit", default=None, metavar="LIMIT",
                         help="bound the result store: an entry count, an in-memory "
                              "size ('64MB'), and/or a persisted-directory bound "
@@ -152,8 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--batch", type=_positive_int, default=4,
                        help="batch size of full-network sweep points")
     sweep.add_argument("--seed", type=int, default=2025)
-    sweep.add_argument("--cache", default=None, metavar="PATH",
-                       help="JSON file memoizing per-point results across invocations")
     _add_export_arguments(sweep)
     _add_session_arguments(sweep)
 
@@ -331,14 +329,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _session_from_args(args: argparse.Namespace, **kwargs) -> Session:
+def _session_from_args(args: argparse.Namespace) -> Session:
     return Session(
         jobs=getattr(args, "jobs", 1),
         backend=getattr(args, "backend", "process"),
         cache_dir=getattr(args, "cache_dir", None),
         seed=getattr(args, "seed", 2025),
         cache_limit=getattr(args, "cache_limit", None),
-        **kwargs,
     )
 
 
@@ -549,8 +546,7 @@ def _command_compare(args: argparse.Namespace) -> str:
 
 
 def _command_sweep(args: argparse.Namespace) -> str:
-    sweep_cache = ResultsCache(args.cache) if args.cache else None
-    with _session_from_args(args, sweep_cache=sweep_cache) as session:
+    with _session_from_args(args) as session:
         result = session.run(args.sweep, seed=args.seed, batch_size=args.batch)
     rendered = export_experiment(result, args.output_format, title=f"sweep: {result.name}")
     return _emit(rendered, args)

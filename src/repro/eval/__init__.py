@@ -1,9 +1,8 @@
 """Experiment drivers regenerating every figure of the paper's evaluation.
 
 Besides the per-figure drivers and sequential sweeps, the package exposes the
-parallel sweep runner (:func:`run_sweep` / :class:`ResultsCache` in
-:mod:`repro.eval.runner`) and machine-readable exports
-(:func:`experiment_to_json`, :func:`rows_to_csv`).
+parallel sweep runner (:func:`run_sweep` in :mod:`repro.eval.runner`) and
+machine-readable exports (:func:`experiment_to_json`, :func:`rows_to_csv`).
 """
 
 from .metrics import geometric_mean, ratio, summarize
@@ -19,7 +18,6 @@ from .experiments import (
     utilization_experiment,
 )
 from .runner import (
-    ResultsCache,
     SweepSpec,
     SWEEPS,
     available_sweeps,
@@ -52,7 +50,6 @@ __all__ = [
     "speedup_experiment",
     "spva_microbenchmark_experiment",
     "utilization_experiment",
-    "ResultsCache",
     "SweepSpec",
     "SWEEPS",
     "available_sweeps",

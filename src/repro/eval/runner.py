@@ -17,9 +17,6 @@ Execution guarantees (inherited from the plan executor and backends):
   (:func:`~repro.plan.point_seed`), so results are independent of
   evaluation order, of which subset of points is requested, and of which
   backend executes them;
-* **results cache** — rows are memoized in a
-  :class:`~repro.plan.ResultsCache` keyed only on the knobs a sweep
-  actually consumes, optionally persisted to JSON;
 * **serial fallback** — pool-infrastructure failures degrade to the serial
   path so a sweep always completes, while errors raised by a point itself
   propagate to the caller.
@@ -30,7 +27,7 @@ Registering a new sweep takes one :func:`register_sweep` call with a
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -38,7 +35,6 @@ from ..backends import make_backend
 from ..plan import (
     ParameterSpace,
     PlanRow,
-    ResultsCache,
     SweepSpec,
     collect_plan,
     iter_plan,
@@ -110,15 +106,14 @@ def _run_functional_batch_point(task: Dict[str, object]) -> Dict[str, object]:
 def _core_count_finalize(
     rows: List[Dict[str, object]],
     tasks: List[Dict[str, object]],
-    run_cached: Callable[[Dict[str, object]], Dict[str, object]],
+    run_point: Callable[[Dict[str, object]], Dict[str, object]],
 ) -> Dict[str, float]:
     """Anchor strong-scaling efficiency to an explicit 1-core reference.
 
     Mirrors the fix in :func:`repro.eval.sweeps.core_count_sweep`: when the
     requested points do not include 1 core, the reference is evaluated
     separately on the same spike-count map (same data seed) instead of being
-    extrapolated or omitted.  The anchor goes through ``run_cached`` so a
-    repeat invocation of a fully cached sweep does not recompute it.
+    extrapolated or omitted.
     """
     reference = None
     for row in rows:
@@ -129,7 +124,7 @@ def _core_count_finalize(
             key: value for key, value in tasks[0].items() if key not in ("seed", "batch")
         }
         anchor_params["cores"] = 1
-        reference = run_cached(anchor_params)["cycles"]
+        reference = run_point(anchor_params)["cycles"]
     for row in rows:
         row["parallel_efficiency"] = ratio(reference, row["cycles"] * row["cores"])
     last = rows[-1]
@@ -160,7 +155,7 @@ register_sweep(SweepSpec(
     point=_run_firing_rate_point,
     row_schema=("firing_rate", "baseline_cycles", "spikestream_cycles",
                 "speedup", "spikestream_fpu_util"),
-    finalize=lambda rows, tasks, run_cached: {"max_speedup": max(r["speedup"] for r in rows)},
+    finalize=lambda rows, tasks, run_point: {"max_speedup": max(r["speedup"] for r in rows)},
     kwarg_axes={"rates": "rate", "precision": "precision"},
     normalize={"rate": float},
 ))
@@ -186,8 +181,7 @@ register_sweep(SweepSpec(
     space=ParameterSpace.grid(precision=tuple(p.value for p in DEFAULT_PRECISIONS)),
     point=_run_precision_point,
     row_schema=("precision", "simd_width", "runtime_ms", "energy_mj", "fpu_util"),
-    finalize=lambda rows, tasks, run_cached: fp8_over_fp16_headline(rows),
-    uses_batch=True,
+    finalize=lambda rows, tasks, run_point: fp8_over_fp16_headline(rows),
     kwarg_axes={"precisions": "precision"},
 ))
 
@@ -197,7 +191,7 @@ register_sweep(SweepSpec(
     space=ParameterSpace.grid(length=DEFAULT_STREAM_LENGTHS),
     point=_run_stream_length_point,
     row_schema=("stream_length", "baseline_cycles", "streaming_cycles", "speedup"),
-    finalize=lambda rows, tasks, run_cached: {"asymptotic_speedup": rows[-1]["speedup"]},
+    finalize=lambda rows, tasks, run_point: {"asymptotic_speedup": rows[-1]["speedup"]},
     seeded=False,
     kwarg_axes={"lengths": "length"},
     normalize={"length": int},
@@ -211,7 +205,7 @@ register_sweep(SweepSpec(
     row_schema=("firing_rate", "spikestream_cycles", "strided_indirect_cycles",
                 "additional_speedup", "spikestream_fpu_util",
                 "strided_indirect_fpu_util"),
-    finalize=lambda rows, tasks, run_cached: {
+    finalize=lambda rows, tasks, run_point: {
         "max_additional_speedup": max(r["additional_speedup"] for r in rows)
     },
     kwarg_axes={"rates": "rate", "precision": "precision"},
@@ -225,7 +219,7 @@ register_sweep(SweepSpec(
     space=ParameterSpace.grid(frames=DEFAULT_FUNCTIONAL_BATCHES, precision=("fp16",)),
     point=_run_functional_batch_point,
     row_schema=("frames", "total_cycles", "total_energy_mj", "network_fpu_utilization"),
-    finalize=lambda rows, tasks, run_cached: {
+    finalize=lambda rows, tasks, run_point: {
         "cycles_per_frame_spread": ratio(
             max(r["total_cycles"] for r in rows), min(r["total_cycles"] for r in rows)
         )
@@ -257,7 +251,6 @@ def run_sweep(
     backend: str = "process",
     seed: int = 2025,
     batch_size: int = 4,
-    cache: Optional[ResultsCache] = None,
     executor=None,
     **point_kwargs,
 ) -> ExperimentResult:
@@ -276,10 +269,6 @@ def run_sweep(
         :func:`~repro.plan.point_seed`.
     batch_size:
         Batch size of points that run full-network inference (``precision``).
-    cache:
-        Optional :class:`~repro.plan.ResultsCache`; hits skip the point
-        entirely and the cache is saved once at the end of the sweep when
-        file-backed.
     executor:
         Optional long-lived :class:`concurrent.futures.Executor` to dispatch
         the points onto instead of creating (and tearing down) a private
@@ -290,14 +279,13 @@ def run_sweep(
     """
     return collect_plan(
         get_sweep(name), make_backend(backend, jobs=jobs, executor=executor),
-        seed=seed, batch_size=batch_size, cache=cache, point_kwargs=point_kwargs,
+        seed=seed, batch_size=batch_size, point_kwargs=point_kwargs,
     )
 
 
 __all__ = [
     "ParameterSpace",
     "PlanRow",
-    "ResultsCache",
     "SweepSpec",
     "SWEEPS",
     "available_sweeps",

@@ -9,8 +9,10 @@ optional per-buffer compression — :mod:`~repro.net.framing`) connecting one
 remote hosts — to N :class:`~repro.net.worker.NetWorker` processes that
 register with a credit window, heartbeat, execute pushed
 fingerprint-compatible micro-batches and stream bit-for-bit results back.
-:class:`~repro.net.store.ReplicatedResultStore` makes a cache hit on any
-host short-circuit cluster-wide.
+The coordinator stores every result in its session's
+:class:`~repro.session.ResultStore` and broadcasts it to the other
+workers' stores, so a result computed on any host short-circuits the
+identical request cluster-wide.
 
 Quickstart (two terminals)::
 
@@ -38,7 +40,6 @@ from .framing import (
     request_to_wire,
     send_message,
 )
-from .store import ReplicatedResultStore, ResultStoreProtocol
 from .worker import DEFAULT_CREDIT, NetWorker, spawn_worker
 
 __all__ = [
@@ -51,8 +52,6 @@ __all__ = [
     "FramedConnection",
     "Message",
     "NetWorker",
-    "ReplicatedResultStore",
-    "ResultStoreProtocol",
     "TruncatedFrame",
     "VersionMismatch",
     "WIRE_VERSION",

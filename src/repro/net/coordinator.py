@@ -20,10 +20,10 @@ the cluster-wide short-circuit), records the remainder as an in-flight
 is already sitting in the worker's socket buffer while the previous one
 computes, so the wire round-trip that used to serialize every
 ``pull -> batch -> results`` cycle overlaps with execution.  Results stream
-back asynchronously; each one lands in the
-:class:`~repro.net.store.ReplicatedResultStore` (which broadcasts
-``store_put`` to every *other* worker — the producer already has it),
-resolves the caller's future, and refills the link's credit, waking the
+back asynchronously; each one lands in the session's
+:class:`~repro.session.ResultStore`, is queued for a ``store_put_many``
+broadcast to every *other* worker (the producer already has it), resolves
+the caller's future, and refills the link's credit, waking the
 dispatcher.
 
 Large arrays ride the frame protocol's content-addressed blob cache
@@ -44,7 +44,7 @@ Failure semantics:
   when the batch has been in flight longer than ``stall_timeout_s`` (when
   set), or — deadline-aware — when a request's deadline is closer than
   ``deadline_margin_s``.  The slow worker's late results are *not*
-  discarded: they land in the replicated store, where the re-queued
+  discarded: they land in the result store, where the re-queued
   requests' dispatch-time store check resolves them without a second
   engine pass; double resolution is absorbed by
   :func:`~repro.serve.queue.resolve_future` (first outcome wins).
@@ -58,6 +58,8 @@ cluster.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
 import os
 import socket
@@ -65,6 +67,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..core.results import PER_FRAME_METRICS, InferenceResult
 from ..serve.metrics import MetricsRegistry
 from ..serve.queue import InferenceRequest, resolve_future
 from ..serve.server import InferenceServer
@@ -72,7 +75,6 @@ from ..session import Session
 from ..snn.numerics import NumericsPolicy
 from .blob import BlobCache
 from .framing import FrameError, FramedConnection, Message, request_to_wire
-from .store import ReplicatedResultStore
 from .worker import DEFAULT_CREDIT
 
 __all__ = ["Coordinator", "DispatchedBatch"]
@@ -81,6 +83,25 @@ __all__ = ["Coordinator", "DispatchedBatch"]
 #: ``DISPATCH_ERRORS`` in :mod:`repro.backends`: infrastructure death, never
 #: a request error).
 _LINK_ERRORS = (FrameError, OSError)
+
+
+def _caller_copy(result: InferenceResult) -> InferenceResult:
+    """A copy of an adopted result that its caller may change freely.
+
+    The store keeps ``result`` itself, so the caller gets new result and
+    layer objects over the same per-frame arrays.  The arrays are frozen
+    first: decoding leaves small arrays read-only but lands large ones in
+    fresh writable buffers, and either side writing them in place would
+    reach the other.  The layers are copied shallowly because rebuilding
+    them re-runs their validating constructor, which costs more than the
+    rest of the copy together (this runs once per remote result).
+    """
+    layers = []
+    for layer in result.layers:
+        for metric in PER_FRAME_METRICS:
+            getattr(layer, metric).setflags(write=False)
+        layers.append(copy.copy(layer))
+    return dataclasses.replace(result, layers=layers)
 
 
 class DispatchedBatch:
@@ -210,10 +231,6 @@ class Coordinator(InferenceServer):
         #: one cache across every link: a blob registered while encoding
         #: for one worker answers any worker's ``__need_blob__``
         self.blob_cache = BlobCache()
-        self.net_store = ReplicatedResultStore(
-            self.session.store, publish=self._replicate,
-            publish_many=self._replicate_many,
-        )
         self._net_lock = threading.Lock()
         self._links: Dict[str, _WorkerLink] = {}
         self._worker_ids = itertools.count(1)
@@ -250,7 +267,6 @@ class Coordinator(InferenceServer):
         self.metrics.add_probe("net.workers_detail", self._workers_probe)
         self.metrics.add_probe("net.bytes", self._bytes_probe)
         self.metrics.add_probe("net.blob", self._blob_probe)
-        self.metrics.add_probe("net.store", self.net_store.stats)
         self._listener = socket.create_server((host, port))
         #: the bound ``(host, port)`` workers connect to
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
@@ -453,7 +469,7 @@ class Coordinator(InferenceServer):
         pending: List[InferenceRequest] = []
         now = time.monotonic()
         for request in batch:
-            hit = self.net_store.get(request.fingerprint)
+            hit = self.session.store.get(request.fingerprint)
             if hit is None:
                 pending.append(request)
                 continue
@@ -560,20 +576,19 @@ class Coordinator(InferenceServer):
             for request in (dispatched.requests if dispatched is not None else [])
         }
         completed = 0
-        # Store + replicate the whole frame in one batched put BEFORE the
-        # futures resolve (a caller reading cluster telemetry right after
-        # its future fires must see the replication already counted).
-        # Batching means the broadcast costs one store_put_many frame per
-        # results frame instead of a frame (and a worker wakeup) per
-        # result; adopt=True skips the store's defensive deep copy — the
-        # entries were just decoded off the wire, so they are already this
-        # process's private (array-frozen) copies.
-        self.net_store.put_many(
-            [(entry["fingerprint"], entry["result"]) for entry in entries
-             if entry.get("error") is None],
-            origin=link.worker_id,
-            adopt=True,
-        )
+        # Store + queue replication for the whole frame BEFORE the futures
+        # resolve (a caller reading cluster telemetry right after its
+        # future fires must see the replication already counted).  The
+        # broadcast costs one store_put_many frame per results frame
+        # instead of a frame (and a worker wakeup) per result; adopt=True
+        # skips the store's defensive deep copy — the entries were just
+        # decoded off the wire, so they are already this process's private
+        # copies.  Callers are resolved with a _caller_copy each.
+        pairs = [(entry["fingerprint"], entry["result"]) for entry in entries
+                 if entry.get("error") is None]
+        for fingerprint, result in pairs:
+            self.session.store.put(fingerprint, result, adopt=True)
+        self._replicate_many(pairs, origin=link.worker_id)
         for entry in entries:
             request = by_id.get(entry["id"])
             error = entry.get("error")
@@ -583,7 +598,7 @@ class Coordinator(InferenceServer):
                     resolve_future(request.future, error=error)
                 continue
             if request is not None:
-                if resolve_future(request.future, entry["result"]):
+                if resolve_future(request.future, _caller_copy(entry["result"])):
                     completed += 1
                 self.metrics.histogram("serve.latency_ms").observe(
                     (now - request.enqueued_at) * 1e3
@@ -592,17 +607,6 @@ class Coordinator(InferenceServer):
         self.metrics.counter("serve.completed").inc(completed)
         self.metrics.counter("net.results").inc()
         self._dispatch_wake.set()  # credit freed on this link
-
-    def _replicate(self, fingerprint: str, result: object,
-                   origin: Optional[str] = None) -> None:
-        """Publish one stored result to every live worker.
-
-        ``origin`` — the worker that produced the result — is skipped: its
-        local store already holds the entry (replication rides the blob
-        dedup too, so even the skipped bytes would mostly have been digest
-        references, but zero frames beat small frames).
-        """
-        self._replicate_many([(fingerprint, result)], origin=origin)
 
     def _replicate_many(self, pairs: Sequence[Tuple[str, object]],
                         origin: Optional[str] = None) -> None:

@@ -16,10 +16,9 @@ readiness with a single ``pull``, and then serves a pushed stream of work:
   With ``credit > 1`` the next batch is usually already queued in the
   socket buffer when results go out — compute overlaps wire latency
   instead of alternating with it.
-* ``store_put`` / ``store_put_many`` — replication traffic from the
-  coordinator (results other workers computed, one entry or a whole
-  results frame's worth); applied to the local store without
-  re-publishing.
+* ``store_put_many`` — replication traffic from the coordinator (a
+  results frame's worth of entries other workers computed), adopted into
+  the local result store.
 * ``idle`` / ``shutdown`` — keepalive no-op / drain-and-exit.
 
 Each worker owns a :class:`~repro.net.blob.BlobCache`: network weight
@@ -53,7 +52,6 @@ from ..serve.batcher import MicroBatcher
 from ..session import Session
 from .blob import BlobCache
 from .framing import FrameError, FramedConnection, Message, request_from_wire
-from .store import ReplicatedResultStore
 
 __all__ = ["DEFAULT_CREDIT", "NetWorker", "spawn_worker"]
 
@@ -137,7 +135,6 @@ class NetWorker:
         self.blob_cache = BlobCache()
         self.chaos_hang_after = chaos_hang_after
         self.chaos_exit_after = chaos_exit_after
-        self.store = ReplicatedResultStore(self.session.store)
         # Always-on: with no sampled trace contexts in a batch every hook
         # degrades to the null span, so an untraced cluster pays nothing —
         # and a traced coordinator gets worker spans with zero worker-side
@@ -231,14 +228,10 @@ class NetWorker:
         """The next non-replication message; replication applies inline."""
         while True:
             message = connection.recv()
-            if message.kind == "store_put":
-                self.store.apply(message["fingerprint"], message["result"],
-                                 adopt=True)
-                continue
             if message.kind == "store_put_many":
                 for entry in message["entries"]:
-                    self.store.apply(entry["fingerprint"], entry["result"],
-                                     adopt=True)
+                    self.session.store.put(entry["fingerprint"], entry["result"],
+                                           adopt=True)
                 continue
             return message
 
@@ -280,7 +273,7 @@ class NetWorker:
         misses = []
         hits = 0
         for request in requests:
-            hit = self.store.get(request.fingerprint)
+            hit = self.session.store.get(request.fingerprint)
             if hit is not None:
                 hits += 1
                 entries.append(
@@ -307,7 +300,7 @@ class NetWorker:
                 )
             else:
                 for request, result in zip(misses, results):
-                    self.store.put(request.fingerprint, result)
+                    self.session.store.put(request.fingerprint, result)
                     entries.append(
                         {"id": request.id, "fingerprint": request.fingerprint,
                          "result": result, "error": None}

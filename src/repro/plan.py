@@ -43,10 +43,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import sys
-import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (
     Callable,
     Dict,
@@ -59,12 +56,9 @@ from typing import (
     Tuple,
 )
 
-from .utils.serialization import atomic_write_text, canonical_json
-
 __all__ = [
     "ParameterSpace",
     "PlanRow",
-    "ResultsCache",
     "SweepSpec",
     "collect_plan",
     "iter_plan",
@@ -84,117 +78,6 @@ def point_seed(base_seed: int, sweep: str, params: Mapping[str, object]) -> int:
     payload = json.dumps([sweep, sorted(params.items())], sort_keys=True, default=str)
     digest = hashlib.sha256(f"{base_seed}:{payload}".encode()).digest()
     return int.from_bytes(digest[:8], "little") % _SEED_SPACE
-
-
-# --------------------------------------------------------------------------- #
-# Results cache (sweep-point rows)
-# --------------------------------------------------------------------------- #
-class ResultsCache:
-    """Memoized sweep-point rows keyed on (config, seed, batch, sweep point).
-
-    The cache is an in-memory dictionary, optionally backed by a JSON file:
-    pass ``path`` to load previously persisted rows on construction and call
-    :meth:`save` (the plan executor does) to persist new ones.
-
-    Thread safety: one cache is shared by every worker of a threaded
-    backend and by concurrent serve requests resolving against the same
-    session, so every access to the row dict, the dirty flag and the
-    hit/miss counters holds ``_lock``.
-    """
-
-    def __init__(self, path: Optional[Path] = None):
-        self.path = Path(path) if path is not None else None
-        self._lock = threading.RLock()
-        self._rows: Dict[str, Dict[str, object]] = {}
-        self._dirty = False
-        self.hits = 0
-        self.misses = 0
-        if self.path is not None and self.path.exists():
-            try:
-                rows = json.loads(self.path.read_text())
-                if not isinstance(rows, dict):
-                    raise ValueError("cache root must be a JSON object")
-                kept = {k: v for k, v in rows.items() if isinstance(v, dict)}
-                if len(kept) != len(rows):
-                    print(
-                        f"warning: dropped {len(rows) - len(kept)} malformed "
-                        f"entr(y/ies) from results cache {self.path}",
-                        file=sys.stderr,
-                    )
-                self._rows = kept
-            except (ValueError, OSError) as error:
-                # A cache is disposable: a corrupt/unreadable file means the
-                # points re-run, it must never crash the sweep.
-                print(
-                    f"warning: ignoring unreadable results cache {self.path}: {error}",
-                    file=sys.stderr,
-                )
-                self._rows = {}
-
-    @staticmethod
-    def key(
-        sweep: str,
-        params: Mapping[str, object],
-        seed: int,
-        batch_size: int,
-        config: Optional[Mapping[str, object]] = None,
-    ) -> str:
-        """Stable string key of one sweep point under one configuration."""
-        payload = {
-            "sweep": sweep,
-            "params": sorted(params.items()),
-            "seed": seed,
-            "batch": batch_size,
-            "config": sorted((config or {}).items()),
-        }
-        # The same canonical encoder serializes keys and the persisted rows
-        # (see save()), so equal parameters can never encode differently
-        # between the two paths.
-        return canonical_json(payload)
-
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        """Cached row for ``key``, or None (updates hit/miss counters)."""
-        with self._lock:
-            row = self._rows.get(key)
-            if row is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return dict(row)
-
-    def put(self, key: str, row: Mapping[str, object]) -> None:
-        """Store one row under ``key``."""
-        with self._lock:
-            self._rows[key] = dict(row)
-            self._dirty = True
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._rows)
-
-    def save(self) -> None:
-        """Persist the cache to its JSON file (no-op for in-memory caches).
-
-        The write is atomic (temp file in the same directory, then
-        ``os.replace``), so an interrupted sweep can never leave a
-        half-written file that a later load would have to discard.  Like the
-        load path, a failure to persist is reported but never raised: the
-        sweep's results have already been computed and must still reach the
-        caller.
-        """
-        with self._lock:
-            if self.path is None or not self._dirty:
-                return
-            payload = canonical_json(self._rows)
-        try:
-            atomic_write_text(self.path, payload)
-            with self._lock:
-                self._dirty = False
-        except OSError as error:
-            print(
-                f"warning: could not persist results cache {self.path}: {error}",
-                file=sys.stderr,
-            )
 
 
 # --------------------------------------------------------------------------- #
@@ -397,7 +280,7 @@ class _ProductSpace(ParameterSpace):
 # --------------------------------------------------------------------------- #
 # Sweep specification
 # --------------------------------------------------------------------------- #
-def _no_headline(rows, tasks, run_cached) -> Dict[str, float]:
+def _no_headline(rows, tasks, run_point) -> Dict[str, float]:
     return {}
 
 
@@ -416,14 +299,14 @@ class SweepSpec:
     plus the derived ``seed`` and ``batch``) and returns one row
     dictionary; it must be a top-level function so process pools can pickle
     it.  ``finalize`` receives the collected rows, the executed task dicts
-    and a ``run_cached`` callable evaluating one extra point through the
-    results cache; it returns the headline and may add derived columns to
-    the rows.
+    and a ``run_point`` callable evaluating one extra point under the
+    sweep's seed and batch size; it returns the headline and may add
+    derived columns to the rows.
 
     ``kwarg_axes`` maps user-facing keyword parameters (e.g. ``rates=``)
     onto axis names (``rate``); scalars pin an axis to a single value,
     sequences replace its value list.  ``normalize`` coerces axis values
-    (e.g. ``float``) so overrides hit the same cache keys as defaults.
+    (e.g. ``float``) so overrides derive the same point seeds as defaults.
     """
 
     name: str
@@ -439,15 +322,12 @@ class SweepSpec:
         ],
         Dict[str, float],
     ] = _no_headline
-    #: whether points consume randomness (False keeps the seed out of the
-    #: cache key and skips per-point seed derivation)
+    #: whether points consume randomness (False skips per-point seed
+    #: derivation: every point receives the base seed)
     seeded: bool = True
-    #: whether points consume the batch size (False keeps it out of the key)
-    uses_batch: bool = False
     compute_params: Tuple[str, ...] = DEFAULT_COMPUTE_PARAMS
     kwarg_axes: Mapping[str, str] = field(default_factory=dict)
     normalize: Mapping[str, Callable[[object], object]] = field(default_factory=dict)
-
     # -- the parameter space -------------------------------------------------
     def resolve_space(self, **point_kwargs) -> ParameterSpace:
         """The spec's space with any keyword overrides applied.
@@ -481,7 +361,7 @@ class SweepSpec:
             for params in raw
         ]
 
-    # -- seeding and cache keys ----------------------------------------------
+    # -- seeding ------------------------------------------------------------
     def task_seed(self, base_seed: int, params: Mapping[str, object]) -> int:
         """Per-point seed; compute-only parameters share one data seed."""
         if not self.seeded:
@@ -498,14 +378,6 @@ class SweepSpec:
         task["seed"] = self.task_seed(seed, params)
         task["batch"] = batch_size
         return task
-
-    def cache_key(self, params: Mapping[str, object], seed: int, batch_size: int) -> str:
-        """Row-cache key; only knobs the sweep consumes enter the key, so
-        deterministic sweeps hit regardless of ``--seed`` and model-only
-        sweeps hit regardless of ``--batch``."""
-        key_seed = seed if self.seeded else 0
-        key_batch = batch_size if self.uses_batch else 0
-        return ResultsCache.key(self.name, params, key_seed, key_batch)
 
     def describe(self) -> Dict[str, object]:
         """Name, axis summary, point count and accepted keywords."""
@@ -525,13 +397,11 @@ class SweepSpec:
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class PlanRow:
-    """One streamed sweep row: canonical index, point parameters, the row,
-    and whether it was served from the results cache."""
+    """One streamed sweep row: canonical index, point parameters and the row."""
 
     index: int
     params: Dict[str, object]
     row: Dict[str, object]
-    cached: bool = False
 
 
 def iter_plan(
@@ -539,40 +409,18 @@ def iter_plan(
     backend,
     seed: int = 2025,
     batch_size: int = 4,
-    cache: Optional[ResultsCache] = None,
     point_kwargs: Optional[Mapping[str, object]] = None,
 ) -> Iterator[PlanRow]:
     """Stream a spec's rows as the backend completes them.
 
-    Cache hits are yielded first (in canonical order, marked
-    ``cached=True``); the remaining points stream back in *completion*
-    order, each carrying its canonical ``index`` so consumers can
-    reassemble the deterministic row order at any time.  Fresh rows enter
-    the cache as they arrive, but the cache is **not** saved here — callers
-    that own a file-backed cache save once at the end
-    (:func:`collect_plan` and :meth:`repro.session.Session.run_plan` do).
+    Rows stream back in *completion* order, each carrying its canonical
+    ``index`` so consumers can reassemble the deterministic row order at
+    any time.
     """
     points = spec.points(**(point_kwargs or {}))
     tasks = [spec.task(params, seed, batch_size) for params in points]
-    keys = [spec.cache_key(params, seed, batch_size) for params in points]
-
-    pending: List[int] = []
-    for index in range(len(tasks)):
-        if cache is not None:
-            hit = cache.get(keys[index])
-            if hit is not None:
-                yield PlanRow(index, dict(points[index]), hit, cached=True)
-                continue
-        pending.append(index)
-
-    if not pending:
-        return
-    sub_tasks = [tasks[i] for i in pending]
-    for local_index, row in backend.execute(spec.point, sub_tasks):
-        index = pending[local_index]
-        if cache is not None:
-            cache.put(keys[index], row)
-        yield PlanRow(index, dict(points[index]), dict(row), cached=False)
+    for index, row in backend.execute(spec.point, tasks):
+        yield PlanRow(index, dict(points[index]), dict(row))
 
 
 def collect_plan(
@@ -580,15 +428,13 @@ def collect_plan(
     backend,
     seed: int = 2025,
     batch_size: int = 4,
-    cache: Optional[ResultsCache] = None,
     point_kwargs: Optional[Mapping[str, object]] = None,
 ) -> "ExperimentResult":
     """Run a spec to completion and assemble the canonical result.
 
     Rows are ordered by their canonical point index (identical across every
-    backend), the spec's ``finalize`` computes the headline (and may add
-    derived columns), and a file-backed cache is saved exactly once — in a
-    ``finally`` block, so freshly computed rows survive a failing finalize.
+    backend), and the spec's ``finalize`` computes the headline (and may add
+    derived columns).
     """
     # Imported here, not at module level: eval.runner imports this module to
     # define the built-in specs, so a top-level eval import would be cyclic.
@@ -598,50 +444,33 @@ def collect_plan(
     tasks = [spec.task(params, seed, batch_size) for params in points]
     rows: List[Optional[Dict[str, object]]] = [None] * len(points)
 
-    def run_cached(params: Dict[str, object]) -> Dict[str, object]:
-        """Evaluate one extra point through the same cache as the sweep points."""
-        key = spec.cache_key(params, seed, batch_size)
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        row = spec.point(spec.task(params, seed, batch_size))
-        if cache is not None:
-            cache.put(key, row)
-        return row
+    def run_point(params: Dict[str, object]) -> Dict[str, object]:
+        """Evaluate one extra point under the sweep's seed and batch size."""
+        return spec.point(spec.task(params, seed, batch_size))
 
-    try:
-        for plan_row in iter_plan(
-            spec, backend, seed=seed, batch_size=batch_size,
-            cache=cache, point_kwargs=point_kwargs,
-        ):
-            rows[plan_row.index] = plan_row.row
-        # Narrow List[Optional[...]] -> List[...]: iter_plan yields every
-        # index exactly once, so a leftover None here is a backend bug worth
-        # a loud error rather than a downstream TypeError.
-        unfilled = [index for index, row in enumerate(rows) if row is None]
-        if unfilled:
-            raise RuntimeError(
-                f"sweep {spec.name!r}: backend yielded no row for point "
-                f"index(es) {unfilled}"
-            )
-        filled: List[Dict[str, object]] = [row for row in rows if row is not None]
-        headline = spec.finalize(filled, tasks, run_cached)
-        if spec.row_schema:
-            for row in filled:
-                missing = [column for column in spec.row_schema if column not in row]
-                if missing:
-                    raise ValueError(
-                        f"sweep {spec.name!r} produced a row missing declared "
-                        f"column(s) {missing}: {sorted(row)}"
-                    )
-    finally:
-        # One save at the very end covers the sweep points *and* any extra
-        # finalize anchors, instead of rewriting the file once per addition;
-        # saving in a finally block keeps freshly computed rows persisted
-        # even when finalize (or its anchor point) raises.
-        if cache is not None:
-            cache.save()
+    for plan_row in iter_plan(
+        spec, backend, seed=seed, batch_size=batch_size, point_kwargs=point_kwargs,
+    ):
+        rows[plan_row.index] = plan_row.row
+    # Narrow List[Optional[...]] -> List[...]: iter_plan yields every
+    # index exactly once, so a leftover None here is a backend bug worth
+    # a loud error rather than a downstream TypeError.
+    unfilled = [index for index, row in enumerate(rows) if row is None]
+    if unfilled:
+        raise RuntimeError(
+            f"sweep {spec.name!r}: backend yielded no row for point "
+            f"index(es) {unfilled}"
+        )
+    filled: List[Dict[str, object]] = [row for row in rows if row is not None]
+    headline = spec.finalize(filled, tasks, run_point)
+    if spec.row_schema:
+        for row in filled:
+            missing = [column for column in spec.row_schema if column not in row]
+            if missing:
+                raise ValueError(
+                    f"sweep {spec.name!r} produced a row missing declared "
+                    f"column(s) {missing}: {sorted(row)}"
+                )
     # Named distinctly from the sequential sweeps: the per-point seeding
     # produces different (order-independent) draws than the shared-RNG
     # sequential functions, so results keyed by name must never mix.

@@ -24,7 +24,7 @@ A :class:`Session` is the single declarative entry point that fixes both:
 * **one scenario registry** — every figure experiment and every sweep is a
   named :class:`Scenario`; :meth:`Session.scenarios` lists them,
   :meth:`Session.describe` documents one, and :meth:`Session.run` executes
-  it with the session's pool and caches.
+  it with the session's pool and result store.
 
 Typical use::
 
@@ -73,7 +73,7 @@ from .eval.experiments import (
     svgg11_variant_configs,
 )
 from .eval.metrics import ratio
-from .eval.runner import ResultsCache, SWEEPS, get_sweep, run_sweep
+from .eval.runner import SWEEPS, get_sweep, run_sweep
 from .eval.runner import register_sweep as _register_sweep_spec
 from .plan import PlanRow, SweepSpec, collect_plan, iter_plan
 from .snn.numerics import NumericsPolicy, resolve as resolve_numerics
@@ -531,7 +531,6 @@ def _make_sweep_runner(sweep_name: str) -> Callable[..., ExperimentResult]:
             backend=session.backend,
             seed=session.seed if seed is None else seed,
             batch_size=4 if batch_size is None else batch_size,
-            cache=session.sweep_cache,
             executor=session.shared_executor(),
             **point_kwargs,
         )
@@ -628,7 +627,7 @@ def _statistical_task(payload) -> InferenceResult:
 # The Session facade
 # --------------------------------------------------------------------------- #
 class Session:
-    """Long-lived facade over engines, sweeps, experiments and caches.
+    """Long-lived facade over engines, sweeps, experiments and the result store.
 
     Parameters
     ----------
@@ -645,15 +644,11 @@ class Session:
         Kind of the shared pool: ``"process"`` (default), ``"thread"`` or
         ``"serial"``.
     cache_dir:
-        Directory persisting the result store (``cache_dir/results/``) and
-        the sweep row cache (``cache_dir/sweep_rows.json``) across
-        processes.  Omitted: both caches are in-memory for the session's
-        lifetime only.
+        Directory persisting the result store (``cache_dir/results/``)
+        across processes.  Omitted: the store is in-memory for the
+        session's lifetime only.
     seed:
         Default base seed of sweeps run through :meth:`run`.
-    sweep_cache:
-        Explicit :class:`~repro.plan.ResultsCache` overriding the
-        ``cache_dir``-derived sweep row cache (the CLI's ``--cache`` flag).
     cache_limit:
         Bound on the result store: an integer caps the in-memory entry
         count, a size string (``"64MB"``) caps the in-memory canonical-JSON
@@ -675,7 +670,6 @@ class Session:
         backend: str = "process",
         cache_dir: Optional[Union[str, Path]] = None,
         seed: int = 2025,
-        sweep_cache: Optional[ResultsCache] = None,
         cache_limit: Union[None, int, str] = None,
     ):
         if backend not in BACKENDS:
@@ -697,12 +691,6 @@ class Session:
             max_bytes=max_bytes,
             max_disk_bytes=max_disk_bytes,
         )
-        if sweep_cache is not None:
-            self.sweep_cache = sweep_cache
-        elif self.cache_dir is not None:
-            self.sweep_cache = ResultsCache(self.cache_dir / "sweep_rows.json")
-        else:
-            self.sweep_cache = ResultsCache()
         self._executor: Optional[Executor] = None
         self._executor_failed = False
         # Guards pool creation/teardown: close() may race shared_executor()
@@ -753,23 +741,21 @@ class Session:
             return self._executor
 
     def close(self) -> None:
-        """Drain the shared pool and flush caches (idempotent, thread-safe).
+        """Drain the shared pool (idempotent, thread-safe).
 
         Safe to call twice, from several threads at once, and while work is
         in flight: the executor is detached under the lifecycle lock (so a
         concurrent :meth:`shared_executor` can never hand out a half-closed
         pool), then shut down with ``wait=True`` so already-dispatched work
-        drains rather than being dropped.  The sweep row cache is flushed
-        once per close (its dirty tracking makes redundant flushes free);
-        caches stay usable afterwards — a closed session can still serve
-        store hits and even lazily re-create a pool if new parallel work
-        arrives.
+        drains rather than being dropped.  The result store persists on
+        every put, so there is nothing to flush, and it stays usable
+        afterwards — a closed session can still serve store hits and even
+        lazily re-create a pool if new parallel work arrives.
         """
         with self._lifecycle_lock:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-        self.sweep_cache.save()
 
     def __enter__(self) -> "Session":
         return self
@@ -1048,28 +1034,17 @@ class Session:
         Accepts a registered sweep name or any :class:`~repro.plan.SweepSpec`
         (including ones never registered).  Rows arrive as
         :class:`~repro.plan.PlanRow` objects the moment the backend finishes
-        them — cache hits first, then completion order — each carrying its
-        canonical ``index``, so a consumer can render progress long before
-        the sweep ends and still reassemble the deterministic row order.
-        The session's sweep row cache memoizes every fresh row.
+        them, in completion order, each carrying its canonical ``index``, so
+        a consumer can render progress long before the sweep ends and still
+        reassemble the deterministic row order.
         """
-        resolved = self._resolve_spec(spec)
-        backend_obj = self.plan_backend(backend)
-
-        def stream() -> Iterator[PlanRow]:
-            try:
-                yield from iter_plan(
-                    resolved,
-                    backend_obj,
-                    seed=self.seed if seed is None else seed,
-                    batch_size=4 if batch_size is None else batch_size,
-                    cache=self.sweep_cache,
-                    point_kwargs=point_kwargs,
-                )
-            finally:
-                self.sweep_cache.save()
-
-        return stream()
+        return iter_plan(
+            self._resolve_spec(spec),
+            self.plan_backend(backend),
+            seed=self.seed if seed is None else seed,
+            batch_size=4 if batch_size is None else batch_size,
+            point_kwargs=point_kwargs,
+        )
 
     def run_spec(
         self,
@@ -1086,7 +1061,6 @@ class Session:
             self.plan_backend(backend),
             seed=self.seed if seed is None else seed,
             batch_size=4 if batch_size is None else batch_size,
-            cache=self.sweep_cache,
             point_kwargs=point_kwargs,
         )
 
@@ -1119,15 +1093,15 @@ class Session:
                 and self.energy == DEFAULT_ENERGY)
 
     def run(self, name: str, **params) -> ExperimentResult:
-        """Execute one registered scenario with the session's pool and caches.
+        """Execute one registered scenario with the session's pool and store.
 
         Experiments that need S-VGG11 variant runs draw them from the result
         store (simulating only on a cold store); sweeps go through
         :func:`~repro.eval.runner.run_sweep` with the session's shared
-        executor and sweep row cache.  Scenarios whose point functions are
-        hard-wired to the default hardware models (the sweeps, the
-        accelerator comparison and the model-free format/ISA studies) warn
-        when the session carries custom models they cannot honor.
+        executor.  Scenarios whose point functions are hard-wired to the
+        default hardware models (the sweeps, the accelerator comparison and
+        the model-free format/ISA studies) warn when the session carries
+        custom models they cannot honor.
         """
         scenario = self._scenario(name)
         if not scenario.uses_session_models and not self._models_are_default():

@@ -3,8 +3,8 @@
 This package provides the functional SNN model that SpikeStream accelerates:
 Leaky Integrate-and-Fire neuron dynamics, spiking convolutional / fully
 connected / pooling layers, the S-VGG11 network used throughout the paper's
-evaluation, spike encoders for RGB images, a NumPy golden-reference
-implementation, synthetic CIFAR-10-like data and firing-rate statistics.
+evaluation, a NumPy golden-reference implementation, synthetic
+CIFAR-10-like data and firing-rate statistics.
 """
 
 from .neuron import IzhikevichParameters, LIFParameters, LIFState, lif_step, lif_step_batch
@@ -35,14 +35,12 @@ from .svgg11 import (
     build_svgg11,
     svgg11_layer_shapes,
 )
-from .encoding import DirectEncoder, PoissonEncoder, RateEncoder
 from .datasets import (
     SyntheticCIFAR10,
     synthetic_compressed_ifmap,
     synthetic_layer_activity,
 )
 from .stats import ActivityStats, collect_activity_stats
-from .events import DvsEvent, DvsEventStream, generate_moving_blob_stream
 from .training import (
     SurrogateGradientTrainer,
     TrainingConfig,
@@ -76,17 +74,11 @@ __all__ = [
     "SVGG11_LAYER_FIRING_RATES",
     "build_svgg11",
     "svgg11_layer_shapes",
-    "DirectEncoder",
-    "PoissonEncoder",
-    "RateEncoder",
     "SyntheticCIFAR10",
     "synthetic_compressed_ifmap",
     "synthetic_layer_activity",
     "ActivityStats",
     "collect_activity_stats",
-    "DvsEvent",
-    "DvsEventStream",
-    "generate_moving_blob_stream",
     "SurrogateGradientTrainer",
     "TrainingConfig",
     "TrainingHistory",

@@ -1,9 +1,8 @@
-"""Small shared utilities: quantization, RNG helpers, validation, serialization."""
+"""Small shared utilities: quantization, RNG helpers, serialization."""
 
 from .quantize import dtype_for, quantize, quantization_error
 from .rng import make_rng, spawn_rngs
 from .serialization import atomic_write_text, canonical_json, json_default
-from .validation import check_positive, check_probability, check_shape_match
 
 __all__ = [
     "dtype_for",
@@ -14,7 +13,4 @@ __all__ = [
     "json_default",
     "make_rng",
     "spawn_rngs",
-    "check_positive",
-    "check_probability",
-    "check_shape_match",
 ]

@@ -1,12 +1,12 @@
 """Canonical JSON encoding and atomic file persistence.
 
 Every piece of the library that fingerprints parameters or persists results
-(:class:`repro.eval.runner.ResultsCache`, :class:`repro.session.ResultStore`)
-must agree on *one* encoding: if the cache key serializes a value one way and
-the persisted payload another, equal inputs stop being equal across a
-save/load cycle.  :func:`canonical_json` is that single encoder — sorted
-keys, NumPy scalars narrowed to the matching Python type, and everything
-else stringified.
+(:meth:`repro.config.RunConfig.fingerprint`, the :class:`repro.session.Session`
+fingerprints and :class:`repro.session.ResultStore`) must agree on *one*
+encoding: if a fingerprint serializes a value one way and the persisted
+payload another, equal inputs stop being equal across a save/load cycle.
+:func:`canonical_json` is that single encoder — sorted keys, NumPy scalars
+narrowed to the matching Python type, and everything else stringified.
 
 :func:`atomic_write_text` writes through a temporary file in the target
 directory followed by :func:`os.replace`, so an interrupted writer can never

@@ -7,7 +7,6 @@ from repro.eval.runner import SWEEPS, run_sweep
 from repro.plan import (
     ParameterSpace,
     PlanRow,
-    ResultsCache,
     SweepSpec,
     collect_plan,
     iter_plan,
@@ -119,15 +118,6 @@ class TestSweepSpec:
         unseeded = _spec(seeded=False)
         assert unseeded.task_seed(11, {"n": 3}) == 11
 
-    def test_cache_key_ignores_unconsumed_knobs(self):
-        seeded = _spec()
-        assert seeded.cache_key({"n": 1}, 1, 4) != seeded.cache_key({"n": 1}, 2, 4)
-        deterministic = _spec(seeded=False)
-        assert deterministic.cache_key({"n": 1}, 1, 4) == deterministic.cache_key({"n": 1}, 2, 4)
-        assert seeded.cache_key({"n": 1}, 1, 4) == seeded.cache_key({"n": 1}, 1, 8)
-        batched = _spec(uses_batch=True)
-        assert batched.cache_key({"n": 1}, 1, 4) != batched.cache_key({"n": 1}, 1, 8)
-
     def test_describe_reports_axes_and_parameters(self):
         info = _spec().describe()
         assert info["name"] == "double"
@@ -169,14 +159,6 @@ class TestIterPlan:
         assert [r.index for r in rest] == [1, 2]
         assert _calls == [1, 2, 3]
 
-    def test_cache_hits_marked_and_served_first(self):
-        spec = _spec()
-        cache = ResultsCache()
-        list(iter_plan(spec, SerialBackend(), seed=1, batch_size=1, cache=cache))
-        rows = list(iter_plan(spec, SerialBackend(), seed=1, batch_size=1, cache=cache))
-        assert all(row.cached for row in rows)
-        assert [row.index for row in rows] == [0, 1, 2]
-
     def test_rows_carry_point_params(self):
         rows = list(iter_plan(_spec(), SerialBackend(), seed=1, batch_size=1,
                               point_kwargs={"ns": (5,)}))
@@ -201,7 +183,7 @@ class TestCollectPlan:
             collect_plan(spec, SerialBackend(), seed=1, batch_size=1)
 
     def test_headline_from_finalize(self):
-        spec = _spec(finalize=lambda rows, tasks, run_cached: {
+        spec = _spec(finalize=lambda rows, tasks, run_point: {
             "total": sum(r["doubled"] for r in rows)
         })
         result = collect_plan(spec, SerialBackend(), seed=1, batch_size=1)

@@ -1,11 +1,8 @@
-"""Tests for the parallel sweep runner and its results cache."""
-
-import json
+"""Tests for the parallel sweep runner."""
 
 import pytest
 
 from repro.eval.runner import (
-    ResultsCache,
     SWEEPS,
     available_sweeps,
     point_seed,
@@ -39,54 +36,6 @@ class TestPointSeed:
         assert base != point_seed(2026, "firing_rate", {"rate": 0.1})
         assert base != point_seed(2025, "strided_indirect", {"rate": 0.1})
         assert base != point_seed(2025, "firing_rate", {"rate": 0.2})
-
-
-class TestResultsCache:
-    def test_in_memory_roundtrip(self):
-        cache = ResultsCache()
-        key = ResultsCache.key("firing_rate", {"rate": 0.1}, 2025, 4)
-        assert cache.get(key) is None
-        cache.put(key, {"speedup": 5.0})
-        assert cache.get(key) == {"speedup": 5.0}
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_file_persistence(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cache = ResultsCache(path)
-        key = ResultsCache.key("stream_length", {"length": 8}, 2025, 4)
-        cache.put(key, {"speedup": 3.0})
-        cache.save()
-        reloaded = ResultsCache(path)
-        assert reloaded.get(key) == {"speedup": 3.0}
-        assert json.loads(path.read_text())  # valid JSON on disk
-
-    def test_malformed_cache_entries_dropped_with_warning(self, tmp_path, capsys):
-        path = tmp_path / "cache.json"
-        good_key = ResultsCache.key("stream_length", {"length": 2}, 0, 0)
-        path.write_text(json.dumps({good_key: {"stream_length": 2, "speedup": 2.0},
-                                    "bad": "truncated"}))
-        cache = ResultsCache(path)
-        assert "warning" in capsys.readouterr().err
-        assert len(cache) == 1
-        assert cache.get(good_key) == {"stream_length": 2, "speedup": 2.0}
-        assert cache.get("bad") is None
-
-    def test_corrupt_cache_file_ignored_with_warning(self, tmp_path, capsys):
-        path = tmp_path / "cache.json"
-        path.write_text("NOT JSON{{{")
-        cache = ResultsCache(path)  # must not raise
-        assert len(cache) == 0
-        assert "warning" in capsys.readouterr().err
-        result = run_sweep("stream_length", cache=cache, lengths=(2,))
-        assert result.rows[0]["stream_length"] == 2
-        reloaded = ResultsCache(path)  # save() overwrote the corrupt file
-        assert len(reloaded) == 1
-
-    def test_key_distinguishes_config(self):
-        base = ResultsCache.key("precision", {"precision": "fp16"}, 1, 4)
-        assert base != ResultsCache.key("precision", {"precision": "fp16"}, 2, 4)
-        assert base != ResultsCache.key("precision", {"precision": "fp16"}, 1, 8)
-        assert base != ResultsCache.key("precision", {"precision": "fp8"}, 1, 4)
 
 
 class TestRunSweep:
@@ -152,66 +101,6 @@ class TestRunSweep:
     def test_runner_results_named_distinctly_from_sequential_sweeps(self):
         result = run_sweep("stream_length", lengths=(4,))
         assert result.name == "parallel_stream_length_sweep"
-
-    def test_cache_skips_reexecution(self, tmp_path):
-        cache = ResultsCache(tmp_path / "cache.json")
-        first = run_sweep("stream_length", cache=cache, lengths=(1, 16))
-        assert cache.misses == 2 and cache.hits == 0
-        second = run_sweep("stream_length", cache=cache, lengths=(1, 16))
-        assert cache.hits == 2
-        assert first.rows == second.rows
-
-    def test_cache_ignores_knobs_a_sweep_does_not_consume(self, tmp_path):
-        cache = ResultsCache(tmp_path / "cache.json")
-        # stream_length is deterministic: a different --seed must still hit.
-        run_sweep("stream_length", cache=cache, seed=1, lengths=(4,))
-        run_sweep("stream_length", cache=cache, seed=99, lengths=(4,))
-        assert cache.hits == 1
-        # firing_rate never runs full-network inference: --batch must not miss.
-        run_sweep("firing_rate", cache=cache, seed=1, batch_size=2, rates=(0.1,))
-        run_sweep("firing_rate", cache=cache, seed=1, batch_size=64, rates=(0.1,))
-        assert cache.hits == 2
-
-    def test_unpersistable_cache_warns_instead_of_crashing(self, tmp_path, capsys):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("a file, not a directory")
-        cache = ResultsCache(blocker / "cache.json")
-        result = run_sweep("stream_length", cache=cache, lengths=(2,))
-        assert result.rows[0]["stream_length"] == 2  # results still delivered
-        assert "could not persist" in capsys.readouterr().err
-
-    def test_core_count_anchor_goes_through_cache(self, tmp_path):
-        cache = ResultsCache(tmp_path / "cache.json")
-        run_sweep("core_count", seed=5, core_counts=(2, 4), cache=cache)
-        assert cache.misses == 3  # two points + the 1-core anchor
-        cache.hits = cache.misses = 0
-        run_sweep("core_count", seed=5, core_counts=(2, 4), cache=cache)
-        assert cache.hits == 3 and cache.misses == 0  # anchor cached too
-
-    def test_finalize_failure_still_persists_computed_rows(self, tmp_path, monkeypatch):
-        import dataclasses
-
-        from repro.eval import runner as runner_mod
-
-        def exploding_finalize(rows, tasks, run_cached):
-            raise RuntimeError("finalize blew up")
-
-        broken = dataclasses.replace(SWEEPS["stream_length"], finalize=exploding_finalize)
-        monkeypatch.setitem(runner_mod.SWEEPS, "stream_length", broken)
-        cache = ResultsCache(tmp_path / "cache.json")
-        with pytest.raises(RuntimeError, match="finalize blew up"):
-            run_sweep("stream_length", cache=cache, lengths=(1, 8))
-        # The freshly computed sweep rows must have reached the disk cache.
-        reloaded = ResultsCache(tmp_path / "cache.json")
-        assert len(reloaded) == 2
-
-    def test_cache_persists_across_runner_instances(self, tmp_path):
-        path = tmp_path / "cache.json"
-        run_sweep("stream_length", cache=ResultsCache(path), lengths=(4,))
-        reloaded = ResultsCache(path)
-        result = run_sweep("stream_length", cache=reloaded, lengths=(4,))
-        assert reloaded.hits == 1 and reloaded.misses == 0
-        assert result.rows[0]["stream_length"] == 4
 
     def test_process_backend_smoke(self):
         result = run_sweep("stream_length", jobs=2, backend="process",

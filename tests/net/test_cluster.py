@@ -4,8 +4,9 @@ The distributed tier must be invisible to callers: every response served
 through a :class:`~repro.net.coordinator.Coordinator` and its remote
 workers is bit-for-bit identical to the direct
 :class:`~repro.session.Session` call, results replicate cluster-wide so a
-repeat request short-circuits without touching a worker, and the ``net.*``
-telemetry surface is complete.
+repeat request short-circuits without touching a worker, a caller cannot
+change what the coordinator stored, and the ``net.*`` telemetry surface
+is complete.
 """
 
 import threading
@@ -15,7 +16,7 @@ import pytest
 
 from repro.config import spikestream_config
 from repro.eval.sweeps import functional_network
-from repro.net import Coordinator, NetWorker, ReplicatedResultStore
+from repro.net import Coordinator, NetWorker, framing
 from repro.session import Session
 from repro.snn.datasets import SyntheticCIFAR10
 from repro.types import TensorShape
@@ -112,14 +113,73 @@ class TestClusterEquivalence:
             ]
             assert coordinator.wait_for_workers(2, timeout=30)
             future = coordinator.submit_statistical(config=config, seed=97)
-            future.result(timeout=120)
+            result = future.result(timeout=120)
             stats = coordinator.stats()
         finally:
             coordinator.close()
             for _worker, thread in workers:
                 thread.join(timeout=10)
-        # The computed result was broadcast to every live worker.
-        assert stats["net.store_replications"] >= 1
+        assert not any(thread.is_alive() for _worker, thread in workers)
+        # One entry to one link: the worker that computed the result is
+        # skipped, its own store already holds it.
+        assert stats["net.store_replications"] == 1
+        fingerprint = Session().fingerprint(config, None, None, 97, None)
+        for worker, _thread in workers:
+            stored = worker.session.store.get(fingerprint)
+            assert stored is not None, f"{worker.worker_id} never stored it"
+            assert stored.identical_to(result)
+
+
+class TestCallerIsolation:
+    """What a caller does to its result never reaches the coordinator's
+    store: the store adopts the decoded result, the caller gets a copy."""
+
+    @staticmethod
+    def _submit_twice(config, between):
+        coordinator = Coordinator(max_batch=4, max_wait_ms=5)
+        workers = []
+        try:
+            workers = [
+                _start_inline_worker(coordinator.address, worker_id="solo")
+            ]
+            assert coordinator.wait_for_workers(1, timeout=30)
+            first = coordinator.submit_statistical(config=config, seed=5)
+            first_result = first.result(timeout=120)
+            between(first_result)
+            second = coordinator.submit_statistical(config=config, seed=5)
+            second_result = second.result(timeout=120)
+            stats = coordinator.stats()
+        finally:
+            coordinator.close()
+            for _worker, thread in workers:
+                thread.join(timeout=10)
+        assert (
+            stats["serve.store_short_circuits"]
+            + stats["net.dispatch_short_circuits"]
+        ) >= 1, "the repeat request was not a store hit"
+        return second_result
+
+    def test_caller_mutation_does_not_reach_the_store(self):
+        config = spikestream_config(batch_size=1, seed=5)
+        second = self._submit_twice(config, lambda result: result.layers.clear())
+        direct = Session().run_inference(config, batch_size=1, seed=5)
+        assert len(second.layers) == 11
+        assert second.identical_to(direct)
+
+    def test_out_of_band_arrays_cannot_be_written_in_place(self, monkeypatch):
+        # Arrays at or above ARRAY_OOB_BYTES land in fresh writable
+        # buffers on receipt (large batches); lowering the bound sends a
+        # batch-1 result's per-frame arrays that way.
+        monkeypatch.setattr(framing, "ARRAY_OOB_BYTES", 8)
+        config = spikestream_config(batch_size=1, seed=5)
+
+        def write_in_place(result):
+            with pytest.raises(ValueError, match="read-only"):
+                result.layers[0].cycles[0] = -1.0
+
+        second = self._submit_twice(config, write_in_place)
+        direct = Session().run_inference(config, batch_size=1, seed=5)
+        assert second.identical_to(direct)
 
 
 class TestLifecycle:
@@ -168,25 +228,6 @@ class TestTelemetrySurface:
         assert detail["probe-w"]["dispatches"] >= 1
         assert detail["probe-w"]["bytes_sent"] > 0
         assert bytes_probe["sent"] > 0 and bytes_probe["received"] > 0
-
-
-class TestReplicatedStore:
-    def test_put_publishes_and_apply_does_not(self):
-        published = []
-        with Session() as session:
-            store = ReplicatedResultStore(
-                session.store, publish=lambda fp, result: published.append(fp)
-            )
-            store.put("fp-a", {"row": 1})
-            assert published == ["fp-a"]
-            # Replication traffic applies without echoing back out.
-            store.apply("fp-b", {"row": 2})
-            assert published == ["fp-a"]
-            assert store.get("fp-a") == {"row": 1}
-            assert store.get("fp-b") == {"row": 2}
-            stats = store.stats()
-            assert stats["replication_published"] == 1
-            assert stats["replication_applied"] == 1
 
 
 class TestLivenessUnderTransfer:

@@ -170,7 +170,7 @@ class TestSocketPaths:
 
     def test_plan_row_roundtrip(self, pair):
         row = PlanRow(index=3, params={"stream_length": 16},
-                      row={"speedup": 2.5, "label": "x"}, cached=False)
+                      row={"speedup": 2.5, "label": "x"})
         message = _roundtrip(pair, "plan_row", index=row.index, row=row)
         assert message["row"] == row
 

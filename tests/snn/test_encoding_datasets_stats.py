@@ -1,4 +1,4 @@
-"""Tests for spike encoders, synthetic datasets and activity statistics."""
+"""Tests for synthetic datasets and activity statistics."""
 
 import numpy as np
 import pytest
@@ -8,52 +8,9 @@ from repro.snn.datasets import (
     synthetic_compressed_ifmap,
     synthetic_layer_activity,
 )
-from repro.snn.encoding import DirectEncoder, PoissonEncoder, RateEncoder
 from repro.snn.stats import collect_activity_stats, summarize_records
 from repro.snn.svgg11 import SVGG11_LAYER_FIRING_RATES
 from repro.types import TensorShape
-
-
-class TestEncoders:
-    def test_direct_encoder_repeats_frame(self, rng):
-        image = rng.random((4, 4, 3))
-        encoded = DirectEncoder(scale=2.0).encode(image, timesteps=3)
-        assert encoded.shape == (3, 4, 4, 3)
-        assert np.allclose(encoded[0], image * 2.0)
-        assert np.allclose(encoded[1], encoded[2])
-
-    def test_poisson_encoder_rate_tracks_intensity(self):
-        image = np.full((10, 10, 1), 0.3)
-        spikes = PoissonEncoder(seed=0).encode(image, timesteps=200)
-        assert spikes.dtype == bool
-        assert spikes.mean() == pytest.approx(0.3, abs=0.05)
-
-    def test_poisson_encoder_zero_and_one_extremes(self):
-        image = np.zeros((4, 4, 1))
-        image[0, 0, 0] = 1.0
-        spikes = PoissonEncoder(seed=1).encode(image, timesteps=50)
-        assert spikes[:, 0, 0, 0].all()
-        assert not spikes[:, 1:, :, :].any()
-
-    def test_rate_encoder_spike_count_matches_intensity(self):
-        image = np.array([[[0.5, 1.0, 0.0]]])
-        spikes = RateEncoder().encode(image, timesteps=10)
-        counts = spikes.sum(axis=0)[0, 0]
-        assert counts.tolist() == [5, 10, 0]
-
-    def test_rate_encoder_spreads_spikes(self):
-        image = np.array([[[0.5]]])
-        spikes = RateEncoder().encode(image, timesteps=4)[:, 0, 0, 0]
-        # Two spikes in four steps, never adjacent saturation of the window.
-        assert spikes.sum() == 2
-
-    def test_invalid_timesteps(self):
-        with pytest.raises(ValueError):
-            DirectEncoder().encode(np.zeros((2, 2, 1)), timesteps=0)
-
-    def test_invalid_max_rate(self):
-        with pytest.raises(ValueError):
-            PoissonEncoder(max_rate=0.0)
 
 
 class TestSyntheticCIFAR10:

@@ -1,14 +1,8 @@
-"""Tests for surrogate-gradient training and synthetic DVS event streams."""
+"""Tests for surrogate-gradient training."""
 
 import numpy as np
 import pytest
 
-from repro.snn.events import (
-    DvsEvent,
-    DvsEventStream,
-    event_frames_for_network,
-    generate_moving_blob_stream,
-)
 from repro.snn.layers import SpikingLinear
 from repro.snn.neuron import LIFParameters
 from repro.snn.training import (
@@ -17,7 +11,6 @@ from repro.snn.training import (
     make_two_moons,
     surrogate_gradient,
 )
-from repro.types import TensorShape
 
 
 class TestSurrogateGradient:
@@ -96,65 +89,3 @@ class TestTrainer:
         assert set(np.unique(labels)) == {0, 1}
         with pytest.raises(ValueError):
             make_two_moons(samples=1)
-
-
-class TestDvsEvents:
-    def test_event_validation(self):
-        with pytest.raises(ValueError):
-            DvsEvent(row=0, col=0, polarity=2, timestamp_us=0)
-        with pytest.raises(ValueError):
-            DvsEvent(row=-1, col=0, polarity=0, timestamp_us=0)
-
-    def test_stream_bounds_and_ordering(self):
-        stream = DvsEventStream(height=4, width=4)
-        stream.append(DvsEvent(1, 1, 0, 10))
-        with pytest.raises(ValueError):
-            stream.append(DvsEvent(5, 0, 0, 20))
-        with pytest.raises(ValueError):
-            stream.append(DvsEvent(0, 0, 0, 5))  # time goes backwards
-
-    def test_to_frames_accumulates_by_window(self):
-        stream = DvsEventStream(height=4, width=4)
-        stream.append(DvsEvent(0, 0, 0, 0))
-        stream.append(DvsEvent(1, 1, 1, 150))
-        frames = stream.to_frames(window_us=100)
-        assert frames.shape == (2, 4, 4, 2)
-        assert frames[0, 0, 0, 0]
-        assert frames[1, 1, 1, 1]
-        assert not frames[0, 1, 1, 1]
-
-    def test_single_polarity_merge(self):
-        stream = DvsEventStream(height=2, width=2)
-        stream.append(DvsEvent(0, 0, 1, 0))
-        frames = stream.to_frames(window_us=10, polarities=1)
-        assert frames.shape[-1] == 1
-        assert frames[0, 0, 0, 0]
-
-    def test_empty_stream(self):
-        stream = DvsEventStream(height=2, width=2)
-        assert stream.duration_us == 0
-        assert stream.to_frames(100).shape == (0, 2, 2, 2)
-        assert stream.firing_rate(100) == 0.0
-
-    def test_generated_stream_properties(self):
-        stream = generate_moving_blob_stream(
-            shape=TensorShape(16, 16, 2), duration_us=2_000, event_rate_per_us=0.3, seed=3
-        )
-        assert len(stream) == 600
-        assert stream.duration_us <= 2_000
-        rate = stream.firing_rate(window_us=500)
-        assert 0.0 < rate < 0.5
-
-    def test_generated_stream_deterministic(self):
-        a = generate_moving_blob_stream(seed=9, duration_us=1_000)
-        b = generate_moving_blob_stream(seed=9, duration_us=1_000)
-        assert len(a) == len(b)
-        assert all(x == y for x, y in zip(a, b))
-
-    def test_event_frames_for_network(self):
-        stream = generate_moving_blob_stream(duration_us=1_000, seed=1)
-        frames, rate = event_frames_for_network(stream, window_us=250, channels=2)
-        assert frames.shape[1:] == (32, 32, 2)
-        assert 0.0 <= rate <= 1.0
-        with pytest.raises(ValueError):
-            event_frames_for_network(stream, window_us=250, channels=3)

@@ -118,16 +118,14 @@ class TestCli:
         output = capsys.readouterr().out
         assert "firing_rate" in output and "headline" in output
 
-    def test_sweep_output_file_and_cache(self, tmp_path, capsys):
+    def test_sweep_output_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
-        cache = tmp_path / "cache.json"
         argv = ["sweep", "--sweep", "stream_length", "--format", "json",
-                "--output", str(out), "--cache", str(cache)]
+                "--output", str(out)]
         assert main(argv) == 0
         assert "wrote" in capsys.readouterr().out
         first = json.loads(out.read_text())
-        assert cache.exists()
-        assert main(argv) == 0  # second run served from the cache
+        assert main(argv) == 0
         capsys.readouterr()
         assert json.loads(out.read_text()) == first
 

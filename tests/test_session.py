@@ -233,21 +233,6 @@ class TestResultStoreIntegration:
         session.run_inference(config, seed=3)
         assert session.store.hits == 0 and session.store.misses == 3
 
-    def test_sweep_rows_cached_within_session(self):
-        session = Session()
-        session.run("stream_length", lengths=(2, 4))
-        assert session.sweep_cache.misses == 2
-        session.run("stream_length", lengths=(2, 4))
-        assert session.sweep_cache.hits == 2
-
-    def test_sweep_rows_persist_under_cache_dir(self, tmp_path):
-        with Session(cache_dir=tmp_path) as session:
-            session.run("stream_length", lengths=(4,))
-        assert (tmp_path / "sweep_rows.json").exists()
-        with Session(cache_dir=tmp_path) as fresh:
-            fresh.run("stream_length", lengths=(4,))
-            assert fresh.sweep_cache.hits == 1
-
 
 class TestSessionModelWarnings:
     def test_scenario_on_default_models_warns_for_custom_session(self, capsys):

@@ -30,16 +30,6 @@ class TestCloseIdempotent:
         assert session.store.hits == hits_before + 1
         assert again.identical_to(first)
 
-    def test_close_flushes_sweep_cache_once(self, tmp_path):
-        cache_path = tmp_path / "cache" / "sweep_rows.json"
-        session = Session(cache_dir=tmp_path / "cache")
-        session.run("stream_length", lengths=(1, 4))
-        session.close()
-        assert cache_path.exists()
-        stamp = cache_path.stat().st_mtime_ns
-        session.close()  # clean cache: dirty tracking makes the flush free
-        assert cache_path.stat().st_mtime_ns == stamp
-
 
 class TestCloseConcurrent:
     def test_close_while_parallel_work_in_flight(self):

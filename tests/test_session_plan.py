@@ -61,13 +61,6 @@ class TestRunPlan:
             with pytest.raises(KeyError, match="unknown sweep"):
                 next(session.run_plan("bogus"))
 
-    def test_rows_enter_session_sweep_cache(self):
-        with Session() as session:
-            list(session.run_plan(_STREAM_SPEC))
-            assert len(session.sweep_cache) == 4
-            rerun = list(session.run_plan(_STREAM_SPEC))
-        assert all(row.cached for row in rerun)
-
     def test_run_spec_collects_canonical_result(self):
         with Session() as session:
             result = session.run_spec(_STREAM_SPEC)

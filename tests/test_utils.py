@@ -6,7 +6,6 @@ import pytest
 from repro.types import Precision
 from repro.utils.quantize import dtype_for, quantization_error, quantize
 from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.validation import check_positive, check_probability, check_shape_match
 
 
 class TestQuantize:
@@ -64,24 +63,3 @@ class TestRng:
     def test_spawn_rngs_rejects_negative_count(self):
         with pytest.raises(ValueError):
             spawn_rngs(1, -1)
-
-
-class TestValidation:
-    def test_check_positive(self):
-        check_positive("x", 1.0)
-        check_positive("x", 0.0, allow_zero=True)
-        with pytest.raises(ValueError):
-            check_positive("x", 0.0)
-        with pytest.raises(ValueError):
-            check_positive("x", -1.0, allow_zero=True)
-
-    def test_check_probability(self):
-        check_probability("p", 0.0)
-        check_probability("p", 1.0)
-        with pytest.raises(ValueError):
-            check_probability("p", 1.5)
-
-    def test_check_shape_match(self):
-        check_shape_match("a", np.zeros((2, 3)), (2, 3))
-        with pytest.raises(ValueError):
-            check_shape_match("a", np.zeros((2, 3)), (3, 2))
