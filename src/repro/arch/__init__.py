@@ -14,7 +14,7 @@ utilization and energy results:
 from .params import ClusterParams, CostModelParams, DEFAULT_CLUSTER, DEFAULT_COSTS
 from .tcdm import Tcdm, TcdmAllocationError
 from .icache import InstructionCache
-from .trace import ClusterStats, CoreStats
+from .trace import BatchClusterStats, ClusterStats, CoreStats
 
 __all__ = [
     "ClusterParams",
@@ -24,6 +24,7 @@ __all__ = [
     "Tcdm",
     "TcdmAllocationError",
     "InstructionCache",
+    "BatchClusterStats",
     "ClusterStats",
     "CoreStats",
 ]

@@ -9,8 +9,18 @@ the gap between the measured and ideal speedups to these misses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Union
+
+import numpy as np
 
 from .params import ClusterParams, CostModelParams, DEFAULT_CLUSTER, DEFAULT_COSTS
+
+
+def _any_negative(value: Union[float, np.ndarray]) -> bool:
+    """Whether a number, or any element of an array, is negative."""
+    if isinstance(value, np.ndarray):
+        return bool((value < 0).any())
+    return value < 0
 
 
 @dataclass
@@ -29,15 +39,22 @@ class InstructionCache:
         """Whether a kernel's code footprint fits entirely in the cache."""
         return kernel_bytes <= self.params.icache_bytes
 
-    def miss_cycles(self, instructions_executed: float, tiles: int = 1) -> float:
+    def miss_cycles(
+        self,
+        instructions_executed: Union[float, np.ndarray],
+        tiles: Union[int, np.ndarray] = 1,
+    ) -> Union[float, np.ndarray]:
         """Estimated stall cycles caused by instruction fetch misses.
 
         ``tiles`` cold-start phases each touch ``icache_cold_miss_lines``
         lines; afterwards a small residual per-instruction miss rate applies.
+        Both arguments may be numbers or broadcastable arrays (e.g. per-core
+        instruction counts of a batch against per-frame tile counts); the
+        result has their broadcast shape.
         """
-        if instructions_executed < 0:
+        if _any_negative(instructions_executed):
             raise ValueError("instructions_executed must be non-negative")
-        if tiles < 0:
+        if _any_negative(tiles):
             raise ValueError("tiles must be non-negative")
         cold = tiles * self.costs.icache_cold_miss_lines * self.costs.icache_miss_penalty_cycles
         steady = (

@@ -183,11 +183,33 @@ class CostModelParams:
     """Latency of one atomic tagging operation of the workload-stealing
     scheduler."""
 
+    #: Instruction counts that enter the conv and FC kernels' per-item metrics.
+    #: They must be whole numbers: the batched kernels sum those metrics in a
+    #: different order than the scalar kernels, which is exact only for
+    #: integer values (see :mod:`repro.kernels.batch_stats`).
+    INTEGRAL_INSTRUCTION_COUNTS = (
+        "baseline_spva_instrs_per_element",
+        "baseline_spva_fp_instrs_per_element",
+        "streaming_fp_instrs_per_element",
+        "stream_setup_int_instrs",
+        "spva_address_calc_int_instrs",
+        "rf_overhead_int_instrs",
+        "group_overhead_int_instrs",
+        "activation_int_instrs_per_group",
+        "activation_fp_instrs_per_group",
+        "output_unpack_extra_iterations_fp8",
+        "fc_setup_int_instrs",
+    )
+
     def __post_init__(self) -> None:
         if self.streaming_cycles_per_element < 1.0:
             raise ValueError("streaming_cycles_per_element cannot be below 1 cycle")
         if self.baseline_spva_instrs_per_element < 1:
             raise ValueError("baseline_spva_instrs_per_element must be at least 1")
+        for name in self.INTEGRAL_INSTRUCTION_COUNTS:
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"{name} must be a whole number of instructions, got {value}")
 
     @property
     def baseline_cycles_per_element(self) -> float:

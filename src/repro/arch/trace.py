@@ -1,9 +1,18 @@
-"""Statistics records produced by the behavioral timing model."""
+"""Statistics records produced by the behavioral timing model.
+
+:class:`ClusterStats` (a list of :class:`CoreStats`) describes one kernel
+execution; :class:`BatchClusterStats` holds the same counters for a whole
+batch of executions as arrays with a leading batch axis, and
+:meth:`BatchClusterStats.frame` recovers any one frame's
+:class:`ClusterStats`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+import numpy as np
 
 
 @dataclass
@@ -124,6 +133,25 @@ class ClusterStats:
         """Total scratchpad accesses (core loads/stores plus SSR streams)."""
         return sum(stats.spm_accesses + stats.ssr_spm_accesses for stats in self.core_stats)
 
+    @property
+    def total_int_instructions(self) -> float:
+        """Total integer instructions retired across the cluster."""
+        return sum(stats.int_instructions for stats in self.core_stats)
+
+    @property
+    def total_core_cycles(self) -> float:
+        """Per-core total cycles summed over the cores, one core after another.
+
+        Per-core cycles are not integral, so the order of additions shows in
+        the last digit; the explicit loop fixes it to core order (builtin
+        :func:`sum` compensates rounding from Python 3.12 on), the order
+        :meth:`BatchClusterStats.total_core_cycles` adds in.
+        """
+        total = 0.0
+        for stats in self.core_stats:
+            total += stats.total_cycles
+        return total
+
     def runtime_seconds(self, clock_hz: float) -> float:
         """Wall-clock runtime at the given clock frequency."""
         return self.total_cycles / clock_hz
@@ -162,3 +190,153 @@ class ClusterStats:
             "total_fp_instructions": self.total_fp_instructions,
             "total_spm_accesses": self.total_spm_accesses,
         }
+
+
+def _core_sum(values: np.ndarray) -> np.ndarray:
+    """Sum ``(batch, cores)`` counters over the cores, adding in core order.
+
+    :func:`numpy.cumsum` adds strictly in sequence, as the per-frame
+    :class:`ClusterStats` totals do (:func:`numpy.sum` would pair the cores
+    up), so every frame's total is bit-for-bit its :class:`ClusterStats`
+    total even where the counters are not integral.
+    """
+    return values.cumsum(axis=1)[:, -1]
+
+
+@dataclass
+class BatchClusterStats:
+    """:class:`ClusterStats` of a batch of kernel executions, as arrays.
+
+    Every per-core counter of :class:`CoreStats` is a ``(batch, cores)``
+    array (the per-core ``total_cycles`` is named ``core_cycles`` here, to
+    keep it apart from the cluster's), and every cluster-level counter a
+    ``(batch,)`` array.  The arrays may be read-only broadcasts of one row
+    (frames whose counters are identical share storage), so derive new
+    arrays rather than writing in place.  :meth:`frame` rebuilds one
+    frame's :class:`ClusterStats`; the properties mirror the
+    :class:`ClusterStats` ones frame by frame, bit for bit.
+    """
+
+    int_instructions: np.ndarray
+    fp_instructions: np.ndarray
+    core_cycles: np.ndarray
+    fpu_busy_cycles: np.ndarray
+    stall_cycles: np.ndarray
+    spm_accesses: np.ndarray
+    ssr_spm_accesses: np.ndarray
+    atomic_operations: np.ndarray
+    dma_cycles: np.ndarray
+    dma_bytes: np.ndarray
+    dma_exposed_cycles: np.ndarray
+    total_cycles: np.ndarray
+    label: str = ""
+
+    #: Per-core ``(batch, cores)`` counters, in :class:`CoreStats` field
+    #: order (after ``core_id``), which :meth:`frame` and :meth:`repeat` rely on.
+    CORE_FIELDS = (
+        "int_instructions",
+        "fp_instructions",
+        "core_cycles",
+        "fpu_busy_cycles",
+        "stall_cycles",
+        "spm_accesses",
+        "ssr_spm_accesses",
+        "atomic_operations",
+    )
+    #: Cluster-level ``(batch,)`` counters.
+    CLUSTER_FIELDS = ("dma_cycles", "dma_bytes", "dma_exposed_cycles", "total_cycles")
+
+    @property
+    def batch_size(self) -> int:
+        """Number of executions (frames) described."""
+        return int(self.total_cycles.shape[0])
+
+    @property
+    def num_cores(self) -> int:
+        """Number of worker cores that contributed statistics."""
+        return int(self.core_cycles.shape[1])
+
+    @classmethod
+    def repeat(cls, stats: ClusterStats, batch_size: int) -> "BatchClusterStats":
+        """``batch_size`` frames that each executed exactly like ``stats``.
+
+        Every array is a read-only broadcast of ``stats``' one row.
+        """
+        per_core = np.array(
+            [tuple(vars(core).values())[1:] for core in stats.core_stats], dtype=np.float64
+        ).reshape(stats.num_cores, len(cls.CORE_FIELDS))
+        shape = (batch_size, stats.num_cores)
+        cluster = (stats.dma_cycles, stats.dma_bytes, stats.dma_exposed_cycles, stats.total_cycles)
+        return cls(
+            *(np.broadcast_to(column, shape) for column in per_core.T),
+            *(np.broadcast_to(np.float64(value), (batch_size,)) for value in cluster),
+            label=stats.label,
+        )
+
+    def frame(self, index: int) -> ClusterStats:
+        """The :class:`ClusterStats` of frame ``index`` (a new, independent record)."""
+        rows = [getattr(self, name)[index].tolist() for name in self.CORE_FIELDS]
+        return ClusterStats(
+            core_stats=[
+                CoreStats(core_id, *counters) for core_id, counters in enumerate(zip(*rows))
+            ],
+            dma_cycles=float(self.dma_cycles[index]),
+            dma_bytes=float(self.dma_bytes[index]),
+            dma_exposed_cycles=float(self.dma_exposed_cycles[index]),
+            total_cycles=float(self.total_cycles[index]),
+            label=self.label,
+        )
+
+    def scaled(self, timesteps: int) -> "BatchClusterStats":
+        """Every counter multiplied by ``timesteps`` (one execution per timestep).
+
+        The columnar form of the reference loops' per-frame timestep scaling:
+        totals scale, ratios such as FPU utilization and IPC do not.
+        """
+        return BatchClusterStats(
+            **{
+                name: getattr(self, name) * timesteps
+                for name in self.CORE_FIELDS + self.CLUSTER_FIELDS
+            },
+            label=self.label,
+        )
+
+    @property
+    def total_int_instructions(self) -> np.ndarray:
+        """Integer instructions retired across the cluster, per frame."""
+        return _core_sum(self.int_instructions)
+
+    @property
+    def total_fp_instructions(self) -> np.ndarray:
+        """FP instructions retired across the cluster, per frame."""
+        return _core_sum(self.fp_instructions)
+
+    @property
+    def total_spm_accesses(self) -> np.ndarray:
+        """Scratchpad accesses (core loads/stores plus SSR streams), per frame."""
+        return _core_sum(self.spm_accesses + self.ssr_spm_accesses)
+
+    @property
+    def total_core_cycles(self) -> np.ndarray:
+        """Per-core total cycles summed over the cores in core order, per frame."""
+        return _core_sum(self.core_cycles)
+
+    @property
+    def fpu_utilization(self) -> np.ndarray:
+        """Per-frame :attr:`ClusterStats.fpu_utilization`."""
+        busy = _core_sum(self.fpu_busy_cycles)
+        return np.minimum(1.0, self._per_core_cycle(busy))
+
+    @property
+    def ipc(self) -> np.ndarray:
+        """Per-frame :attr:`ClusterStats.ipc`."""
+        return self._per_core_cycle(_core_sum(self.int_instructions + self.fp_instructions))
+
+    def _per_core_cycle(self, totals: np.ndarray) -> np.ndarray:
+        """``totals / (total_cycles * num_cores)``, or 0 where a frame took no cycles."""
+        cycles = self.total_cycles * self.num_cores
+        return np.divide(totals, cycles, out=np.zeros_like(totals), where=cycles > 0)
+
+    def runtime_seconds(self, clock_hz: float) -> np.ndarray:
+        """Per-frame wall-clock runtime at the given clock frequency."""
+        return self.total_cycles / clock_hz

@@ -1,10 +1,10 @@
 """End-to-end SpikeStream inference on the Snitch cluster model.
 
 :class:`SpikeStreamInference` ties the library together: the optimizer maps
-each layer to a kernel, the kernels produce cycle-level
-:class:`~repro.arch.trace.ClusterStats`, the energy model converts activity
-into joules, and everything is aggregated over a batch of input frames into
-an :class:`~repro.core.results.InferenceResult`.
+each layer to a kernel, the kernels produce cycle-level cluster statistics,
+the energy model converts activity into joules, and everything is
+aggregated over a batch of input frames into an
+:class:`~repro.core.results.InferenceResult`.
 
 Two execution modes are provided:
 
@@ -25,7 +25,12 @@ frame count for the dense encoding layer — and costs it through the
 kernels' ``*_perf_batch`` entry points (vectorized SpVA costs, batched
 window aggregation, and a workload-stealing simulation that takes, per
 frame, a closed-form round-robin when every item costs the same, the heap
-when few frames remain, and a numpy loop across frames otherwise).
+when few frames remain, and a numpy loop across frames otherwise).  Each
+returns one columnar :class:`~repro.arch.trace.BatchClusterStats` — per-core
+counters as ``(batch, cores)`` arrays, cluster counters as ``(batch,)``
+arrays — from which the engine computes timestep scaling, energy, FPU
+utilization, IPC and power as whole-batch arrays; no per-frame
+:class:`~repro.arch.trace.ClusterStats` is built.
 The two modes differ only in where those spike counts come from:
 
 * statistical draws them from per-frame RNG streams
@@ -37,9 +42,10 @@ The two modes differ only in where those spike counts come from:
 
 Both are bit-for-bit identical to their historical per-frame loops, which
 are preserved as :meth:`SpikeStreamInference.run_statistical_reference` and
-:meth:`SpikeStreamInference.run_functional_reference` and exercised by the
-equivalence tests plus ``benchmarks/bench_batch_engine.py`` and
-``benchmarks/bench_functional.py``.
+:meth:`SpikeStreamInference.run_functional_reference` — the scalar kernels,
+one :class:`~repro.arch.trace.ClusterStats` per frame and layer — and
+exercised by the equivalence tests plus ``benchmarks/bench_batch_engine.py``
+and ``benchmarks/bench_functional.py``.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..arch.params import ClusterParams, CostModelParams, DEFAULT_CLUSTER, DEFAULT_COSTS
-from ..arch.trace import ClusterStats
+from ..arch.trace import BatchClusterStats, ClusterStats
 from ..config import RunConfig
 from ..energy.model import EnergyModel
 from ..energy.params import DEFAULT_ENERGY, EnergyParams
@@ -97,7 +103,7 @@ def layer_profiler(hook: Optional[Callable[[str, float, float], None]]):
 
 @dataclass
 class _LayerAccumulator:
-    """Per-layer collection of per-frame metrics."""
+    """Per-layer collection of per-frame metrics (the reference loops)."""
 
     plan: LayerPlan
     cycles: List[float] = field(default_factory=list)
@@ -228,7 +234,7 @@ class SpikeStreamInference:
     # ------------------------------------------------------------------ #
     # The internal batch engine (shared by both execution modes)
     # ------------------------------------------------------------------ #
-    def _cost_layer_batch(self, work: _LayerBatch) -> List[ClusterStats]:
+    def _cost_layer_batch(self, work: _LayerBatch) -> BatchClusterStats:
         """Cost one layer's whole-batch workload through its batched kernel."""
         plan = work.plan
         if plan.kernel is KernelKind.CONV:
@@ -268,29 +274,52 @@ class SpikeStreamInference:
 
         This is the shared back half of :meth:`run_statistical` and
         :meth:`run_functional`: layer-major iteration, one ``*_perf_batch``
-        kernel call per layer, per-frame timestep scaling (statistical mode
-        only — functional activity already carries one entry per timestep),
-        the energy model, and the ``_LayerAccumulator`` reduction.  The two
-        public modes differ *only* in how they build ``workloads``.
+        kernel call per layer returning a columnar
+        :class:`~repro.arch.trace.BatchClusterStats`, then timestep scaling
+        (statistical mode only — functional activity already carries one
+        entry per timestep), the energy model, FPU utilization, IPC and
+        power, each evaluated once over the layer's ``(batch,)`` arrays and
+        stored straight into its :class:`LayerResult`.  The two public modes
+        differ *only* in how they build ``workloads``.
         """
-        accumulators = []
+        clock_hz = self.cluster.clock_hz
+        layers = []
         profile = getattr(_LAYER_PROFILER, "hook", None)
         for work in workloads:
-            accumulator = _LayerAccumulator(work.plan)
+            plan = work.plan
             layer_started = time.monotonic() if profile is not None else 0.0
-            for stats in self._cost_layer_batch(work):
-                if timesteps > 1:
-                    stats = _scale_stats(stats, timesteps)
-                energy = self.layer_energy(work.plan, stats)
-                accumulator.add(stats, energy, self.cluster.clock_hz)
+            stats = self._cost_layer_batch(work)
+            if timesteps > 1:
+                stats = stats.scaled(timesteps)
+            energy_j = self.energy_model.batch_energy_j(
+                stats,
+                precision=plan.precision,
+                streaming=plan.streaming,
+                uses_mac=plan.kernel is KernelKind.ENCODE,
+            )
+            runtime_s = stats.runtime_seconds(clock_hz)
+            # Copies: the result owns its arrays, and some kernels' stats are
+            # read-only broadcasts of one row.
+            layers.append(
+                LayerResult(
+                    name=plan.name,
+                    kernel=plan.kernel.value,
+                    precision=plan.precision,
+                    streaming=plan.streaming,
+                    cycles=np.array(stats.total_cycles),
+                    fpu_utilization=stats.fpu_utilization,
+                    ipc=stats.ipc,
+                    energy_j=energy_j,
+                    power_w=np.divide(
+                        energy_j, runtime_s, out=np.zeros_like(energy_j), where=runtime_s > 0
+                    ),
+                    dma_bytes=np.array(stats.dma_bytes),
+                    clock_hz=clock_hz,
+                )
+            )
             if profile is not None:
-                profile(work.plan.name, layer_started, time.monotonic())
-            accumulators.append(accumulator)
-        return InferenceResult(
-            config=self.config,
-            layers=[a.result(self.cluster.clock_hz) for a in accumulators],
-            clock_hz=self.cluster.clock_hz,
-        )
+                profile(plan.name, layer_started, time.monotonic())
+        return InferenceResult(config=self.config, layers=layers, clock_hz=clock_hz)
 
     # -- public workload API (used by repro.serve's micro-batcher) --------- #
     def statistical_workloads(

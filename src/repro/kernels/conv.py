@@ -8,10 +8,12 @@ it performs one SpVA over the spiking input channels at that position; the
 fused LIF activation then thresholds the accumulated current and appends the
 firing output channels to the compressed ofmap.
 
-Two entry points are provided:
+Three entry points are provided:
 
 * :func:`conv_layer_perf` — the cycle/energy-activity model, vectorized over
   all RFs from the per-position spike-count map;
+* :func:`conv_layer_perf_batch` — the same model for a batch of maps at
+  once, returning columnar :class:`~repro.arch.trace.BatchClusterStats`;
 * :func:`conv_layer_functional` — the NumPy execution over the compressed
   ifmap, used to validate the kernel against the dense golden reference.
 """
@@ -19,14 +21,14 @@ Two entry points are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..arch.params import ClusterParams, CostModelParams, DEFAULT_CLUSTER, DEFAULT_COSTS
 from ..arch.icache import InstructionCache
 from ..arch.tcdm import Tcdm
-from ..arch.trace import ClusterStats, CoreStats
+from ..arch.trace import BatchClusterStats, ClusterStats, CoreStats
 from ..formats.csr_fiber import CompressedIfmap, CompressedIfmapBuilder
 from ..snn.neuron import LIFParameters
 from ..types import Precision, TensorShape
@@ -34,7 +36,7 @@ from .activation import activation_cost_per_group, fused_lif_activation
 from .batch_stats import cluster_stats_from_batch
 from .scheduler import workload_stealing_schedule, workload_stealing_schedule_batch
 from .spva import baseline_spva_cost, spva_gather_accumulate, streaming_spva_cost
-from .tiling import TilePlan, plan_conv_tiles
+from .tiling import plan_conv_tiles
 
 
 @dataclass
@@ -323,19 +325,22 @@ def conv_layer_perf_batch(
     index_bytes: int = 2,
     num_active_cores: Optional[int] = None,
     strided_indirect: bool = False,
-) -> List[ClusterStats]:
+) -> BatchClusterStats:
     """Batch-axis entry point of :func:`conv_layer_perf`.
 
     ``spike_counts`` has shape ``(B, Hp, Wp)``: one padded per-position
-    spike-count map per frame.  All per-position SpVA costs and the per-RF
-    window aggregation are computed for the whole batch in one vectorized
-    pass, and the workload-stealing schedules of all frames in one
-    :func:`~repro.kernels.scheduler.workload_stealing_schedule_batch` call;
-    only the cheap per-frame reductions (per-core sums, tiling plan, icache
-    model) remain in Python.
-    The returned list holds one :class:`ClusterStats` per frame that is
-    bit-for-bit identical to calling :func:`conv_layer_perf` on that frame's
-    map alone.
+    spike-count map per frame, every count a non-negative integer.  All
+    per-position SpVA costs and the per-RF window aggregation are computed
+    for the whole batch in one vectorized pass, the workload-stealing
+    schedules of all frames in one
+    :func:`~repro.kernels.scheduler.workload_stealing_schedule_batch` call,
+    the tiling plans over the ``(B,)`` compressed ifmap sizes in one
+    :func:`~repro.kernels.tiling.plan_conv_tiles` call, and the per-core
+    reductions in :func:`~repro.kernels.batch_stats.cluster_stats_from_batch`.
+    Frame ``i`` of the returned :class:`~repro.arch.trace.BatchClusterStats`
+    is bit-for-bit identical to calling :func:`conv_layer_perf` on that
+    frame's map alone (the reduction relies on integral counts; see
+    :mod:`repro.kernels.batch_stats`).
     """
     if strided_indirect and not streaming:
         raise ValueError("strided_indirect requires streaming=True")
@@ -346,6 +351,8 @@ def conv_layer_perf_batch(
             f"spike_counts has shape {spike_counts.shape}, expected "
             f"(batch, {padded.height}, {padded.width})"
         )
+    if (spike_counts < 0).any() or (np.floor(spike_counts) != spike_counts).any():
+        raise ValueError("spike_counts must be non-negative integers")
     batch = spike_counts.shape[0]
     num_cores = num_active_cores or params.num_worker_cores
     output_shape = spec.output_shape
@@ -399,31 +406,28 @@ def conv_layer_perf_batch(
         rf_cycles, num_cores, atomic_cost_cycles=costs.atomic_operation_cycles
     )
 
-    # ---- per-frame tiling/DMA plans and core reductions -------------------
-    plans = []
-    for frame in range(batch):
-        nnz = float(spike_counts[frame].sum())
-        compressed_bytes = int(nnz * index_bytes + (padded.spatial_size + 1) * index_bytes)
-        plans.append(
-            plan_conv_tiles(
-                input_shape=padded,
-                output_shape=output_shape,
-                kernel_size=spec.kernel_size,
-                compressed_ifmap_bytes=compressed_bytes,
-                precision=precision,
-                index_bytes=index_bytes,
-                params=params,
-                costs=costs,
-            )
-        )
+    # ---- tiling/DMA plans of all frames and the per-core reductions ------
+    nnz = flat_counts.sum(axis=1)
+    compressed_bytes = (nnz * index_bytes + (padded.spatial_size + 1) * index_bytes).astype(
+        np.int64
+    )
+    plan = plan_conv_tiles(
+        input_shape=padded,
+        output_shape=output_shape,
+        kernel_size=spec.kernel_size,
+        compressed_ifmap_bytes=compressed_bytes,
+        precision=precision,
+        index_bytes=index_bytes,
+        params=params,
+        costs=costs,
+    )
     label = f"{spec.name}-{'spikestream' if streaming else 'baseline'}-{precision.value}"
     return cluster_stats_from_batch(
-        np.stack([rf_int, rf_fp, rf_fp_busy, rf_spm, rf_ssr]),
+        (rf_int, rf_fp, rf_fp_busy, rf_spm, rf_ssr),
         schedule,
-        num_cores,
         costs,
         InstructionCache(params, costs),
-        plans,
+        plan,
         label,
     )
 

@@ -12,20 +12,20 @@ currents, one for the weights).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..arch.icache import InstructionCache
 from ..arch.params import ClusterParams, CostModelParams, DEFAULT_CLUSTER, DEFAULT_COSTS
-from ..arch.trace import ClusterStats, CoreStats
+from ..arch.trace import BatchClusterStats, ClusterStats, CoreStats
 from ..formats.csr_fiber import CompressedIfmapBuilder
 from ..formats.csr_fiber import CompressedIfmap
 from ..snn.neuron import LIFParameters
 from ..snn.reference import conv2d_hwc
 from ..types import Precision, TensorShape
 from .activation import activation_cost_per_group, fused_lif_activation
-from .scheduler import workload_stealing_schedule
+from .scheduler import workload_stealing_schedule_batch
 
 
 @dataclass
@@ -106,8 +106,10 @@ def encode_layer_perf(
     rf_fp = np.full(output_shape.spatial_size, float(groups * rf_group_fp))
     rf_spm = np.full(output_shape.spatial_size, float(groups * (2.0 * macs + 4.0)))
 
-    schedule = workload_stealing_schedule(
-        rf_cycles, num_cores, atomic_cost_cycles=costs.atomic_operation_cycles
+    # Every RF costs the same: the batch scheduler deals them round-robin in
+    # closed form instead of simulating 1,024 heap claims.
+    schedule = workload_stealing_schedule_batch(
+        rf_cycles[None, :], num_cores, atomic_cost_cycles=costs.atomic_operation_cycles
     )
 
     # DMA: the dense input is reshaped on the fly by a 2-D im2row transfer
@@ -121,14 +123,18 @@ def encode_layer_perf(
         output_shape.spatial_size + 2
     ) * costs.dma_setup_cycles
 
+    # A core's sums depend only on how many of the identical RFs it claimed:
+    # summing the first ``claims`` entries adds the same operands in the same
+    # (pairwise) order as summing the core's own.
     icache = InstructionCache(params, costs)
     core_stats = []
     for core_id in range(num_cores):
-        indices = np.asarray(schedule.assignments[core_id], dtype=np.int64)
-        busy = float(schedule.core_busy_cycles[core_id])
-        atomics = float(schedule.atomic_operations_per_core[core_id])
-        int_instrs = float(np.sum(rf_int[indices])) + atomics
-        fp_instrs = float(np.sum(rf_fp[indices]))
+        busy = float(schedule.core_busy_cycles[0, core_id])
+        atomics = float(schedule.atomic_operations_per_core[0, core_id])
+        claims = int(atomics)
+        int_instrs = float(np.sum(rf_int[:claims])) + atomics
+        fp_instrs = float(np.sum(rf_fp[:claims]))
+        spm = float(np.sum(rf_spm[:claims]))
         icache_stall = icache.miss_cycles(int_instrs + fp_instrs, tiles=1)
         total = busy + atomics * costs.atomic_operation_cycles + icache_stall
         core_stats.append(
@@ -139,8 +145,8 @@ def encode_layer_perf(
                 total_cycles=total,
                 fpu_busy_cycles=fp_instrs,
                 stall_cycles=max(0.0, total - int_instrs - fp_instrs),
-                spm_accesses=float(np.sum(rf_spm[indices])),
-                ssr_spm_accesses=float(np.sum(rf_spm[indices])) if streaming else 0.0,
+                spm_accesses=spm,
+                ssr_spm_accesses=spm if streaming else 0.0,
                 atomic_operations=atomics,
             )
         )
@@ -168,14 +174,14 @@ def encode_layer_perf_batch(
     index_bytes: int = 2,
     num_active_cores: Optional[int] = None,
     input_precision: Precision = Precision.FP16,
-) -> List[ClusterStats]:
+) -> BatchClusterStats:
     """Batch-axis entry point of :func:`encode_layer_perf`.
 
     The dense encoding layer's cost model does not depend on the frame
-    content, so the model is evaluated once and replicated ``batch_size``
-    times (as independent copies, so downstream scaling cannot alias).  Each
-    returned :class:`ClusterStats` is bit-for-bit identical to a per-frame
-    :func:`encode_layer_perf` call.
+    content, so the model is evaluated once and its one row broadcast to
+    ``batch_size`` frames (read-only, so no frame can alias another).  Frame
+    ``i`` of the returned :class:`~repro.arch.trace.BatchClusterStats` is
+    bit-for-bit identical to a per-frame :func:`encode_layer_perf` call.
     """
     if batch_size < 0:
         raise ValueError(f"batch_size must be non-negative, got {batch_size}")
@@ -189,19 +195,7 @@ def encode_layer_perf_batch(
         num_active_cores=num_active_cores,
         input_precision=input_precision,
     )
-    results: List[ClusterStats] = [reference]
-    for _ in range(batch_size - 1):
-        results.append(
-            ClusterStats(
-                core_stats=[CoreStats(**vars(core)) for core in reference.core_stats],
-                dma_cycles=reference.dma_cycles,
-                dma_bytes=reference.dma_bytes,
-                dma_exposed_cycles=reference.dma_exposed_cycles,
-                total_cycles=reference.total_cycles,
-                label=reference.label,
-            )
-        )
-    return results[:batch_size]
+    return BatchClusterStats.repeat(reference, batch_size)
 
 
 def encode_layer_functional(

@@ -9,14 +9,14 @@ workload-stealing scheduler used for receptive fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..arch.icache import InstructionCache
 from ..arch.params import ClusterParams, CostModelParams, DEFAULT_CLUSTER, DEFAULT_COSTS
 from ..arch.tcdm import Tcdm
-from ..arch.trace import ClusterStats, CoreStats
+from ..arch.trace import BatchClusterStats, ClusterStats, CoreStats
 from ..formats.convert import compress_vector
 from ..formats.csr_fiber import CompressedVector
 from ..snn.neuron import LIFParameters
@@ -147,22 +147,22 @@ def fc_layer_perf_batch(
     costs: CostModelParams = DEFAULT_COSTS,
     index_bytes: int = 2,
     num_active_cores: Optional[int] = None,
-) -> List[ClusterStats]:
+) -> BatchClusterStats:
     """Batch-axis entry point of :func:`fc_layer_perf`.
 
-    ``nnz`` holds the spiking input count of every frame in the batch.  The
-    SpVA costs of all ``batch x groups`` output-channel groups are computed
-    in one vectorized pass.  All groups of a frame cost the same, so the
-    scheduler deals them to the cores round-robin in closed form.  The
-    returned per-frame :class:`ClusterStats` are bit-for-bit identical to
-    per-frame :func:`fc_layer_perf` calls.
+    ``nnz`` holds the spiking input count of every frame in the batch.  All
+    output-channel groups of a frame stream the same inputs, so the SpVA
+    cost is computed once per frame (one vectorized pass over the batch)
+    and broadcast across the groups, and the scheduler deals the groups to
+    the cores round-robin in closed form.  Frame ``i`` of the returned
+    :class:`~repro.arch.trace.BatchClusterStats` is bit-for-bit identical to
+    a per-frame :func:`fc_layer_perf` call.
     """
     nnz_array = np.asarray(nnz, dtype=np.int64)
     if nnz_array.ndim != 1:
         raise ValueError(f"nnz must be 1-D (batch,), got shape {nnz_array.shape}")
     if np.any(nnz_array < 0) or np.any(nnz_array > spec.in_features):
         raise ValueError(f"every nnz must be in [0, {spec.in_features}]")
-    batch = int(nnz_array.shape[0])
     num_cores = num_active_cores or params.num_worker_cores
     simd = precision.simd_width
     groups = (spec.out_features + simd - 1) // simd
@@ -170,46 +170,42 @@ def fc_layer_perf_batch(
     tcdm = Tcdm(params)
     conflict_factor = tcdm.conflict_stall_factor(num_cores)
 
-    lengths = np.repeat(nnz_array.astype(np.float64)[:, None], groups, axis=1)
+    lengths = nnz_array.astype(np.float64)[:, None]
     if streaming:
         spva = streaming_spva_cost(lengths, costs, conflict_factor=conflict_factor)
     else:
         spva = baseline_spva_cost(lengths, costs)
 
+    def per_group(column: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(column, (len(nnz_array), groups))
+
     act_int, act_fp = activation_cost_per_group(precision, costs)
-    group_cycles = spva.cycles + costs.fc_setup_int_instrs + act_int + act_fp
-    group_int = spva.int_instructions + costs.fc_setup_int_instrs + act_int
-    group_fp = spva.fp_instructions + act_fp
-    group_fp_busy = spva.fp_busy_cycles + act_fp
-    group_spm = spva.spm_accesses + 4.0
-    group_ssr = spva.ssr_spm_accesses
+    group_cycles = per_group(spva.cycles + costs.fc_setup_int_instrs + act_int + act_fp)
+    group_int = per_group(spva.int_instructions + costs.fc_setup_int_instrs + act_int)
+    group_fp = per_group(spva.fp_instructions + act_fp)
+    group_fp_busy = per_group(spva.fp_busy_cycles + act_fp)
+    group_spm = per_group(spva.spm_accesses + 4.0)
+    group_ssr = per_group(spva.ssr_spm_accesses)
 
     schedule = workload_stealing_schedule_batch(
         group_cycles, num_cores, atomic_cost_cycles=costs.atomic_operation_cycles
     )
-
-    plans = []
-    for frame in range(batch):
-        compressed_bytes = int(nnz_array[frame]) * index_bytes + index_bytes
-        plans.append(
-            plan_fc_tiles(
-                in_features=spec.in_features,
-                out_features=spec.out_features,
-                compressed_input_bytes=compressed_bytes,
-                precision=precision,
-                index_bytes=index_bytes,
-                params=params,
-                costs=costs,
-            )
-        )
+    plan = plan_fc_tiles(
+        in_features=spec.in_features,
+        out_features=spec.out_features,
+        compressed_input_bytes=nnz_array * index_bytes + index_bytes,
+        precision=precision,
+        index_bytes=index_bytes,
+        params=params,
+        costs=costs,
+    )
     label = f"{spec.name}-{'spikestream' if streaming else 'baseline'}-{precision.value}"
     return cluster_stats_from_batch(
-        np.stack([group_int, group_fp, group_fp_busy, group_spm, group_ssr]),
+        (group_int, group_fp, group_fp_busy, group_spm, group_ssr),
         schedule,
-        num_cores,
         costs,
         InstructionCache(params, costs),
-        plans,
+        plan,
         label,
     )
 

@@ -13,11 +13,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-try:  # pragma: no cover - exercised indirectly by the sparse-path tests
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - the image bakes scipy in
-    _scipy_sparse = None
-
 
 def pad_hwc(x: np.ndarray, padding: int) -> np.ndarray:
     """Zero-pad the two spatial dimensions of an HWC tensor."""
@@ -267,6 +262,20 @@ def linear_batch(
 SPARSE_DENSITY_CROSSOVER = 0.125
 
 
+def _scipy_sparse():
+    """``scipy.sparse``, or ``None`` when scipy is not installed.
+
+    Imported on first use rather than with this module: the import costs a
+    few hundred milliseconds that every CLI run and spawned worker would
+    otherwise pay, and only the two event-sparse kernels below need it.
+    """
+    try:
+        from scipy import sparse
+    except ImportError:  # pragma: no cover - the image bakes scipy in
+        return None
+    return sparse
+
+
 def spike_density(x: np.ndarray) -> float:
     """Fraction of non-zero elements of a spike map (0.0 for empty maps)."""
     x = np.asarray(x)
@@ -299,7 +308,8 @@ def conv2d_hwc_batch_sparse(
     accuracy bound lives in :mod:`repro.snn.numerics`.  Falls back to the
     dense route when scipy is unavailable.
     """
-    if _scipy_sparse is None:  # pragma: no cover - scipy is baked into the image
+    sparse = _scipy_sparse()
+    if sparse is None:  # pragma: no cover - scipy is baked into the image
         return conv2d_hwc_batch(x, weights, stride, padding, dtype=dtype)
     dtype = np.dtype(dtype)
     weights = np.asarray(weights, dtype=dtype)
@@ -320,7 +330,7 @@ def conv2d_hwc_batch_sparse(
     # im2row on the 1-byte boolean map: patch extraction copies bits, no
     # float conversion ever materializes the dense buffer.
     rows = im2row_batch(pad_bhwc(x != 0, padding), (kh, kw), stride, 0)
-    events = _scipy_sparse.csr_matrix(rows.reshape(batch * positions, k), dtype=dtype)
+    events = sparse.csr_matrix(rows.reshape(batch * positions, k), dtype=dtype)
     flat = events @ weights.reshape(k, c_out)
     return np.asarray(flat).reshape(batch, out_h, out_w, c_out)
 
@@ -346,8 +356,9 @@ def linear_batch_sparse(
         raise ValueError(
             f"input has {flat.shape[1]} features but weights expect {weights.shape[0]}"
         )
-    if _scipy_sparse is not None:
-        events = _scipy_sparse.csr_matrix(flat, dtype=dtype)
+    sparse = _scipy_sparse()
+    if sparse is not None:
+        events = sparse.csr_matrix(flat, dtype=dtype)
         return np.asarray(events @ weights)
     out = np.zeros((flat.shape[0], weights.shape[1]), dtype=dtype)
     for b in range(flat.shape[0]):

@@ -29,12 +29,7 @@ class Precision(enum.Enum):
     @property
     def bits(self) -> int:
         """Number of bits of a single element."""
-        return {
-            Precision.FP64: 64,
-            Precision.FP32: 32,
-            Precision.FP16: 16,
-            Precision.FP8: 8,
-        }[self]
+        return _PRECISION_BITS[self.value]
 
     @property
     def bytes(self) -> int:
@@ -55,12 +50,7 @@ class Precision(enum.Enum):
         energy shrinks slightly with precision even though more elements are
         processed per operation.
         """
-        return {
-            Precision.FP64: 1.0,
-            Precision.FP32: 0.72,
-            Precision.FP16: 0.55,
-            Precision.FP8: 0.44,
-        }[self]
+        return _FPU_ENERGY_SCALE[self.value]
 
     @classmethod
     def from_name(cls, name: str) -> "Precision":
@@ -70,6 +60,12 @@ class Precision(enum.Enum):
         except ValueError as exc:
             valid = ", ".join(p.value for p in cls)
             raise ValueError(f"unknown precision {name!r}; expected one of {valid}") from exc
+
+
+#: Per-precision tables, keyed by value: the cost model reads them for
+#: every layer, so they are built once rather than per lookup.
+_PRECISION_BITS = {"fp64": 64, "fp32": 32, "fp16": 16, "fp8": 8}
+_FPU_ENERGY_SCALE = {"fp64": 1.0, "fp32": 0.72, "fp16": 0.55, "fp8": 0.44}
 
 
 class LayerKind(enum.Enum):

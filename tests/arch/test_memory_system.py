@@ -1,5 +1,6 @@
 """Tests for the TCDM and instruction cache models."""
 
+import numpy as np
 import pytest
 
 from repro.arch.icache import InstructionCache
@@ -102,3 +103,19 @@ class TestInstructionCache:
             icache.miss_cycles(-1)
         with pytest.raises(ValueError):
             icache.miss_cycles(1, tiles=-1)
+        with pytest.raises(ValueError):
+            icache.miss_cycles(np.array([[1.0, -1.0]]))
+        with pytest.raises(ValueError):
+            icache.miss_cycles(np.ones((2, 3)), tiles=np.array([[1], [-1]]))
+
+    def test_arrays_broadcast_to_the_scalar_model(self):
+        """Per-core instruction counts of a batch against per-frame tile counts."""
+        icache = InstructionCache()
+        instructions = np.array([[0.0, 10.0, 12345.0], [1e6, 3.0, 77.5]])
+        tiles = np.array([[1], [4]])
+        batched = icache.miss_cycles(instructions, tiles=tiles)
+        assert batched.shape == instructions.shape
+        for (frame, core), value in np.ndenumerate(batched):
+            assert value == icache.miss_cycles(
+                float(instructions[frame, core]), tiles=int(tiles[frame, 0])
+            )

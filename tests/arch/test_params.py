@@ -53,6 +53,18 @@ class TestCostModelParams:
         with pytest.raises(ValueError):
             CostModelParams(streaming_cycles_per_element=0.5)
 
+    @pytest.mark.parametrize("name", CostModelParams.INTEGRAL_INSTRUCTION_COUNTS)
+    def test_instruction_counts_must_be_whole_numbers(self, name):
+        """The batched kernels' order-free per-core sums need integral metrics."""
+        value = getattr(DEFAULT_COSTS, name)
+        with pytest.raises(ValueError, match=name):
+            CostModelParams(**{name: value + 0.5})
+        assert getattr(CostModelParams(**{name: float(value + 1)}), name) == value + 1
+
+    def test_non_instruction_coefficients_may_be_fractional(self):
+        costs = CostModelParams(dense_baseline_instrs_per_mac=3.3, atomic_operation_cycles=4.5)
+        assert costs.dense_baseline_instrs_per_mac == 3.3
+
     def test_dense_baseline_cycles(self):
         costs = DEFAULT_COSTS
         assert costs.dense_baseline_cycles_per_mac == pytest.approx(

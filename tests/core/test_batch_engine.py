@@ -13,9 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.arch.params import ClusterParams
+from repro.arch.trace import BatchClusterStats, ClusterStats, CoreStats
 from repro.config import baseline_config, spikestream_config
 from repro.core.layer_mapping import KernelKind
 from repro.core.pipeline import SpikeStreamInference
+from repro.energy.model import EnergyModel
 from repro.kernels.conv import (
     ConvLayerSpec,
     conv_layer_perf,
@@ -186,10 +188,10 @@ class TestBatchKernels:
         rng = np.random.default_rng(5)
         counts = rng.binomial(64, 0.2, size=(3, 10, 10)).astype(np.float64)
         batched = conv_layer_perf_batch(spec, counts, Precision.FP16, streaming=streaming)
-        assert len(batched) == 3
+        assert batched.batch_size == 3
         for frame in range(3):
             scalar = conv_layer_perf(spec, counts[frame], Precision.FP16, streaming=streaming)
-            assert_stats_identical(batched[frame], scalar)
+            assert_stats_identical(batched.frame(frame), scalar)
 
     def test_conv_batch_respects_core_count(self):
         spec = self._conv_spec()
@@ -201,12 +203,22 @@ class TestBatchKernels:
         scalar = conv_layer_perf(
             spec, counts[0], Precision.FP16, streaming=True, params=params, num_active_cores=2
         )
-        assert_stats_identical(batched[0], scalar)
+        assert batched.num_cores == 2
+        assert_stats_identical(batched.frame(0), scalar)
 
     def test_conv_batch_shape_validation(self):
         spec = self._conv_spec()
         with pytest.raises(ValueError, match="spike_counts"):
             conv_layer_perf_batch(spec, np.ones((3, 9, 9)), Precision.FP16, streaming=True)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.5, 3.25])
+    def test_conv_batch_rejects_non_integral_or_negative_counts(self, bad):
+        """The batched reduction is exact only for whole, non-negative counts."""
+        spec = self._conv_spec()
+        counts = np.full((2, 10, 10), 4.0)
+        counts[1, 3, 4] = bad
+        with pytest.raises(ValueError, match="non-negative integers"):
+            conv_layer_perf_batch(spec, counts, Precision.FP16, streaming=True)
 
     def test_fc_batch_matches_scalar(self):
         spec = FcLayerSpec(name="fc", in_features=512, out_features=256)
@@ -214,7 +226,7 @@ class TestBatchKernels:
         batched = fc_layer_perf_batch(spec, nnz, Precision.FP16, streaming=True)
         for frame, count in enumerate(nnz):
             scalar = fc_layer_perf(spec, count, Precision.FP16, streaming=True)
-            assert_stats_identical(batched[frame], scalar)
+            assert_stats_identical(batched.frame(frame), scalar)
 
     def test_fc_batch_validates_nnz(self):
         spec = FcLayerSpec(name="fc", in_features=16, out_features=8)
@@ -231,12 +243,128 @@ class TestBatchKernels:
         )
         batched = encode_layer_perf_batch(spec, 3, Precision.FP16, streaming=True)
         scalar = encode_layer_perf(spec, Precision.FP16, streaming=True)
-        assert len(batched) == 3
-        for stats in batched:
-            assert_stats_identical(stats, scalar)
+        assert batched.batch_size == 3
+        for frame in range(3):
+            assert_stats_identical(batched.frame(frame), scalar)
         # Independent copies: mutating one frame's counters must not leak.
-        batched[1].core_stats[0].total_cycles += 1.0
-        assert batched[0].core_stats[0].total_cycles == scalar.core_stats[0].total_cycles
+        copy = batched.frame(1)
+        copy.core_stats[0].total_cycles += 1.0
+        assert batched.frame(0).core_stats[0].total_cycles == scalar.core_stats[0].total_cycles
+        # The frames share one broadcast row, so it must refuse in-place writes.
+        with pytest.raises(ValueError):
+            batched.core_cycles[1, 0] += 1.0
+
+
+class TestBatchClusterStats:
+    """The columnar metrics agree with each frame's :class:`ClusterStats`."""
+
+    def _stats(self, streaming):
+        spec = ConvLayerSpec(
+            name="conv", input_shape=TensorShape(6, 6, 32), in_channels=32, out_channels=24,
+        )
+        counts = np.random.default_rng(9).binomial(32, 0.25, size=(11, 8, 8)).astype(float)
+        counts[4] = 0.0  # one frame without spikes
+        return conv_layer_perf_batch(spec, counts, Precision.FP8, streaming=streaming)
+
+    @pytest.mark.parametrize("streaming", [False, True])
+    def test_derived_metrics_match_frames(self, streaming):
+        stats = self._stats(streaming)
+        model = EnergyModel()
+        energy = model.batch_energy_j(stats, Precision.FP8, streaming, uses_mac=False)
+        for frame in range(stats.batch_size):
+            single = stats.frame(frame)
+            assert stats.fpu_utilization[frame] == single.fpu_utilization
+            assert stats.ipc[frame] == single.ipc
+            assert stats.total_int_instructions[frame] == single.total_int_instructions
+            assert stats.total_fp_instructions[frame] == single.total_fp_instructions
+            assert stats.total_spm_accesses[frame] == single.total_spm_accesses
+            assert stats.total_core_cycles[frame] == single.total_core_cycles
+            assert stats.runtime_seconds(1e9)[frame] == single.runtime_seconds(1e9)
+            report = model.layer_energy(single, Precision.FP8, streaming, uses_mac=False)
+            assert energy[frame] == report.energy_j
+
+    def test_zero_cycle_frame_has_zero_ratios(self):
+        stats = BatchClusterStats.repeat(ClusterStats(core_stats=[CoreStats(i) for i in range(3)]), 2)
+        assert stats.fpu_utilization.tolist() == [0.0, 0.0] == [stats.frame(0).fpu_utilization] * 2
+        assert stats.ipc.tolist() == [0.0, 0.0] == [stats.frame(1).ipc] * 2
+
+    def test_repeat_round_trips_and_is_read_only(self):
+        single = self._stats(True).frame(3)
+        repeated = BatchClusterStats.repeat(single, 4)
+        assert (repeated.batch_size, repeated.num_cores) == (4, single.num_cores)
+        for frame in range(4):
+            assert_stats_identical(repeated.frame(frame), single)
+        for name in BatchClusterStats.CORE_FIELDS + BatchClusterStats.CLUSTER_FIELDS:
+            assert not getattr(repeated, name).flags.writeable
+
+
+_INTEGER_COUNT_CASES = dict(
+    batch=st.integers(1, 3 * SMALL_BATCH),
+    cores=st.integers(1, 9),
+    precision=st.sampled_from([Precision.FP8, Precision.FP16, Precision.FP64]),
+    streaming=st.booleans(),
+)
+
+
+class TestBatchKernelProperties:
+    """``*_perf_batch(...).frame(i)`` equals the scalar kernel on frame ``i``,
+    field for field, over integer counts, batch sizes on both sides of
+    :data:`SMALL_BATCH` and core counts above and below the item count."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        **_INTEGER_COUNT_CASES,
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 6),
+        channels=st.integers(1, 24),
+        out_channels=st.integers(1, 40),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    )
+    def test_conv_frames_match_scalar(
+        self, batch, cores, precision, streaming, seed, size, channels, out_channels, density
+    ):
+        spec = ConvLayerSpec(
+            name="conv", input_shape=TensorShape(size, size, channels),
+            in_channels=channels, out_channels=out_channels,
+        )
+        padded = spec.padded_input_shape
+        rng = np.random.default_rng(seed)
+        counts = rng.binomial(
+            channels, density, size=(batch, size, size)
+        ).astype(np.float64)
+        counts = np.pad(counts, ((0, 0), (1, 1), (1, 1)))
+        assert counts.shape[1:] == (padded.height, padded.width)
+        params = ClusterParams(num_worker_cores=cores)
+        batched = conv_layer_perf_batch(
+            spec, counts, precision, streaming=streaming, params=params
+        )
+        assert batched.batch_size == batch
+        for frame in range(batch):
+            scalar = conv_layer_perf(
+                spec, counts[frame], precision, streaming=streaming, params=params
+            )
+            assert_stats_identical(batched.frame(frame), scalar)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        **_INTEGER_COUNT_CASES,
+        in_features=st.integers(1, 600),
+        out_features=st.integers(1, 300),
+        data=st.data(),
+    )
+    def test_fc_frames_match_scalar(
+        self, batch, cores, precision, streaming, in_features, out_features, data
+    ):
+        spec = FcLayerSpec(name="fc", in_features=in_features, out_features=out_features)
+        nnz = data.draw(
+            st.lists(st.integers(0, in_features), min_size=batch, max_size=batch)
+        )
+        params = ClusterParams(num_worker_cores=cores)
+        batched = fc_layer_perf_batch(spec, nnz, precision, streaming=streaming, params=params)
+        assert batched.batch_size == batch
+        for frame, count in enumerate(nnz):
+            scalar = fc_layer_perf(spec, count, precision, streaming=streaming, params=params)
+            assert_stats_identical(batched.frame(frame), scalar)
 
 
 class TestEngineEquivalence:
@@ -263,6 +391,28 @@ class TestEngineEquivalence:
         engine = SpikeStreamInference(spikestream_config(batch_size=3, seed=2))
         vectorized = engine.run_statistical(batch_size=3, seed=2, timesteps=4)
         reference = engine.run_statistical_reference(batch_size=3, seed=2, timesteps=4)
+        assert_results_identical(vectorized, reference)
+
+    @pytest.mark.parametrize(
+        "config,timesteps",
+        [
+            (spikestream_config(Precision.FP16, batch_size=24, seed=13), 1),
+            (spikestream_config(Precision.FP8, batch_size=24, seed=13), 4),
+            (baseline_config(Precision.FP16, batch_size=24, seed=13), 1),
+        ],
+        ids=["spikestream-fp16", "spikestream-fp8-t4", "baseline-fp16"],
+    )
+    def test_batches_past_small_batch_identical(self, config, timesteps):
+        """At 3x :data:`SMALL_BATCH` frames the conv schedules run through the
+        loop across frames and every reduction spans many frames at once."""
+        assert config.batch_size >= 3 * SMALL_BATCH
+        engine = SpikeStreamInference(config)
+        vectorized = engine.run_statistical(
+            batch_size=config.batch_size, seed=config.seed, timesteps=timesteps
+        )
+        reference = engine.run_statistical_reference(
+            batch_size=config.batch_size, seed=config.seed, timesteps=timesteps
+        )
         assert_results_identical(vectorized, reference)
 
     def test_layer_subset_identical(self):

@@ -19,6 +19,7 @@ import pytest
 from repro.config import baseline_config, spikestream_config
 from repro.core.pipeline import SpikeStreamInference
 from repro.eval.sweeps import functional_network
+from repro.kernels.scheduler import SMALL_BATCH
 from repro.snn.datasets import SyntheticCIFAR10
 from repro.types import Precision, TensorShape
 
@@ -59,6 +60,15 @@ class TestFunctionalEngineEquivalence:
         engine = SpikeStreamInference(config)
         vectorized = engine.run_functional(network, frames)
         reference = engine.run_functional_reference(network, frames)
+        assert_results_identical(vectorized, reference)
+
+    def test_batch_past_small_batch_identical(self):
+        """Ten frames: the conv schedules take the loop across frames."""
+        network, frames = _small_svgg_workload(10)
+        engine = SpikeStreamInference(spikestream_config(batch_size=10, seed=5))
+        vectorized = engine.run_functional(network, frames)
+        reference = engine.run_functional_reference(network, frames)
+        assert vectorized.layers[0].batch_size >= SMALL_BATCH
         assert_results_identical(vectorized, reference)
 
     def test_multi_timestep_identical(self):

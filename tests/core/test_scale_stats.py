@@ -4,14 +4,15 @@
 :class:`~repro.arch.trace.ClusterStats` by the timestep count (via
 ``dataclasses.replace``); derived ratios — FPU utilization, IPC — must be
 invariant, because repeating the same execution N times changes totals, not
-rates.
+rates.  :meth:`~repro.arch.trace.BatchClusterStats.scaled` is its columnar
+form and must agree with it frame by frame.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import _scale_stats
-from repro.kernels.conv import conv_layer_perf
+from repro.kernels.conv import conv_layer_perf, conv_layer_perf_batch
 from repro.types import Precision
 
 
@@ -61,3 +62,18 @@ class TestScaleStats:
         assert scaled.core_stats[0] is not stats.core_stats[0]
         # The input record is untouched (replace builds new records).
         assert stats.total_cycles == total_before
+
+    @pytest.mark.parametrize("timesteps", [1, 3])
+    def test_batch_scaling_matches_per_frame_scaling(self, small_conv_spec, rng, timesteps):
+        padded = small_conv_spec.padded_input_shape
+        counts = rng.binomial(16, 0.3, size=(3, padded.height, padded.width)).astype(float)
+        batch = conv_layer_perf_batch(small_conv_spec, counts, Precision.FP16, streaming=True)
+        scaled = batch.scaled(timesteps)
+        for frame in range(3):
+            expected = _scale_stats(batch.frame(frame), timesteps)
+            got = scaled.frame(frame)
+            assert [vars(core) for core in got.core_stats] == [
+                vars(core) for core in expected.core_stats
+            ]
+            for name in ("dma_cycles", "dma_bytes", "dma_exposed_cycles", "total_cycles", "label"):
+                assert getattr(got, name) == getattr(expected, name)

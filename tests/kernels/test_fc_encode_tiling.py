@@ -178,3 +178,29 @@ class TestTiling:
             precision=Precision.FP16,
         )
         assert plan.ofmap_worst_case_bytes >= output.numel * 2
+
+    @pytest.mark.parametrize("precision", [Precision.FP8, Precision.FP16, Precision.FP64])
+    def test_plans_over_a_batch_of_sizes_match_per_size_plans(self, precision):
+        """Each element of a batched plan is the plan of that frame's size."""
+        sizes = np.array([0, 100, 5_000, 60_000, 400_000, 2_000_000], dtype=np.int64)
+        conv = dict(
+            input_shape=TensorShape(34, 34, 64),
+            output_shape=TensorShape(32, 32, 128),
+            kernel_size=3,
+            precision=precision,
+        )
+        fc = dict(in_features=2048, out_features=512, precision=precision)
+        for plan_tiles, keyword, kwargs in (
+            (plan_conv_tiles, "compressed_ifmap_bytes", conv),
+            (plan_fc_tiles, "compressed_input_bytes", fc),
+        ):
+            batched = plan_tiles(**{keyword: sizes}, **kwargs)
+            for frame, size in enumerate(sizes):
+                single = plan_tiles(**{keyword: int(size)}, **kwargs)
+                for name, value in vars(single).items():
+                    assert np.broadcast_to(getattr(batched, name), sizes.shape)[frame] == value
+                assert batched.dma_cycles()[frame] == single.dma_cycles()
+                assert np.broadcast_to(batched.num_tiles, sizes.shape)[frame] == single.num_tiles
+        if precision is Precision.FP16:  # the sizes span several band counts
+            bands = plan_conv_tiles(compressed_ifmap_bytes=sizes, **conv).num_ifmap_bands
+            assert len(set(bands.tolist())) > 1

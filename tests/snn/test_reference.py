@@ -1,8 +1,15 @@
 """Tests for the NumPy golden-reference layer arithmetic."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.snn import reference
 from repro.snn.reference import (
     avgpool2d_hwc,
     conv2d_hwc,
@@ -130,6 +137,36 @@ class TestEventSparseOps:
         assert sparse.shape == dense.shape
         assert sparse.dtype == np.dtype(dtype)
         np.testing.assert_allclose(sparse, dense, rtol=1e-5, atol=1e-5)
+
+    def test_without_scipy_both_kernels_fall_back(self, rng, monkeypatch):
+        """With scipy missing, conv takes the dense route and linear gathers rows."""
+        spikes = (rng.random((2, 6, 6, 3)) < 0.2).astype(np.float64)
+        weights = rng.standard_normal((3, 3, 3, 5))
+        flat = (rng.random((3, 40)) < 0.1).astype(np.float64)
+        fc_weights = rng.standard_normal((40, 7))
+        monkeypatch.setattr(reference, "_scipy_sparse", lambda: None)
+        np.testing.assert_array_equal(
+            reference.conv2d_hwc_batch_sparse(spikes, weights, 1, 1, dtype=np.float64),
+            reference.conv2d_hwc_batch(spikes, weights, 1, 1, dtype=np.float64),
+        )
+        np.testing.assert_allclose(
+            reference.linear_batch_sparse(flat, fc_weights, dtype=np.float64),
+            reference.linear_batch(flat, fc_weights, dtype=np.float64),
+            rtol=1e-12, atol=1e-12,
+        )
+
+    def test_importing_the_cli_leaves_scipy_unloaded(self):
+        """scipy is imported by the event-sparse kernels on first use only."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        probe = "import sys, repro.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "[]"
 
     def test_sparse_conv_empty_input_is_all_zero(self, rng):
         from repro.snn.reference import conv2d_hwc_batch_sparse
