@@ -1,12 +1,13 @@
-"""Sweep dispatch cost across execution backends.
+"""Sweep dispatch cost across session pool kinds.
 
-Times one declarative sweep (`firing_rate`, 6 points) through every
-execution backend — serial, thread pool and process pool — asserting along
-the way that all three produce bit-for-bit identical rows (the same
-guarantee `tools/smoke.py` gates CI on).
+Times one declarative sweep (`firing_rate`, 6 points) on a fresh
+`Session` of every pool kind — serial, thread pool and process pool —
+asserting along the way that all of them produce bit-for-bit identical rows
+(the same guarantee `tools/smoke.py` gates CI on).  Each timing includes
+the session's pool start-up and shutdown.
 
 The sweep's points are a few milliseconds each, so this benchmark mostly
-measures *dispatch overhead*: what a backend costs before it pays off.
+measures *dispatch overhead*: what a pool costs before it pays off.
 Process pools only win once the per-point work dominates their
 start-up (e.g. the `precision` sweep's full-network points); the printed
 table makes that trade-off concrete.
@@ -17,7 +18,7 @@ Runs standalone (``python benchmarks/bench_backends.py``).
 import sys
 import time
 
-from repro.eval.runner import run_sweep
+from repro.session import Session
 
 SEED = 2025
 REPEATS = 3
@@ -37,7 +38,8 @@ def bench(sweep: str = "firing_rate", **point_kwargs):
         timings = []
         for _ in range(REPEATS):
             start = time.perf_counter()
-            result = run_sweep(sweep, seed=SEED, **kwargs, **point_kwargs)
+            with Session(**kwargs) as session:
+                result = session.run(sweep, seed=SEED, **point_kwargs)
             timings.append(time.perf_counter() - start)
         if reference is None:
             reference = result

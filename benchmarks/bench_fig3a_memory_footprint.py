@@ -2,13 +2,12 @@
 
 from conftest import BENCH_BATCH_SIZE, BENCH_SEED, publish
 
-from repro.eval.experiments import memory_footprint_experiment
 
-
-def test_fig3a_memory_footprint(benchmark):
+def test_fig3a_memory_footprint(benchmark, bench_session):
     """Average footprint of every S-VGG11 conv-layer ifmap under both formats."""
     result = benchmark(
-        memory_footprint_experiment, batch_size=max(BENCH_BATCH_SIZE, 16), seed=BENCH_SEED
+        bench_session.run, "memory_footprint",
+        batch_size=max(BENCH_BATCH_SIZE, 16), seed=BENCH_SEED,
     )
     publish(
         result,

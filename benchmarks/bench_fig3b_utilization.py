@@ -2,12 +2,10 @@
 
 from conftest import publish
 
-from repro.eval.experiments import utilization_experiment
 
-
-def test_fig3b_fpu_utilization_and_ipc(benchmark, svgg11_variants):
+def test_fig3b_fpu_utilization_and_ipc(benchmark, bench_session, svgg11_variants):
     """FPU utilization and per-core IPC for both FP16 code variants across S-VGG11."""
-    result = benchmark(utilization_experiment, variants=svgg11_variants)
+    result = benchmark(bench_session.run, "utilization", variants=svgg11_variants)
     publish(
         result,
         columns=[

@@ -2,12 +2,10 @@
 
 from conftest import publish
 
-from repro.eval.experiments import speedup_experiment
 
-
-def test_fig3c_speedups(benchmark, svgg11_variants):
+def test_fig3c_speedups(benchmark, bench_session, svgg11_variants):
     """SpikeStream FP16 vs baseline FP16 and SpikeStream FP8 vs FP16, per layer."""
-    result = benchmark(speedup_experiment, variants=svgg11_variants)
+    result = benchmark(bench_session.run, "speedup", variants=svgg11_variants)
     publish(
         result,
         columns=[

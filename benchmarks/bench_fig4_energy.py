@@ -2,12 +2,10 @@
 
 from conftest import publish
 
-from repro.eval.experiments import energy_experiment
 
-
-def test_fig4_energy_and_power(benchmark, svgg11_variants):
+def test_fig4_energy_and_power(benchmark, bench_session, svgg11_variants):
     """Energy and average power per layer for baseline FP16, SpikeStream FP16 and FP8."""
-    result = benchmark(energy_experiment, variants=svgg11_variants)
+    result = benchmark(bench_session.run, "energy", variants=svgg11_variants)
     publish(
         result,
         columns=[

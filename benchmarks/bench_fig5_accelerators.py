@@ -6,13 +6,12 @@ timesteps, as in Section IV-C of the paper.
 
 from conftest import BENCH_SEED, publish
 
-from repro.eval.experiments import accelerator_comparison_experiment
 
-
-def test_fig5_accelerator_comparison(benchmark):
+def test_fig5_accelerator_comparison(benchmark, bench_session):
     """Loihi / ODIN / LSMCore / NeuroRVcore vs the three Snitch-cluster variants."""
     result = benchmark(
-        accelerator_comparison_experiment, timesteps=500, batch_size=2, seed=BENCH_SEED
+        bench_session.run, "accelerator_comparison",
+        timesteps=500, batch_size=2, seed=BENCH_SEED,
     )
     publish(
         result,

@@ -7,13 +7,12 @@ and the asymptotic speedup of the SSR + frep version.
 
 from conftest import publish
 
-from repro.eval.experiments import spva_microbenchmark_experiment
 
-
-def test_listing1_spva_microbenchmark(benchmark):
+def test_listing1_spva_microbenchmark(benchmark, bench_session):
     """Cycle counts of Listing 1b vs Listing 1c over increasing stream lengths."""
     result = benchmark(
-        spva_microbenchmark_experiment, stream_lengths=(1, 2, 4, 8, 16, 32, 64, 128)
+        bench_session.run, "spva_microbenchmark",
+        stream_lengths=(1, 2, 4, 8, 16, 32, 64, 128),
     )
     publish(
         result,

@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one figure of the paper: it times the experiment
-driver with ``pytest-benchmark`` and writes the resulting table (the same
+Every benchmark regenerates one figure of the paper: it times the figure's
+scenario on a shared :class:`~repro.session.Session` with
+``pytest-benchmark`` and writes the resulting table (the same
 rows/series the paper's figure reports) to ``benchmarks/results/`` so the
 numbers can be inspected after a ``pytest benchmarks/ --benchmark-only`` run.
 """
@@ -13,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.experiments import run_svgg11_variants
 from repro.eval.reporting import render_experiment
+from repro.session import Session
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -26,9 +27,16 @@ BENCH_SEED = 2025
 
 
 @pytest.fixture(scope="session")
-def svgg11_variants():
+def bench_session():
+    """One serial session (and result store) shared by every benchmark."""
+    with Session() as session:
+        yield session
+
+
+@pytest.fixture(scope="session")
+def svgg11_variants(bench_session):
     """The three evaluated S-VGG11 variants, shared across figure benchmarks."""
-    return run_svgg11_variants(batch_size=BENCH_BATCH_SIZE, seed=BENCH_SEED)
+    return bench_session.run_variants(batch_size=BENCH_BATCH_SIZE, seed=BENCH_SEED)
 
 
 def publish(result, columns=None) -> str:

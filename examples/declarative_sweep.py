@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Declarative sweeps: define a SweepSpec, stream it through any backend.
+"""Declarative sweeps: define a SweepSpec, stream it through any session.
 
 This example shows the full lifecycle of a custom experiment under the
 declarative plan API:
@@ -7,10 +7,10 @@ declarative plan API:
 1. **describe** the parameter space as data (`ParameterSpace.grid` composed
    with a chained low-rate refinement — no point-generator function),
 2. **register** a `SweepSpec` so it becomes a first-class scenario (CLI
-   and all execution backends included),
-3. **stream** rows with `Session.run_plan` — first serially, then through
-   the session's two-process pool, whose rows (in completion order) equal
-   the serial ones point for point,
+   and every `Session` included),
+3. **stream** rows with `Session.run_plan` — first on a serial session,
+   then through a session's two-process pool, whose rows (in completion
+   order) equal the serial ones point for point,
 4. **collect** the canonical result with `Session.run`.
 
 Run with::
@@ -66,16 +66,17 @@ SPEC = repro.SweepSpec(
 def main():
     repro.register_sweep(SPEC)
 
-    with repro.Session(jobs=2, backend="process") as session:
-        print(f"registered scenario: {session.describe('sparsity_profile')}\n")
+    with repro.Session() as serial_session:
+        print(f"registered scenario: {serial_session.describe('sparsity_profile')}\n")
 
         print("=== streaming serially (canonical order) ===")
         serial = {}
-        for row in session.run_plan("sparsity_profile", backend="serial"):
+        for row in serial_session.run_plan("sparsity_profile"):
             serial[row.index] = row.row
             print(f"  [{row.index}] rate={row.row['rate']:<5} "
                   f"{row.row['precision']}  cycles={row.row['cycles']:.0f}")
 
+    with repro.Session(jobs=2, backend="process") as session:
         print("\n=== streaming through the session's 2-process pool ===")
         for row in session.run_plan("sparsity_profile"):
             same = "equals" if row.row == serial[row.index] else "DIFFERS from"

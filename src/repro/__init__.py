@@ -35,16 +35,10 @@ from .core import (
     SpikeStreamInference,
     SpikeStreamOptimizer,
 )
-from .backends import (
-    ExecutionBackend,
-    ExecutorBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
 from .plan import ParameterSpace, PlanRow, SweepSpec, collect_plan, iter_plan
 from .snn.numerics import NumericsPolicy
-from .session import ResultStore, Scenario, Session, default_session, register_sweep
+from .session import ResultStore, Scenario, Session
+from .eval.runner import register_sweep
 
 #: Serving entry points re-exported lazily (``repro.InferenceServer`` works
 #: without paying the :mod:`repro.serve` import on every ``import repro``).
@@ -78,11 +72,6 @@ __all__ = [
     "RunConfig",
     "baseline_config",
     "spikestream_config",
-    "ExecutionBackend",
-    "ExecutorBackend",
-    "ProcessBackend",
-    "SerialBackend",
-    "ThreadBackend",
     "ParameterSpace",
     "PlanRow",
     "SweepSpec",
@@ -92,7 +81,6 @@ __all__ = [
     "ResultStore",
     "Scenario",
     "Session",
-    "default_session",
     "NumericsPolicy",
     "OptimizationFlag",
     "Precision",

@@ -14,19 +14,18 @@ with :func:`repro.eval.reporting.format_table` and whose ``headline`` summary
 carries the aggregate numbers quoted in the paper's text (average speedups,
 utilization, energy-efficiency gains, ...).
 
-The module-level functions are thin wrappers over the unified
-:class:`repro.session.Session` API: each delegates to the default session's
-scenario of the same name, so repeated calls share one
-:class:`~repro.session.ResultStore` (figure drivers that need the same
-S-VGG11 variant runs reuse them instead of re-simulating).  The underlying
-``_*_impl`` functions hold the actual driver logic and are what the
-session's scenario registry dispatches to.
+Figures 3b, 3c and 4 are computed from the three evaluated S-VGG11 variant
+runs, passed in as the ``variants`` dictionary that
+:meth:`repro.session.Session.run_variants` returns (keyed as
+:func:`svgg11_variant_configs`), so the figures share one set of
+store-backed simulations.  :meth:`repro.session.Session.run` runs any of
+these drivers by its scenario name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -65,16 +64,8 @@ def memory_footprint_experiment(
     batch_size: int = 128, seed: int = 2025, index_bytes: int = 2
 ) -> ExperimentResult:
     """Average ifmap footprint per conv layer under AER and the CSR format."""
-    from ..session import default_session
-
-    return default_session().run(
-        "memory_footprint", batch_size=batch_size, seed=seed, index_bytes=index_bytes
-    )
-
-
-def _memory_footprint_impl(
-    batch_size: int = 128, seed: int = 2025, index_bytes: int = 2
-) -> ExperimentResult:
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
     descriptions = [d for d in svgg11_layer_shapes() if d["kind"] == "conv"]
     rows: List[Dict[str, object]] = []
     reductions: List[float] = []
@@ -136,44 +127,11 @@ def svgg11_variant_configs(
     }
 
 
-def run_svgg11_variants(
-    batch_size: int = 16,
-    seed: int = 2025,
-    firing_rates: Optional[Dict[str, float]] = None,
-    timesteps: int = 1,
-) -> Dict[str, InferenceResult]:
-    """Run the three evaluated variants over the same synthetic batch.
-
-    Returns a dictionary with keys ``baseline_fp16``, ``spikestream_fp16``
-    and ``spikestream_fp8``.  Each variant runs through the vectorized batch
-    engine (:meth:`~repro.core.pipeline.SpikeStreamInference.run_statistical`)
-    and is memoized in the default session's result store, so regenerating
-    every figure at the paper's batch size of 128 costs one simulation per
-    variant, not one per figure.
-    """
-    from ..session import default_session
-
-    return default_session().run_variants(
-        batch_size=batch_size, seed=seed, firing_rates=firing_rates, timesteps=timesteps
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Figure 3b: FPU utilization and IPC per layer (baseline vs SpikeStream, FP16)
 # --------------------------------------------------------------------------- #
-def utilization_experiment(
-    batch_size: int = 16, seed: int = 2025,
-    variants: Optional[Dict[str, InferenceResult]] = None,
-) -> ExperimentResult:
+def utilization_experiment(variants: Dict[str, InferenceResult]) -> ExperimentResult:
     """Per-layer FPU utilization and per-core IPC for both FP16 code variants."""
-    from ..session import default_session
-
-    return default_session().run(
-        "utilization", batch_size=batch_size, seed=seed, variants=variants
-    )
-
-
-def _utilization_impl(variants: Dict[str, InferenceResult]) -> ExperimentResult:
     baseline, spikestream = variants["baseline_fp16"], variants["spikestream_fp16"]
     rows = []
     for base_layer, stream_layer in zip(baseline.layers, spikestream.layers):
@@ -207,19 +165,8 @@ def _utilization_impl(variants: Dict[str, InferenceResult]) -> ExperimentResult:
 # --------------------------------------------------------------------------- #
 # Figure 3c: per-layer speedups
 # --------------------------------------------------------------------------- #
-def speedup_experiment(
-    batch_size: int = 16, seed: int = 2025,
-    variants: Optional[Dict[str, InferenceResult]] = None,
-) -> ExperimentResult:
+def speedup_experiment(variants: Dict[str, InferenceResult]) -> ExperimentResult:
     """SpikeStream FP16 over baseline FP16 and SpikeStream FP8 over FP16, per layer."""
-    from ..session import default_session
-
-    return default_session().run(
-        "speedup", batch_size=batch_size, seed=seed, variants=variants
-    )
-
-
-def _speedup_impl(variants: Dict[str, InferenceResult]) -> ExperimentResult:
     baseline = variants["baseline_fp16"]
     stream16 = variants["spikestream_fp16"]
     stream8 = variants["spikestream_fp8"]
@@ -250,19 +197,8 @@ def _speedup_impl(variants: Dict[str, InferenceResult]) -> ExperimentResult:
 # --------------------------------------------------------------------------- #
 # Figure 4: per-layer energy and power
 # --------------------------------------------------------------------------- #
-def energy_experiment(
-    batch_size: int = 16, seed: int = 2025,
-    variants: Optional[Dict[str, InferenceResult]] = None,
-) -> ExperimentResult:
+def energy_experiment(variants: Dict[str, InferenceResult]) -> ExperimentResult:
     """Per-layer energy and power for baseline FP16, SpikeStream FP16 and FP8."""
-    from ..session import default_session
-
-    return default_session().run(
-        "energy", batch_size=batch_size, seed=seed, variants=variants
-    )
-
-
-def _energy_impl(variants: Dict[str, InferenceResult]) -> ExperimentResult:
     baseline = variants["baseline_fp16"]
     stream16 = variants["spikestream_fp16"]
     stream8 = variants["spikestream_fp8"]
@@ -309,16 +245,6 @@ def accelerator_comparison_experiment(
     timesteps: int = 500, batch_size: int = 4, seed: int = 2025
 ) -> ExperimentResult:
     """Latency and energy of every system on S-VGG11 layer 6 over 500 timesteps."""
-    from ..session import default_session
-
-    return default_session().run(
-        "accelerator_comparison", timesteps=timesteps, batch_size=batch_size, seed=seed
-    )
-
-
-def _accelerator_comparison_impl(
-    timesteps: int = 500, batch_size: int = 4, seed: int = 2025
-) -> ExperimentResult:
     entries = compare_accelerators(timesteps=timesteps, batch_size=batch_size, seed=seed)
     rows = [entry.as_dict() for entry in entries]
     by_name = {entry.name: entry for entry in entries}
@@ -349,16 +275,6 @@ def spva_microbenchmark_experiment(
     stream_lengths=(1, 2, 4, 8, 16, 32, 64, 128), seed: int = 2025
 ) -> ExperimentResult:
     """Instruction-level comparison of the two SpVA listings over stream lengths."""
-    from ..session import default_session
-
-    return default_session().run(
-        "spva_microbenchmark", stream_lengths=tuple(stream_lengths), seed=seed
-    )
-
-
-def _spva_microbenchmark_impl(
-    stream_lengths=(1, 2, 4, 8, 16, 32, 64, 128), seed: int = 2025
-) -> ExperimentResult:
     rng = np.random.default_rng(seed)
     rows = []
     for length in stream_lengths:

@@ -1,22 +1,22 @@
-"""Built-in sweep specs and the parallel sweep runner entry point.
+"""The built-in sweep specs and the one sweep registry.
 
-The five ablation sweeps are declarative :class:`~repro.plan.SweepSpec`
-instances (:data:`SWEEPS`): a named :class:`~repro.plan.ParameterSpace`, a
-picklable point function, a row schema and a headline finalizer.  Nothing
-here knows *how* points are executed — :func:`run_sweep` resolves the
-``jobs``/``backend``/``executor`` knobs into a
-:class:`repro.backends.ExecutionBackend` and hands the spec to
-:func:`repro.plan.collect_plan`.  The same specs are what
-:meth:`repro.session.Session.run_plan` streams and what the
-``repro.cli sweep``/``plan`` subcommands operate on.
+The six built-in sweeps are declarative :class:`~repro.plan.SweepSpec`
+instances registered in :data:`SWEEPS`: a named
+:class:`~repro.plan.ParameterSpace`, a picklable point function, a row
+schema and a headline finalizer.  Nothing here knows *how* points are
+executed: :meth:`repro.session.Session.run` collects a registered sweep
+and :meth:`~repro.session.Session.run_plan` streams it, both on the
+session's shared pool, and the ``repro.cli sweep``/``plan`` subcommands
+operate on the same registry.
 
-Execution guarantees (inherited from the plan executor and backends):
+Execution guarantees (inherited from :mod:`repro.plan` and
+:func:`repro.backends.execute`):
 
 * **per-point seeding** — every point derives its own seed from the base
   seed, the sweep name and the point's parameters
   (:func:`~repro.plan.point_seed`), so results are independent of
-  evaluation order, of which subset of points is requested, and of which
-  backend executes them;
+  evaluation order, of which subset of points is requested, and of
+  whether a pool executes them;
 * **serial fallback** — pool-infrastructure failures degrade to the serial
   path so a sweep always completes, while errors raised by a point itself
   propagate to the caller.
@@ -31,18 +31,9 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from ..backends import make_backend
-from ..plan import (
-    ParameterSpace,
-    PlanRow,
-    SweepSpec,
-    collect_plan,
-    iter_plan,
-    point_seed,
-)
+from ..plan import ParameterSpace, SweepSpec
 from ..snn.svgg11 import SVGG11_LAYER_FIRING_RATES
 from ..types import Precision
-from .experiments import ExperimentResult
 from .metrics import ratio
 from .sweeps import (
     DEFAULT_CORE_COUNTS,
@@ -110,10 +101,10 @@ def _core_count_finalize(
 ) -> Dict[str, float]:
     """Anchor strong-scaling efficiency to an explicit 1-core reference.
 
-    Mirrors the fix in :func:`repro.eval.sweeps.core_count_sweep`: when the
-    requested points do not include 1 core, the reference is evaluated
-    separately on the same spike-count map (same data seed) instead of being
-    extrapolated or omitted.
+    When the requested points do not include 1 core, the reference is
+    evaluated separately on the same spike-count map (same data seed)
+    instead of being extrapolated or omitted, so the efficiency column is
+    meaningful for any core-count subset.
     """
     reference = None
     for row in rows:
@@ -131,6 +122,12 @@ def _core_count_finalize(
     return {f"efficiency_at_{last['cores']}_cores": last["parallel_efficiency"]}
 
 
+def _precision_name(value: object) -> object:
+    """A ``precision`` axis value given as a :class:`Precision` member, as its
+    name, so members and names run the same point."""
+    return value.value if isinstance(value, Precision) else value
+
+
 # --------------------------------------------------------------------------- #
 # The built-in sweep specs
 # --------------------------------------------------------------------------- #
@@ -140,9 +137,9 @@ SWEEPS: Dict[str, SweepSpec] = {}
 def register_sweep(spec: SweepSpec) -> SweepSpec:
     """Register a spec under its name; later registrations replace earlier.
 
-    :mod:`repro.session` additionally mirrors registered sweeps into the
-    scenario registry — prefer :func:`repro.session.register_sweep` when the
-    sweep should also be reachable via ``Session.run(name)`` and the CLI.
+    A registered sweep is a first-class scenario: ``Session.run(name)``,
+    ``Session.run_plan(name)``, ``repro.cli sweep``/``plan`` and
+    ``repro.cli run --scenario`` all look it up here.
     """
     SWEEPS[spec.name] = spec
     return spec
@@ -157,7 +154,7 @@ register_sweep(SweepSpec(
                 "speedup", "spikestream_fpu_util"),
     finalize=lambda rows, tasks, run_point: {"max_speedup": max(r["speedup"] for r in rows)},
     kwarg_axes={"rates": "rate", "precision": "precision"},
-    normalize={"rate": float},
+    normalize={"rate": float, "precision": _precision_name},
 ))
 
 register_sweep(SweepSpec(
@@ -172,7 +169,7 @@ register_sweep(SweepSpec(
     row_schema=("cores", "cycles", "fpu_util", "parallel_efficiency"),
     finalize=_core_count_finalize,
     kwarg_axes={"core_counts": "cores", "precision": "precision", "firing_rate": "rate"},
-    normalize={"cores": int, "rate": float},
+    normalize={"cores": int, "rate": float, "precision": _precision_name},
 ))
 
 register_sweep(SweepSpec(
@@ -183,6 +180,7 @@ register_sweep(SweepSpec(
     row_schema=("precision", "simd_width", "runtime_ms", "energy_mj", "fpu_util"),
     finalize=lambda rows, tasks, run_point: fp8_over_fp16_headline(rows),
     kwarg_axes={"precisions": "precision"},
+    normalize={"precision": _precision_name},
 ))
 
 register_sweep(SweepSpec(
@@ -209,7 +207,7 @@ register_sweep(SweepSpec(
         "max_additional_speedup": max(r["additional_speedup"] for r in rows)
     },
     kwarg_axes={"rates": "rate", "precision": "precision"},
-    normalize={"rate": float},
+    normalize={"rate": float, "precision": _precision_name},
 ))
 
 
@@ -229,12 +227,12 @@ register_sweep(SweepSpec(
     # sweep isolates the batch axis instead of resampling data per point.
     compute_params=("frames", "precision"),
     kwarg_axes={"frame_counts": "frames", "precision": "precision"},
-    normalize={"frames": int},
+    normalize={"frames": int, "precision": _precision_name},
 ))
 
 
 def available_sweeps() -> List[str]:
-    """Names accepted by :func:`run_sweep` and ``repro.cli sweep``."""
+    """Names accepted by ``Session.run``/``run_plan`` and ``repro.cli sweep``."""
     return sorted(SWEEPS)
 
 
@@ -245,54 +243,9 @@ def get_sweep(name: str) -> SweepSpec:
     return SWEEPS[name]
 
 
-def run_sweep(
-    name: str,
-    jobs: int = 1,
-    backend: str = "process",
-    seed: int = 2025,
-    batch_size: int = 4,
-    executor=None,
-    **point_kwargs,
-) -> ExperimentResult:
-    """Run one registered sweep, fanning its points over an execution backend.
-
-    Parameters
-    ----------
-    name:
-        A sweep from :func:`available_sweeps`.
-    jobs:
-        Worker count; ``1`` runs serially.
-    backend:
-        ``"process"`` (default), ``"thread"`` or ``"serial"``.
-    seed:
-        Base seed; every point derives its own seed via
-        :func:`~repro.plan.point_seed`.
-    batch_size:
-        Batch size of points that run full-network inference (``precision``).
-    executor:
-        Optional long-lived :class:`concurrent.futures.Executor` to dispatch
-        the points onto instead of creating (and tearing down) a private
-        pool; :class:`repro.session.Session` passes its shared pool here.
-    point_kwargs:
-        Axis overrides declared by the spec (e.g. ``rates=...``,
-        ``core_counts=...``, ``precisions=...``, ``lengths=...``).
-    """
-    return collect_plan(
-        get_sweep(name), make_backend(backend, jobs=jobs, executor=executor),
-        seed=seed, batch_size=batch_size, point_kwargs=point_kwargs,
-    )
-
-
 __all__ = [
-    "ParameterSpace",
-    "PlanRow",
-    "SweepSpec",
     "SWEEPS",
     "available_sweeps",
-    "collect_plan",
     "get_sweep",
-    "iter_plan",
-    "point_seed",
     "register_sweep",
-    "run_sweep",
 ]

@@ -1,14 +1,16 @@
-"""Parameter sweeps and ablation studies.
+"""Point functions of the parameter sweeps, and the optimization ablation.
 
 These go beyond the paper's figures: they quantify the contribution of each
 SpikeStream optimization and the sensitivity of the results to firing rate,
 core count, precision and stream length — the design-choice ablations called
-out in DESIGN.md.
+out in DESIGN.md.  Each ``*_point`` function computes one row of a sweep;
+:mod:`repro.eval.runner` declares the sweeps over them, and a
+:class:`repro.session.Session` runs those.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -24,8 +26,7 @@ from .experiments import ExperimentResult
 from .metrics import ratio
 
 
-# Default point lists, shared by the sequential sweeps below and the
-# parallel runner (repro.eval.runner) so the two entry points cannot drift.
+# Default point lists of the sweeps declared in repro.eval.runner.
 DEFAULT_FIRING_RATES = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 DEFAULT_CORE_COUNTS = (1, 2, 4, 8)
 DEFAULT_PRECISIONS = (Precision.FP32, Precision.FP16, Precision.FP8)
@@ -56,19 +57,11 @@ def counts_for_rate(spec: ConvLayerSpec, rate: float, rng: np.random.Generator) 
 def firing_rate_point(
     rate: float,
     precision: Precision = Precision.FP16,
-    rng: Optional[np.random.Generator] = None,
     seed: int = 2025,
 ) -> Dict[str, object]:
-    """One firing-rate sweep point (baseline vs SpikeStream on conv6).
-
-    Standalone entry point shared by :func:`firing_rate_sweep` (which passes
-    its sequentially-advanced ``rng``) and the parallel runner in
-    :mod:`repro.eval.runner` (which derives an independent ``seed`` per
-    point so results do not depend on evaluation order).
-    """
+    """One firing-rate sweep point (baseline vs SpikeStream on conv6)."""
     spec = conv6_spec()
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    counts = counts_for_rate(spec, rate, rng)
+    counts = counts_for_rate(spec, rate, np.random.default_rng(seed))
     base = conv_layer_perf(spec, counts, precision, streaming=False)
     stream = conv_layer_perf(spec, counts, precision, streaming=True)
     return {
@@ -78,22 +71,6 @@ def firing_rate_point(
         "speedup": ratio(base.total_cycles, stream.total_cycles),
         "spikestream_fpu_util": stream.fpu_utilization,
     }
-
-
-def firing_rate_sweep(
-    rates: Sequence[float] = DEFAULT_FIRING_RATES,
-    precision: Precision = Precision.FP16,
-    seed: int = 2025,
-) -> ExperimentResult:
-    """Speedup and utilization of conv6 as a function of the ifmap firing rate."""
-    rng = np.random.default_rng(seed)
-    rows = [firing_rate_point(rate, precision, rng=rng) for rate in rates]
-    return ExperimentResult(
-        name="firing_rate_sweep",
-        figure="ablation",
-        rows=rows,
-        headline={"max_speedup": max(r["speedup"] for r in rows)},
-    )
 
 
 def core_count_point(
@@ -111,39 +88,6 @@ def core_count_point(
         "cycles": stats.total_cycles,
         "fpu_util": stats.fpu_utilization,
     }
-
-
-def core_count_sweep(
-    core_counts: Sequence[int] = DEFAULT_CORE_COUNTS,
-    precision: Precision = Precision.FP16,
-    firing_rate: Optional[float] = None,
-    seed: int = 2025,
-) -> ExperimentResult:
-    """Strong scaling of the SpikeStream conv kernel with the number of cores.
-
-    Parallel efficiency is measured against an *explicit* single-core run of
-    the same spike-count map: if ``core_counts`` does not include 1, the
-    1-core reference is evaluated separately rather than extrapolated, so the
-    efficiency column is meaningful for any core-count subset.
-    """
-    spec = conv6_spec()
-    rate = firing_rate if firing_rate is not None else SVGG11_LAYER_FIRING_RATES["conv6"]
-    rng = np.random.default_rng(seed)
-    counts = counts_for_rate(spec, rate, rng)
-    rows = [core_count_point(cores, counts, precision) for cores in core_counts]
-    by_cores = {row["cores"]: row for row in rows}
-    if 1 in by_cores:
-        reference = by_cores[1]["cycles"]
-    else:
-        reference = core_count_point(1, counts, precision)["cycles"]
-    for row in rows:
-        row["parallel_efficiency"] = ratio(reference, row["cycles"] * row["cores"])
-    return ExperimentResult(
-        name="core_count_sweep",
-        figure="ablation",
-        rows=rows,
-        headline={f"efficiency_at_{core_counts[-1]}_cores": rows[-1]["parallel_efficiency"]},
-    )
 
 
 def precision_point(
@@ -174,21 +118,6 @@ def fp8_over_fp16_headline(rows: Sequence[Dict[str, object]]) -> Dict[str, float
     return {"fp8_over_fp16_speedup": ratio(runtimes["fp16"], runtimes["fp8"])}
 
 
-def precision_sweep(
-    precisions: Sequence[Precision] = DEFAULT_PRECISIONS,
-    batch_size: int = 4,
-    seed: int = 2025,
-) -> ExperimentResult:
-    """End-to-end S-VGG11 runtime and energy across numeric precisions."""
-    rows = [precision_point(precision, batch_size, seed) for precision in precisions]
-    return ExperimentResult(
-        name="precision_sweep",
-        figure="ablation",
-        rows=rows,
-        headline=fp8_over_fp16_headline(rows),
-    )
-
-
 def stream_length_point(length: int) -> Dict[str, object]:
     """One per-SpVA stream-length point (deterministic; no randomness)."""
     base = baseline_spva_cost(float(length))
@@ -201,29 +130,19 @@ def stream_length_point(length: int) -> Dict[str, object]:
     }
 
 
-def stream_length_sweep(
-    lengths: Sequence[int] = DEFAULT_STREAM_LENGTHS,
-) -> ExperimentResult:
-    """Per-SpVA speedup of streaming over the baseline as a function of stream length."""
-    rows = [stream_length_point(length) for length in lengths]
-    return ExperimentResult(
-        name="stream_length_sweep",
-        figure="ablation",
-        rows=rows,
-        headline={"asymptotic_speedup": rows[-1]["speedup"]},
-    )
-
-
 def strided_indirect_point(
     rate: float,
     precision: Precision = Precision.FP16,
-    rng: Optional[np.random.Generator] = None,
     seed: int = 2025,
 ) -> Dict[str, object]:
-    """One strided-indirect sweep point (standard vs strided-indirect conv6)."""
+    """One strided-indirect sweep point (standard vs strided-indirect conv6).
+
+    Compares the standard SpikeStream conv kernel against a variant whose
+    gather index array is replayed across SIMD channel groups — the
+    strided-indirect SSR extension the paper names as future work.
+    """
     spec = conv6_spec()
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    counts = counts_for_rate(spec, rate, rng)
+    counts = counts_for_rate(spec, rate, np.random.default_rng(seed))
     standard = conv_layer_perf(spec, counts, precision, streaming=True)
     strided = conv_layer_perf(spec, counts, precision, streaming=True, strided_indirect=True)
     return {
@@ -234,27 +153,6 @@ def strided_indirect_point(
         "spikestream_fpu_util": standard.fpu_utilization,
         "strided_indirect_fpu_util": strided.fpu_utilization,
     }
-
-
-def strided_indirect_sweep(
-    rates: Sequence[float] = DEFAULT_STRIDED_INDIRECT_RATES,
-    precision: Precision = Precision.FP16,
-    seed: int = 2025,
-) -> ExperimentResult:
-    """Projected benefit of the strided-indirect SSR extension (paper future work).
-
-    Compares the standard SpikeStream conv kernel against a variant whose
-    gather index array is replayed across SIMD channel groups, on conv6 over
-    a range of firing rates.
-    """
-    rng = np.random.default_rng(seed)
-    rows = [strided_indirect_point(rate, precision, rng=rng) for rate in rates]
-    return ExperimentResult(
-        name="strided_indirect_sweep",
-        figure="ablation",
-        rows=rows,
-        headline={"max_additional_speedup": max(r["additional_speedup"] for r in rows)},
-    )
 
 
 #: Frame-batch sizes swept by the ``functional_batch`` sweep.

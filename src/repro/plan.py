@@ -1,28 +1,24 @@
 """Declarative sweep plans: parameter spaces, sweep specs and plan execution.
 
 This module is the "describe the experiment as data" half of the evaluation
-surface.  Historically every sweep was a hand-written pair of functions
-(point generator + point runner) hard-wired into a ``SWEEPS`` table, so
-adding a scenario meant editing three modules and the CLI.  A sweep is now
-*data*:
+surface.  A sweep is *data*:
 
 * :class:`ParameterSpace` — named axes composed by grid (cartesian
-  product), zip (parallel iteration), chain (concatenation) and product
-  (grid composition of two spaces).  Spaces are immutable; overriding one
-  axis' values (:meth:`ParameterSpace.with_axis`) returns a new space.
+  product) and chain (``+``, concatenation).  Spaces are immutable;
+  overriding one axis' values (:meth:`ParameterSpace.with_axis`) returns a
+  new space.
 * :class:`SweepSpec` — a space plus a point function, a row schema, seeding
-  policy and headline finalizer.  The spec is all a backend needs to run
-  the sweep; the five legacy sweeps are plain ``SweepSpec`` instances in
-  :data:`repro.eval.runner.SWEEPS`.
-* :func:`iter_plan` / :func:`collect_plan` — execute a spec on any
-  :class:`repro.backends.ExecutionBackend`, streaming
-  :class:`PlanRow` objects as points complete (``iter_plan``) or
-  assembling the canonical :class:`~repro.eval.experiments.ExperimentResult`
-  (``collect_plan``).
+  policy and headline finalizer.  The built-in sweeps are plain
+  ``SweepSpec`` instances in :data:`repro.eval.runner.SWEEPS`.
+* :func:`iter_plan` / :func:`collect_plan` — execute a spec serially or on
+  a caller-owned :class:`concurrent.futures.Executor` (through
+  :func:`repro.backends.execute`), streaming :class:`PlanRow` objects as
+  points complete (``iter_plan``) or assembling the canonical
+  :class:`~repro.eval.experiments.ExperimentResult` (``collect_plan``).
 
-Execution strategy lives entirely behind the backend object, so the same
-spec runs serially or on a thread/process pool without changing a line of
-its definition::
+:meth:`repro.session.Session.run` and :meth:`~repro.session.Session.run_plan`
+call these with the session's shared pool, so the same spec runs serially
+or on a thread/process pool without changing a line of its definition::
 
     spec = SweepSpec(
         name="my_sweep",
@@ -30,12 +26,12 @@ its definition::
         point=my_point_function,          # task dict -> row dict
         row_schema=("rate", "speedup"),
     )
-    result = collect_plan(spec, SerialBackend())
+    result = collect_plan(spec)
 
 Determinism contract: every point derives its own seed from the base seed,
 the sweep name and its parameters (:func:`point_seed`), so rows never
 depend on evaluation order, on which subset of points is requested, or on
-which backend executed them.
+whether a pool executed them.
 """
 
 from __future__ import annotations
@@ -43,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -55,6 +52,8 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from .backends import execute
 
 __all__ = [
     "ParameterSpace",
@@ -94,17 +93,13 @@ class ParameterSpace:
     """Immutable, composable set of named sweep axes.
 
     Construct leaf spaces with :meth:`grid` (cartesian product of axes, the
-    last axis varying fastest) or :meth:`zipped` (parallel iteration over
-    equal-length axes), then compose:
+    last axis varying fastest), then compose with ``a + b`` —
+    :meth:`chain`: the points of ``a`` followed by those of ``b`` (axes may
+    differ).
 
-    * ``a + b`` — :meth:`chain`: the points of ``a`` followed by those of
-      ``b`` (axes may differ);
-    * ``a * b`` — :meth:`product`: grid composition, every point of ``a``
-      merged with every point of ``b`` (axes must be disjoint).
-
-    :meth:`points` materializes the canonical point order shared by every
-    execution backend; :meth:`with_axis` returns a new space with one axis'
-    values replaced wherever that axis appears.
+    :meth:`points` materializes the canonical point order every execution
+    shares; :meth:`with_axis` returns a new space with one axis' values
+    replaced wherever that axis appears.
     """
 
     def points(self) -> List[Dict[str, object]]:
@@ -122,23 +117,12 @@ class ParameterSpace:
         """Cartesian product of the given axes (last axis varies fastest)."""
         return _GridSpace(axes)
 
-    @staticmethod
-    def zipped(**axes: object) -> "ParameterSpace":
-        """Parallel iteration over equal-length axes (like :func:`zip`)."""
-        return _ZipSpace(axes)
-
     # -- composition ---------------------------------------------------------
     def chain(self, other: "ParameterSpace") -> "ParameterSpace":
         """This space's points followed by ``other``'s."""
         return _ChainSpace((self, other))
 
-    def product(self, other: "ParameterSpace") -> "ParameterSpace":
-        """Grid composition: every point of ``self`` merged with every point
-        of ``other``; the two spaces must not share axis names."""
-        return _ProductSpace(self, other)
-
     __add__ = chain
-    __mul__ = product
 
     def __len__(self) -> int:
         return len(self.points())
@@ -181,38 +165,6 @@ class _GridSpace(ParameterSpace):
         return " · ".join(f"{name} x{len(values)}" for name, values in self._axes.items())
 
 
-class _ZipSpace(ParameterSpace):
-    def __init__(self, axes: Mapping[str, object]):
-        if not axes:
-            raise ValueError("a zip space needs at least one axis")
-        self._axes = {name: _normalize_values(values) for name, values in axes.items()}
-        lengths = {len(values) for values in self._axes.values()}
-        if len(lengths) != 1:
-            raise ValueError(
-                "zipped axes must have equal lengths, got "
-                + ", ".join(f"{n}:{len(v)}" for n, v in self._axes.items())
-            )
-
-    def points(self) -> List[Dict[str, object]]:
-        names = list(self._axes)
-        return [dict(zip(names, combo)) for combo in zip(*self._axes.values())]
-
-    def axis_names(self) -> Tuple[str, ...]:
-        return tuple(self._axes)
-
-    def with_axis(self, name: str, values: object) -> "ParameterSpace":
-        if name not in self._axes:
-            raise KeyError(f"unknown axis {name!r}; space has {self.axis_names()}")
-        axes = dict(self._axes)
-        axes[name] = values
-        return _ZipSpace(axes)
-
-    def describe(self) -> str:
-        return "zip(" + " · ".join(
-            f"{name} x{len(values)}" for name, values in self._axes.items()
-        ) + ")"
-
-
 class _ChainSpace(ParameterSpace):
     def __init__(self, parts: Sequence[ParameterSpace]):
         flat: List[ParameterSpace] = []
@@ -247,34 +199,6 @@ class _ChainSpace(ParameterSpace):
 
     def describe(self) -> str:
         return " + ".join(part.describe() for part in self._parts)
-
-
-class _ProductSpace(ParameterSpace):
-    def __init__(self, left: ParameterSpace, right: ParameterSpace):
-        overlap = set(left.axis_names()) & set(right.axis_names())
-        if overlap:
-            raise ValueError(f"product spaces share axes {sorted(overlap)}")
-        self._left = left
-        self._right = right
-
-    def points(self) -> List[Dict[str, object]]:
-        right_points = self._right.points()
-        return [
-            {**lp, **rp} for lp in self._left.points() for rp in right_points
-        ]
-
-    def axis_names(self) -> Tuple[str, ...]:
-        return self._left.axis_names() + self._right.axis_names()
-
-    def with_axis(self, name: str, values: object) -> "ParameterSpace":
-        if name in self._left.axis_names():
-            return _ProductSpace(self._left.with_axis(name, values), self._right)
-        if name in self._right.axis_names():
-            return _ProductSpace(self._left, self._right.with_axis(name, values))
-        raise KeyError(f"unknown axis {name!r}; space has {self.axis_names()}")
-
-    def describe(self) -> str:
-        return f"({self._left.describe()}) * ({self._right.describe()})"
 
 
 # --------------------------------------------------------------------------- #
@@ -406,12 +330,12 @@ class PlanRow:
 
 def iter_plan(
     spec: SweepSpec,
-    backend,
     seed: int = 2025,
     batch_size: int = 4,
     point_kwargs: Optional[Mapping[str, object]] = None,
+    executor: Optional[Executor] = None,
 ) -> Iterator[PlanRow]:
-    """Stream a spec's rows as the backend completes them.
+    """Stream a spec's rows as they complete (serially without ``executor``).
 
     Rows stream back in *completion* order, each carrying its canonical
     ``index`` so consumers can reassemble the deterministic row order at
@@ -419,22 +343,22 @@ def iter_plan(
     """
     points = spec.points(**(point_kwargs or {}))
     tasks = [spec.task(params, seed, batch_size) for params in points]
-    for index, row in backend.execute(spec.point, tasks):
+    for index, row in execute(spec.point, tasks, executor):
         yield PlanRow(index, dict(points[index]), dict(row))
 
 
 def collect_plan(
     spec: SweepSpec,
-    backend,
     seed: int = 2025,
     batch_size: int = 4,
     point_kwargs: Optional[Mapping[str, object]] = None,
+    executor: Optional[Executor] = None,
 ) -> "ExperimentResult":
     """Run a spec to completion and assemble the canonical result.
 
-    Rows are ordered by their canonical point index (identical across every
-    backend), and the spec's ``finalize`` computes the headline (and may add
-    derived columns).
+    Rows are ordered by their canonical point index (identical with or
+    without ``executor``), and the spec's ``finalize`` computes the headline
+    (and may add derived columns).
     """
     # Imported here, not at module level: eval.runner imports this module to
     # define the built-in specs, so a top-level eval import would be cyclic.
@@ -449,16 +373,17 @@ def collect_plan(
         return spec.point(spec.task(params, seed, batch_size))
 
     for plan_row in iter_plan(
-        spec, backend, seed=seed, batch_size=batch_size, point_kwargs=point_kwargs,
+        spec, seed=seed, batch_size=batch_size, point_kwargs=point_kwargs,
+        executor=executor,
     ):
         rows[plan_row.index] = plan_row.row
     # Narrow List[Optional[...]] -> List[...]: iter_plan yields every
-    # index exactly once, so a leftover None here is a backend bug worth
+    # index exactly once, so a leftover None here is a dispatch bug worth
     # a loud error rather than a downstream TypeError.
     unfilled = [index for index, row in enumerate(rows) if row is None]
     if unfilled:
         raise RuntimeError(
-            f"sweep {spec.name!r}: backend yielded no row for point "
+            f"sweep {spec.name!r}: dispatch yielded no row for point "
             f"index(es) {unfilled}"
         )
     filled: List[Dict[str, object]] = [row for row in rows if row is not None]
@@ -471,9 +396,7 @@ def collect_plan(
                     f"sweep {spec.name!r} produced a row missing declared "
                     f"column(s) {missing}: {sorted(row)}"
                 )
-    # Named distinctly from the sequential sweeps: the per-point seeding
-    # produces different (order-independent) draws than the shared-RNG
-    # sequential functions, so results keyed by name must never mix.
+    # Exported JSON/CSV results carry this name; it must stay stable.
     return ExperimentResult(
         name=f"parallel_{spec.name}_sweep",
         figure="sweep",

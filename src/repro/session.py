@@ -1,30 +1,26 @@
 """Unified long-lived `Session` front-end over the whole evaluation surface.
 
-Before this module existed the library exposed three parallel APIs: the
-seven per-figure drivers in :mod:`repro.eval.experiments`, the five
-:data:`~repro.eval.runner.SWEEPS` definitions behind
-:func:`~repro.eval.runner.run_sweep`, and raw
-:class:`~repro.core.pipeline.SpikeStreamInference` engines.  Each sweep call
-spun up (and tore down) its own worker pool, and nothing memoized whole
-inference runs — regenerating Figures 3b, 3c and 4 re-simulated the same
-three S-VGG11 variants three times.
-
-A :class:`Session` is the single declarative entry point that fixes both:
+A :class:`Session` is the one way to run a paper figure or a sweep:
 
 * **one shared pool** — the session lazily creates ONE
   :mod:`concurrent.futures` executor the first time parallel work is
   dispatched and reuses it for every subsequent sweep and experiment until
   :meth:`Session.close` (worker start-up, which dominates short sweeps, is
-  paid once per service lifetime, not once per call);
+  paid once per service lifetime, not once per call).  A pool that cannot
+  start or that breaks is dropped and the session runs serially from then
+  on; it never builds a second pool behind the caller's back;
 * **a persistent result store** — :class:`ResultStore` memoizes whole
   :class:`~repro.core.results.InferenceResult` objects keyed on a canonical
   fingerprint of the :class:`~repro.config.RunConfig` plus the run
   parameters and hardware models, optionally persisted as JSON under
   ``cache_dir`` so results survive the process;
-* **one scenario registry** — every figure experiment and every sweep is a
-  named :class:`Scenario`; :meth:`Session.scenarios` lists them,
-  :meth:`Session.describe` documents one, and :meth:`Session.run` executes
-  it with the session's pool and result store.
+* **one scenario registry** — every figure experiment is a named
+  :class:`Scenario` in :data:`SCENARIOS`, and every sweep registered in
+  :data:`repro.eval.runner.SWEEPS` is a scenario too;
+  :meth:`Session.scenarios` lists them, :meth:`Session.describe` documents
+  one, :meth:`Session.run` executes it with the session's pool and result
+  store, and :meth:`Session.run_plan` streams a sweep's rows as they
+  complete.
 
 Typical use::
 
@@ -35,9 +31,6 @@ Typical use::
         fig3c = session.run("speedup", batch_size=128)      # simulates
         fig4 = session.run("energy", batch_size=128)        # store hits
         sweep = session.run("firing_rate", rates=(0.1, 0.3))
-
-The module-level experiment functions and ``run_sweep`` remain available as
-thin wrappers over a default session, so existing scripts keep working.
 """
 
 from __future__ import annotations
@@ -57,24 +50,23 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from .arch.params import ClusterParams, CostModelParams, DEFAULT_CLUSTER, DEFAULT_COSTS
-from .backends import BACKENDS, ExecutionBackend, make_backend
+from .backends import BACKENDS, execute
 from .config import RunConfig, spikestream_config
 from .core.pipeline import SpikeStreamInference
 from .core.results import InferenceResult
 from .energy.params import DEFAULT_ENERGY, EnergyParams
 from .eval.experiments import (
     ExperimentResult,
-    _accelerator_comparison_impl,
-    _energy_impl,
-    _memory_footprint_impl,
-    _speedup_impl,
-    _spva_microbenchmark_impl,
-    _utilization_impl,
+    accelerator_comparison_experiment,
+    energy_experiment,
+    memory_footprint_experiment,
+    speedup_experiment,
+    spva_microbenchmark_experiment,
     svgg11_variant_configs,
+    utilization_experiment,
 )
 from .eval.metrics import ratio
-from .eval.runner import SWEEPS, get_sweep, run_sweep
-from .eval.runner import register_sweep as _register_sweep_spec
+from .eval.runner import SWEEPS, get_sweep
 from .plan import PlanRow, SweepSpec, collect_plan, iter_plan
 from .snn.numerics import NumericsPolicy, resolve as resolve_numerics
 from .utils.serialization import atomic_write_text, canonical_json
@@ -394,38 +386,27 @@ class Scenario:
     uses_session_models: bool = False
 
 
-def _scenario_memory_footprint(session: "Session", batch_size: int = 128,
-                               seed: int = 2025, index_bytes: int = 2) -> ExperimentResult:
-    return _memory_footprint_impl(batch_size=batch_size, seed=seed, index_bytes=index_bytes)
+def _without_session(experiment: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
+    """Scenario runner of a model-free experiment: the session is not used."""
+    return lambda session, **params: experiment(**params)
 
 
-def _scenario_utilization(session: "Session", batch_size: int = 16, seed: int = 2025,
-                          variants: Optional[Dict[str, InferenceResult]] = None
-                          ) -> ExperimentResult:
-    variants = variants or session.run_variants(batch_size=batch_size, seed=seed)
-    return _utilization_impl(variants)
+def _on_variants(experiment: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
+    """Scenario runner of a figure computed from the three S-VGG11 variants.
+
+    A caller-supplied ``variants`` dictionary is used as is; otherwise the
+    variants come from :meth:`Session.run_variants` (store-backed).
+    """
+    def runner(session: "Session", batch_size: int = 16, seed: int = 2025,
+               variants: Optional[Dict[str, InferenceResult]] = None) -> ExperimentResult:
+        return experiment(variants or session.run_variants(batch_size=batch_size, seed=seed))
+
+    return runner
 
 
-def _scenario_speedup(session: "Session", batch_size: int = 16, seed: int = 2025,
-                      variants: Optional[Dict[str, InferenceResult]] = None
-                      ) -> ExperimentResult:
-    variants = variants or session.run_variants(batch_size=batch_size, seed=seed)
-    return _speedup_impl(variants)
-
-
-def _scenario_energy(session: "Session", batch_size: int = 16, seed: int = 2025,
-                     variants: Optional[Dict[str, InferenceResult]] = None
-                     ) -> ExperimentResult:
-    variants = variants or session.run_variants(batch_size=batch_size, seed=seed)
-    return _energy_impl(variants)
-
-
-def _scenario_svgg11_variants(session: "Session", batch_size: int = 16, seed: int = 2025,
-                              firing_rates: Optional[Dict[str, float]] = None,
-                              timesteps: int = 1) -> ExperimentResult:
-    variants = session.run_variants(
-        batch_size=batch_size, seed=seed, firing_rates=firing_rates, timesteps=timesteps
-    )
+def _variants_summary(name: str, figure: str,
+                      variants: Dict[str, InferenceResult]) -> ExperimentResult:
+    """Per-variant summary rows plus network speedup and energy-gain headline."""
     rows = [{"variant": key, **result.summary()} for key, result in variants.items()]
     baseline = variants["baseline_fp16"]
     stream16 = variants["spikestream_fp16"]
@@ -436,9 +417,16 @@ def _scenario_svgg11_variants(session: "Session", batch_size: int = 16, seed: in
         "energy_gain_fp16_over_baseline": ratio(baseline.total_energy_j, stream16.total_energy_j),
         "energy_gain_fp8_over_baseline": ratio(baseline.total_energy_j, stream8.total_energy_j),
     }
-    return ExperimentResult(
-        name="svgg11_variants", figure="summary", rows=rows, headline=headline
+    return ExperimentResult(name=name, figure=figure, rows=rows, headline=headline)
+
+
+def _scenario_svgg11_variants(session: "Session", batch_size: int = 16, seed: int = 2025,
+                              firing_rates: Optional[Dict[str, float]] = None,
+                              timesteps: int = 1) -> ExperimentResult:
+    variants = session.run_variants(
+        batch_size=batch_size, seed=seed, firing_rates=firing_rates, timesteps=timesteps
     )
+    return _variants_summary("svgg11_variants", "summary", variants)
 
 
 def frames_fingerprint(frames) -> str:
@@ -496,75 +484,30 @@ def _scenario_functional(session: "Session", batch_size: int = 8, seed: int = 20
     variants = session.run_functional_variants(
         network, frames, batch_size=batch_size, seed=seed, timesteps=timesteps
     )
-    rows = [{"variant": key, **result.summary()} for key, result in variants.items()]
-    baseline = variants["baseline_fp16"]
-    stream16 = variants["spikestream_fp16"]
-    stream8 = variants["spikestream_fp8"]
-    headline = {
-        "network_speedup_fp16_over_baseline": ratio(baseline.total_cycles, stream16.total_cycles),
-        "network_speedup_fp8_over_baseline": ratio(baseline.total_cycles, stream8.total_cycles),
-        "energy_gain_fp16_over_baseline": ratio(baseline.total_energy_j, stream16.total_energy_j),
-        "energy_gain_fp8_over_baseline": ratio(baseline.total_energy_j, stream8.total_energy_j),
-    }
-    return ExperimentResult(name="functional", figure="functional", rows=rows,
-                            headline=headline)
-
-
-def _scenario_accelerator_comparison(session: "Session", timesteps: int = 500,
-                                     batch_size: int = 4, seed: int = 2025
-                                     ) -> ExperimentResult:
-    return _accelerator_comparison_impl(timesteps=timesteps, batch_size=batch_size, seed=seed)
-
-
-def _scenario_spva_microbenchmark(session: "Session",
-                                  stream_lengths=(1, 2, 4, 8, 16, 32, 64, 128),
-                                  seed: int = 2025) -> ExperimentResult:
-    return _spva_microbenchmark_impl(stream_lengths=stream_lengths, seed=seed)
-
-
-def _make_sweep_runner(sweep_name: str) -> Callable[..., ExperimentResult]:
-    def runner(session: "Session", seed: Optional[int] = None,
-               batch_size: Optional[int] = None, **point_kwargs) -> ExperimentResult:
-        return run_sweep(
-            sweep_name,
-            jobs=session.jobs,
-            backend=session.backend,
-            seed=session.seed if seed is None else seed,
-            batch_size=4 if batch_size is None else batch_size,
-            executor=session.shared_executor(),
-            **point_kwargs,
-        )
-
-    return runner
+    return _variants_summary("functional", "functional", variants)
 
 
 def _sweep_scenario(spec: SweepSpec) -> Scenario:
-    """The scenario-registry entry of one declarative sweep spec."""
+    """The scenario view of one registered sweep: collected on the session's
+    shared pool, with the session's base seed unless ``seed`` is given."""
+    def runner(session: "Session", seed: Optional[int] = None,
+               batch_size: Optional[int] = None, **point_kwargs) -> ExperimentResult:
+        return collect_plan(
+            spec,
+            seed=session.seed if seed is None else seed,
+            batch_size=4 if batch_size is None else batch_size,
+            point_kwargs=point_kwargs,
+            executor=session.shared_executor(),
+        )
+
     return Scenario(
         name=spec.name,
         kind="sweep",
         figure="sweep",
         description=spec.description or f"parallel {spec.name} sweep",
         params=("seed", "batch_size") + tuple(sorted(spec.kwarg_axes)),
-        runner=_make_sweep_runner(spec.name),
+        runner=runner,
     )
-
-
-def register_sweep(spec: SweepSpec) -> Scenario:
-    """Register a declarative sweep in BOTH registries.
-
-    The spec enters :data:`repro.eval.runner.SWEEPS` (so
-    :func:`~repro.eval.runner.run_sweep`, :meth:`Session.run_plan` and the
-    ``repro.cli plan`` listing see it) and the scenario registry (so
-    ``Session.run(name)`` and ``repro.cli run --scenario`` dispatch it).
-    Re-registering a name replaces the previous sweep.  This is the whole
-    story of adding an experiment: declare a spec, register it, run it on
-    any backend.
-    """
-    _register_sweep_spec(spec)
-    scenario = _sweep_scenario(spec)
-    SCENARIOS[spec.name] = scenario
-    return scenario
 
 
 def _build_scenarios() -> Dict[str, Scenario]:
@@ -576,18 +519,19 @@ def _build_scenarios() -> Dict[str, Scenario]:
 
     add("memory_footprint", "experiment", "fig3a",
         "per-layer ifmap footprint under AER vs CSR and the resulting reduction",
-        ("batch_size", "seed", "index_bytes"), _scenario_memory_footprint)
+        ("batch_size", "seed", "index_bytes"),
+        _without_session(memory_footprint_experiment))
     add("utilization", "experiment", "fig3b",
         "per-layer FPU utilization and IPC, baseline vs SpikeStream (FP16)",
-        ("batch_size", "seed", "variants"), _scenario_utilization,
+        ("batch_size", "seed", "variants"), _on_variants(utilization_experiment),
         uses_session_models=True)
     add("speedup", "experiment", "fig3c",
         "per-layer and network speedups of SpikeStream FP16/FP8 over the baseline",
-        ("batch_size", "seed", "variants"), _scenario_speedup,
+        ("batch_size", "seed", "variants"), _on_variants(speedup_experiment),
         uses_session_models=True)
     add("energy", "experiment", "fig4",
         "per-layer energy and power of the three evaluated variants",
-        ("batch_size", "seed", "variants"), _scenario_energy,
+        ("batch_size", "seed", "variants"), _on_variants(energy_experiment),
         uses_session_models=True)
     add("svgg11_variants", "experiment", "summary",
         "network-level summary of the three S-VGG11 variants over one batch",
@@ -600,15 +544,16 @@ def _build_scenarios() -> Dict[str, Scenario]:
         uses_session_models=True)
     add("accelerator_comparison", "experiment", "fig5",
         "latency/energy comparison with SoA neuromorphic accelerators",
-        ("timesteps", "batch_size", "seed"), _scenario_accelerator_comparison)
+        ("timesteps", "batch_size", "seed"),
+        _without_session(accelerator_comparison_experiment))
     add("spva_microbenchmark", "experiment", "listing1",
         "instruction-level SpVA micro-benchmark across stream lengths",
-        ("stream_lengths", "seed"), _scenario_spva_microbenchmark)
-    for spec in SWEEPS.values():
-        registry[spec.name] = _sweep_scenario(spec)
+        ("stream_lengths", "seed"), _without_session(spva_microbenchmark_experiment))
     return registry
 
 
+#: The figure experiments; the sweeps are looked up in
+#: :data:`repro.eval.runner.SWEEPS` (see :meth:`Session.scenarios`).
 SCENARIOS: Dict[str, Scenario] = _build_scenarios()
 
 
@@ -952,8 +897,9 @@ class Session:
 
         Store misses are fanned out over the shared executor (one variant
         per worker) when the session is parallel; hits cost nothing.  The
-        returned dictionary has the same keys and bit-for-bit the same
-        results as :func:`repro.eval.experiments.run_svgg11_variants`.
+        dictionary is keyed as
+        :func:`~repro.eval.experiments.svgg11_variant_configs` — the
+        ``variants`` argument of the Figure 3b, 3c and 4 experiments.
         """
         configs = svgg11_variant_configs(batch_size=batch_size, seed=seed, timesteps=timesteps)
         fingerprints = {
@@ -990,41 +936,13 @@ class Session:
              batch_size, firing_rates, seed, timesteps)
             for config in configs
         ]
-        # The backend carries the shared dispatch-with-serial-fallback
-        # policy; jobs=1 keeps it from creating a private pool when the
-        # session has no shared executor.
-        backend = make_backend(self.backend, jobs=1, executor=self.shared_executor())
-        results = dict(backend.execute(_statistical_task, payloads))
+        results = dict(execute(_statistical_task, payloads, self.shared_executor()))
         return [results[index] for index in range(len(payloads))]
 
     # -- declarative plans ---------------------------------------------------
-    def _resolve_spec(self, spec: Union[str, SweepSpec]) -> SweepSpec:
-        if isinstance(spec, SweepSpec):
-            return spec
-        return get_sweep(spec)
-
-    def plan_backend(
-        self,
-        backend: Union[None, str, ExecutionBackend] = None,
-    ) -> ExecutionBackend:
-        """Resolve a plan's execution backend under this session's knobs.
-
-        ``None`` means "the session's own strategy": the shared pool when
-        one exists, serial otherwise.  A string picks a strategy ad hoc for
-        one plan; a ready-made :class:`~repro.backends.ExecutionBackend`
-        passes through.
-        """
-        if isinstance(backend, ExecutionBackend):
-            return backend
-        if backend is None:
-            backend = self.backend
-        executor = self.shared_executor() if backend == self.backend else None
-        return make_backend(backend, jobs=self.jobs, executor=executor)
-
     def run_plan(
         self,
         spec: Union[str, SweepSpec],
-        backend: Union[None, str, ExecutionBackend] = None,
         seed: Optional[int] = None,
         batch_size: Optional[int] = None,
         **point_kwargs,
@@ -1033,44 +951,32 @@ class Session:
 
         Accepts a registered sweep name or any :class:`~repro.plan.SweepSpec`
         (including ones never registered).  Rows arrive as
-        :class:`~repro.plan.PlanRow` objects the moment the backend finishes
-        them, in completion order, each carrying its canonical ``index``, so
-        a consumer can render progress long before the sweep ends and still
-        reassemble the deterministic row order.
+        :class:`~repro.plan.PlanRow` objects the moment the shared pool (or
+        the serial path) finishes them, in completion order, each carrying
+        its canonical ``index``, so a consumer can render progress long
+        before the sweep ends and still reassemble the deterministic row
+        order.  :meth:`run` collects a registered sweep instead.
         """
+        if not isinstance(spec, SweepSpec):
+            spec = get_sweep(spec)
         return iter_plan(
-            self._resolve_spec(spec),
-            self.plan_backend(backend),
+            spec,
             seed=self.seed if seed is None else seed,
             batch_size=4 if batch_size is None else batch_size,
             point_kwargs=point_kwargs,
-        )
-
-    def run_spec(
-        self,
-        spec: Union[str, SweepSpec],
-        backend: Union[None, str, ExecutionBackend] = None,
-        seed: Optional[int] = None,
-        batch_size: Optional[int] = None,
-        **point_kwargs,
-    ) -> ExperimentResult:
-        """Run a declarative sweep to completion (collected counterpart of
-        :meth:`run_plan`): canonical row order, finalized headline."""
-        return collect_plan(
-            self._resolve_spec(spec),
-            self.plan_backend(backend),
-            seed=self.seed if seed is None else seed,
-            batch_size=4 if batch_size is None else batch_size,
-            point_kwargs=point_kwargs,
+            executor=self.shared_executor(),
         )
 
     # -- the scenario registry ----------------------------------------------
     def scenarios(self) -> List[str]:
-        """Sorted names accepted by :meth:`run` and :meth:`describe`."""
-        return sorted(SCENARIOS)
+        """Sorted names accepted by :meth:`run` and :meth:`describe`: the
+        figure experiments plus every registered sweep."""
+        return sorted(set(SCENARIOS) | set(SWEEPS))
 
     def _scenario(self, name: str) -> Scenario:
         scenario = SCENARIOS.get(name)
+        if scenario is None and name in SWEEPS:
+            scenario = _sweep_scenario(SWEEPS[name])
         if scenario is None:
             raise KeyError(
                 f"unknown scenario {name!r}; available: {', '.join(self.scenarios())}"
@@ -1096,8 +1002,8 @@ class Session:
         """Execute one registered scenario with the session's pool and store.
 
         Experiments that need S-VGG11 variant runs draw them from the result
-        store (simulating only on a cold store); sweeps go through
-        :func:`~repro.eval.runner.run_sweep` with the session's shared
+        store (simulating only on a cold store); sweeps are collected
+        through :func:`~repro.plan.collect_plan` on the session's shared
         executor.  Scenarios whose point functions are hard-wired to the
         default hardware models (the sweeps, the accelerator comparison and
         the model-free format/ISA studies) warn when the session carries
@@ -1111,17 +1017,3 @@ class Session:
                 file=sys.stderr,
             )
         return scenario.runner(self, **params)
-
-
-# --------------------------------------------------------------------------- #
-# Default session behind the module-level wrapper functions
-# --------------------------------------------------------------------------- #
-_DEFAULT_SESSION: Optional[Session] = None
-
-
-def default_session() -> Session:
-    """The process-wide serial session backing the legacy module functions."""
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = Session()
-    return _DEFAULT_SESSION

@@ -1,16 +1,11 @@
-"""Tests for the pluggable execution backends."""
+"""Tests for point dispatch (serial or onto an executor) and session pools."""
 
 import os
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
-from repro.backends import (
-    ExecutorBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
-)
+from repro.backends import execute
 from repro.plan import ParameterSpace, SweepSpec, collect_plan
 from repro.session import Session
 
@@ -63,51 +58,40 @@ def _tasks(count=5):
     return [{"n": n, "seed": 0, "batch": 0} for n in range(1, count + 1)]
 
 
-class TestMakeBackend:
-    def test_resolution_precedence(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("thread", jobs=2), ThreadBackend)
-        assert isinstance(make_backend("process", jobs=2), ProcessBackend)
-        # jobs=1 degrades pool kinds to serial (historical runner semantics).
-        assert isinstance(make_backend("thread", jobs=1), SerialBackend)
-
-    def test_executor_wins_over_pool_kinds(self):
-        class FakeExecutor:
-            pass
-
-        backend = make_backend("process", jobs=4, executor=FakeExecutor())
-        assert isinstance(backend, ExecutorBackend)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("gpu", jobs=2)
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("net")  # rejected even when jobs=1 would run serially
+@pytest.fixture
+def thread_pool():
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield pool
 
 
 class TestStreamingBackends:
-    @pytest.mark.parametrize("backend", [
-        SerialBackend(), ThreadBackend(3), ProcessBackend(2)
+    @pytest.mark.parametrize("pool_cls", [
+        None, lambda: ThreadPoolExecutor(max_workers=3),
+        lambda: ProcessPoolExecutor(max_workers=2),
     ], ids=["serial", "thread", "process"])
-    def test_every_index_exactly_once(self, backend):
-        seen = dict(backend.execute(_square_point, _tasks()))
+    def test_every_index_exactly_once(self, pool_cls):
+        pool = pool_cls() if pool_cls is not None else None
+        try:
+            seen = dict(execute(_square_point, _tasks(), pool))
+        finally:
+            if pool is not None:
+                pool.shutdown()
         assert sorted(seen) == [0, 1, 2, 3, 4]
         assert seen[2] == {"n": 3, "squared": 9}
 
-    def test_point_error_propagates_without_fallback(self, capsys):
-        backend = ThreadBackend(2)
+    def test_point_error_propagates_without_fallback(self, thread_pool, capsys):
         tasks = [{"n": 1}, {"n": -5}, {"n": 3}]
         with pytest.raises(ValueError, match="negative point"):
-            list(backend.execute(_fragile_point, tasks))
+            list(execute(_fragile_point, tasks, thread_pool))
         assert "pool failed" not in capsys.readouterr().err
 
     def test_process_point_error_propagates(self, capsys):
-        backend = ProcessBackend(2)
-        with pytest.raises(ValueError, match="negative point"):
-            list(backend.execute(_fragile_point, [{"n": 1}, {"n": -5}, {"n": 3}]))
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            with pytest.raises(ValueError, match="negative point"):
+                list(execute(_fragile_point, [{"n": 1}, {"n": -5}, {"n": 3}], pool))
         assert "pool failed" not in capsys.readouterr().err
 
-    def test_point_oserror_is_a_point_error_not_infra(self, capsys):
+    def test_point_oserror_is_a_point_error_not_infra(self, thread_pool, capsys):
         # A point reading a missing file must propagate immediately — it is
         # the point's error, not a dead pool, and must never trigger the
         # serial fallback (it would just fail deterministically again after
@@ -116,8 +100,13 @@ class TestStreamingBackends:
             raise FileNotFoundError(f"no dataset for n={task['n']}")
 
         with pytest.raises(FileNotFoundError):
-            list(ThreadBackend(2).execute(missing_file_point, _tasks(3)))
+            list(execute(missing_file_point, _tasks(3), thread_pool))
         assert "pool failed" not in capsys.readouterr().err
+
+
+def _collect(rows):
+    """A streamed plan's rows in canonical order."""
+    return [plan_row.row for plan_row in sorted(rows, key=lambda row: row.index)]
 
 
 class TestDeadPoolWorker:
@@ -126,21 +115,39 @@ class TestDeadPoolWorker:
     def _expected_and_armed(self, marker):
         spec = _dying_spec(marker)
         marker.touch()  # disarmed: the serial reference must not exit
-        expected = collect_plan(spec, SerialBackend(), seed=0, batch_size=0)
+        expected = collect_plan(spec, seed=0, batch_size=0)
         marker.unlink()  # armed: the first pool worker to run a point dies
         return spec, expected
 
     def test_process_backend_reruns_the_lost_points(self, tmp_path, capsys):
         spec, expected = self._expected_and_armed(tmp_path / "died")
-        result = collect_plan(spec, ProcessBackend(2), seed=0, batch_size=0)
+        with Session(jobs=2, backend="process") as session:
+            rows = _collect(session.run_plan(spec, seed=0, batch_size=0))
         assert (tmp_path / "died").exists()  # a worker really exited
-        assert result.rows == expected.rows
-        assert "process pool failed" in capsys.readouterr().err
+        assert rows == expected.rows
+        assert "shared pool failed" in capsys.readouterr().err
 
     def test_session_shared_pool_degrades_to_serial(self, tmp_path):
-        spec, expected = self._expected_and_armed(tmp_path / "died")
+        spec, _ = self._expected_and_armed(tmp_path / "died")
         with Session(jobs=2, backend="process") as session:
-            result = session.run_spec(spec)
+            _collect(session.run_plan(spec, seed=0, batch_size=0))
             assert (tmp_path / "died").exists()
-            assert result.rows == expected.rows
             assert session.shared_executor() is None
+
+    def test_broken_session_builds_no_new_pool(self, tmp_path, monkeypatch):
+        # A session whose shared pool broke runs every later sweep serially;
+        # it must never build a fresh private pool per sweep.
+        spec, _ = self._expected_and_armed(tmp_path / "died")
+        serial = Session().run("firing_rate", seed=3, rates=(0.1, 0.3))
+        with Session(jobs=2, backend="process") as session:
+            _collect(session.run_plan(spec, seed=0, batch_size=0))
+            assert (tmp_path / "died").exists()
+
+            def no_new_pool(self, *args, **kwargs):
+                raise AssertionError("a degraded session built a pool")
+
+            monkeypatch.setattr(ProcessPoolExecutor, "__init__", no_new_pool)
+            result = session.run("firing_rate", seed=3, rates=(0.1, 0.3))
+            assert session.pool_launches == 1
+        assert result.rows == serial.rows
+        assert result.headline == serial.headline

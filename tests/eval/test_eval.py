@@ -7,18 +7,12 @@ from repro.eval.metrics import geometric_mean, ratio, summarize
 from repro.eval.reporting import format_table, render_experiment
 from repro.eval.experiments import (
     memory_footprint_experiment,
-    run_svgg11_variants,
     speedup_experiment,
     spva_microbenchmark_experiment,
     utilization_experiment,
     energy_experiment,
 )
-from repro.eval.sweeps import (
-    core_count_sweep,
-    firing_rate_sweep,
-    precision_sweep,
-    stream_length_sweep,
-)
+from repro.session import Session
 from repro.types import Precision
 
 
@@ -66,7 +60,7 @@ class TestReporting:
 class TestFigureExperiments:
     @pytest.fixture(scope="class")
     def variants(self):
-        return run_svgg11_variants(batch_size=2, seed=11)
+        return Session().run_variants(batch_size=2, seed=11)
 
     def test_memory_footprint_rows_and_reduction(self):
         result = memory_footprint_experiment(batch_size=4, seed=1)
@@ -77,6 +71,11 @@ class TestFigureExperiments:
         # Every spiking layer must individually favour the CSR format.
         for row in result.rows[1:]:
             assert row["reduction"] > 1.5
+
+    def test_memory_footprint_rejects_empty_batch(self):
+        # Same contract as Session.run_variants and the engine: no NaN rows.
+        with pytest.raises(ValueError, match="batch_size must be positive, got 0"):
+            memory_footprint_experiment(batch_size=0)
 
     def test_utilization_experiment(self, variants):
         result = utilization_experiment(variants=variants)
@@ -124,47 +123,26 @@ class TestFigureExperiments:
 
 
 class TestSweeps:
+    """Behaviour of individual registered sweeps; the core-count sweep's
+    scaling and 1-core anchor are covered in ``test_runner.py``."""
+
     def test_firing_rate_sweep_monotone_cycles(self):
-        result = firing_rate_sweep(rates=(0.05, 0.2, 0.4), seed=3)
+        result = Session().run("firing_rate", rates=(0.05, 0.2, 0.4), seed=3)
         cycles = [row["spikestream_cycles"] for row in result.rows]
         assert cycles == sorted(cycles)
 
-    def test_core_count_sweep_scales(self):
-        result = core_count_sweep(core_counts=(1, 4, 8))
-        cycles = [row["cycles"] for row in result.rows]
-        assert cycles[0] > cycles[-1]
-        assert 0.5 < result.rows[-1]["parallel_efficiency"] <= 1.05
-
-    def test_core_count_sweep_efficiency_exact_at_one_core(self):
-        result = core_count_sweep(core_counts=(1, 2))
-        assert result.rows[0]["parallel_efficiency"] == 1.0
-
-    def test_core_count_sweep_without_one_core_uses_explicit_reference(self):
-        # Regression: the old code anchored efficiency to the *first* entry
-        # (scaled by its own core count), so a (2, 4, 8) sweep reported the
-        # 2-core point as perfectly efficient.  The reference must be an
-        # explicit 1-core run of the same spike-count map.
-        subset = core_count_sweep(core_counts=(2, 4, 8), seed=3)
-        full = core_count_sweep(core_counts=(1, 2, 4, 8), seed=3)
-        for row_subset, row_full in zip(subset.rows, full.rows[1:]):
-            assert row_subset["parallel_efficiency"] == pytest.approx(
-                row_full["parallel_efficiency"]
-            )
-        # Real stealing overhead: no multi-core point is perfectly efficient.
-        assert all(row["parallel_efficiency"] < 1.0 for row in subset.rows)
-        assert "efficiency_at_8_cores" in subset.headline
-
     def test_precision_sweep(self):
-        result = precision_sweep(batch_size=1, seed=4)
+        result = Session().run("precision", batch_size=1, seed=4)
         runtimes = {row["precision"]: row["runtime_ms"] for row in result.rows}
         assert runtimes["fp8"] < runtimes["fp16"] < runtimes["fp32"]
 
     def test_precision_sweep_headline_order_independent(self):
         # Regression: the headline indexed rows[-2]/rows[-1], reporting a
         # wrong ratio whenever the caller reordered or subset the precisions.
-        default = precision_sweep(batch_size=1, seed=4)
-        reordered = precision_sweep(
-            precisions=(Precision.FP8, Precision.FP32, Precision.FP16),
+        session = Session()
+        default = session.run("precision", batch_size=1, seed=4)
+        reordered = session.run(
+            "precision", precisions=(Precision.FP8, Precision.FP32, Precision.FP16),
             batch_size=1, seed=4,
         )
         assert reordered.headline["fp8_over_fp16_speedup"] == pytest.approx(
@@ -173,11 +151,11 @@ class TestSweeps:
         assert default.headline["fp8_over_fp16_speedup"] > 1.0
 
     def test_precision_sweep_headline_omitted_when_precision_absent(self):
-        result = precision_sweep(precisions=(Precision.FP32, Precision.FP16),
-                                 batch_size=1, seed=4)
+        result = Session().run("precision", precisions=(Precision.FP32, Precision.FP16),
+                               batch_size=1, seed=4)
         assert "fp8_over_fp16_speedup" not in result.headline
 
     def test_stream_length_sweep(self):
-        result = stream_length_sweep(lengths=(1, 16, 256))
+        result = Session().run("stream_length", lengths=(1, 16, 256))
         speedups = [row["speedup"] for row in result.rows]
         assert speedups == sorted(speedups)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.backends import SerialBackend
-from repro.eval.runner import SWEEPS, run_sweep
+from repro.eval.runner import SWEEPS
 from repro.plan import (
     ParameterSpace,
     PlanRow,
@@ -12,6 +11,7 @@ from repro.plan import (
     iter_plan,
     point_seed,
 )
+from repro.session import Session
 
 
 # --------------------------------------------------------------------------- #
@@ -34,28 +34,9 @@ class TestParameterSpace:
             {"rate": 0.2, "precision": "fp16"},
         ]
 
-    def test_zipped_parallel_iteration(self):
-        space = ParameterSpace.zipped(a=(1, 2, 3), b=(10, 20, 30))
-        assert space.points() == [
-            {"a": 1, "b": 10}, {"a": 2, "b": 20}, {"a": 3, "b": 30},
-        ]
-
-    def test_zipped_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError, match="equal lengths"):
-            ParameterSpace.zipped(a=(1, 2), b=(1,))
-
     def test_chain_concatenates_points(self):
         space = ParameterSpace.grid(a=(1,)) + ParameterSpace.grid(a=(2, 3))
         assert [p["a"] for p in space.points()] == [1, 2, 3]
-
-    def test_product_merges_disjoint_axes(self):
-        space = ParameterSpace.grid(a=(1, 2)) * ParameterSpace.grid(b=("x",))
-        assert space.points() == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-        assert space.axis_names() == ("a", "b")
-
-    def test_product_rejects_shared_axes(self):
-        with pytest.raises(ValueError, match="share axes"):
-            ParameterSpace.grid(a=(1,)) * ParameterSpace.grid(a=(2,))
 
     def test_with_axis_replaces_values_immutably(self):
         space = ParameterSpace.grid(a=(1, 2), b=("x",))
@@ -71,8 +52,9 @@ class TestParameterSpace:
         chained = ParameterSpace.grid(a=(1,)) + ParameterSpace.grid(a=(2,), c=(5,))
         overridden = chained.with_axis("a", 7)
         assert [p["a"] for p in overridden.points()] == [7, 7]
-        product = ParameterSpace.grid(a=(1, 2)) * ParameterSpace.grid(b=("x",))
-        assert [p["b"] for p in product.with_axis("b", "y").points()] == ["y", "y"]
+        # Parts without the axis keep their points unchanged.
+        mixed = ParameterSpace.grid(a=(1,)) + ParameterSpace.grid(b=("x",))
+        assert mixed.with_axis("b", "y").points() == [{"a": 1}, {"b": "y"}]
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="no values"):
@@ -150,7 +132,7 @@ class TestIterPlan:
         # point evaluation: after the first `next` only one point has run.
         _calls.clear()
         spec = _spec(point=_tracking_point)
-        stream = iter_plan(spec, SerialBackend(), seed=1, batch_size=1)
+        stream = iter_plan(spec, seed=1, batch_size=1)
         first = next(stream)
         assert isinstance(first, PlanRow)
         assert first.index == 0 and first.row["doubled"] == 2
@@ -160,18 +142,17 @@ class TestIterPlan:
         assert _calls == [1, 2, 3]
 
     def test_rows_carry_point_params(self):
-        rows = list(iter_plan(_spec(), SerialBackend(), seed=1, batch_size=1,
-                              point_kwargs={"ns": (5,)}))
+        rows = list(iter_plan(_spec(), seed=1, batch_size=1, point_kwargs={"ns": (5,)}))
         assert rows[0].params == {"n": 5}
 
 
 class TestCollectPlan:
-    def test_result_matches_run_sweep(self):
-        direct = collect_plan(SWEEPS["stream_length"], SerialBackend(),
-                              seed=3, batch_size=4, point_kwargs={"lengths": (2, 8)})
-        legacy = run_sweep("stream_length", seed=3, lengths=(2, 8))
-        assert direct.rows == legacy.rows
-        assert direct.headline == legacy.headline
+    def test_result_matches_session_run(self):
+        direct = collect_plan(SWEEPS["stream_length"], seed=3, batch_size=4,
+                              point_kwargs={"lengths": (2, 8)})
+        via_session = Session().run("stream_length", seed=3, lengths=(2, 8))
+        assert direct.rows == via_session.rows
+        assert direct.headline == via_session.headline
         assert direct.name == "parallel_stream_length_sweep"
 
     def test_row_schema_violation_rejected(self):
@@ -180,13 +161,13 @@ class TestCollectPlan:
 
         spec = _spec(point=bad_point)
         with pytest.raises(ValueError, match="missing declared"):
-            collect_plan(spec, SerialBackend(), seed=1, batch_size=1)
+            collect_plan(spec, seed=1, batch_size=1)
 
     def test_headline_from_finalize(self):
         spec = _spec(finalize=lambda rows, tasks, run_point: {
             "total": sum(r["doubled"] for r in rows)
         })
-        result = collect_plan(spec, SerialBackend(), seed=1, batch_size=1)
+        result = collect_plan(spec, seed=1, batch_size=1)
         assert result.headline == {"total": 12}
 
 

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.eval.sweeps import optimization_ablation, strided_indirect_sweep
+from repro.eval.sweeps import optimization_ablation
+from repro.session import Session
 
 
 class TestOptimizationAblation:
@@ -34,7 +35,7 @@ class TestOptimizationAblation:
 class TestStridedIndirectSweep:
     @pytest.fixture(scope="class")
     def result(self):
-        return strided_indirect_sweep(rates=(0.05, 0.2, 0.4), seed=9)
+        return Session().run("strided_indirect", rates=(0.05, 0.2, 0.4), seed=9)
 
     def test_extension_always_helps(self, result):
         for row in result.rows:

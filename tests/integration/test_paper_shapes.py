@@ -13,15 +13,15 @@ from repro.eval.experiments import (
     accelerator_comparison_experiment,
     energy_experiment,
     memory_footprint_experiment,
-    run_svgg11_variants,
     speedup_experiment,
     utilization_experiment,
 )
+from repro.session import Session
 
 
 @pytest.fixture(scope="module")
 def variants():
-    return run_svgg11_variants(batch_size=3, seed=42)
+    return Session().run_variants(batch_size=3, seed=42)
 
 
 class TestFigure3aShape:

@@ -8,8 +8,8 @@ import pytest
 from repro.arch.params import DEFAULT_COSTS
 from repro.core.pipeline import SpikeStreamInference
 from repro.config import spikestream_config
-from repro.eval.experiments import speedup_experiment
-from repro.session import SCENARIOS, ResultStore, Session, default_session
+from repro.eval.runner import SWEEPS
+from repro.session import SCENARIOS, ResultStore, Session
 from repro.types import Precision
 
 
@@ -22,7 +22,7 @@ class TestScenarioRegistry:
                 "spva_microbenchmark"} <= names
         assert {"firing_rate", "core_count", "precision", "stream_length",
                 "strided_indirect"} <= names
-        assert names == set(SCENARIOS)
+        assert names == set(SCENARIOS) | set(SWEEPS)
 
     def test_describe_reports_kind_figure_and_params(self):
         session = Session()
@@ -247,16 +247,3 @@ class TestSessionModelWarnings:
     def test_default_session_models_never_warn(self, capsys):
         Session().run("stream_length", lengths=(2,))
         assert "default hardware models" not in capsys.readouterr().err
-
-
-class TestModuleLevelWrappers:
-    def test_experiment_wrappers_share_default_session_store(self):
-        session = default_session()
-        baseline_hits = session.store.hits
-        first = speedup_experiment(batch_size=1, seed=41)
-        second = speedup_experiment(batch_size=1, seed=41)
-        assert session.store.hits >= baseline_hits + 3
-        assert first.rows == second.rows
-
-    def test_default_session_is_a_singleton(self):
-        assert default_session() is default_session()

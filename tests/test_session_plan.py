@@ -2,18 +2,11 @@
 
 import pytest
 
-from repro.backends import ThreadBackend
 from repro.core.pipeline import SpikeStreamInference
 from repro.config import spikestream_config
-from repro.eval.runner import SWEEPS
+from repro.eval.runner import SWEEPS, register_sweep
 from repro.plan import ParameterSpace, PlanRow, SweepSpec
-from repro.session import (
-    SCENARIOS,
-    ResultStore,
-    Session,
-    _parse_cache_limit,
-    register_sweep,
-)
+from repro.session import ResultStore, Session, _parse_cache_limit
 
 
 # --------------------------------------------------------------------------- #
@@ -61,12 +54,6 @@ class TestRunPlan:
             with pytest.raises(KeyError, match="unknown sweep"):
                 next(session.run_plan("bogus"))
 
-    def test_run_spec_collects_canonical_result(self):
-        with Session() as session:
-            result = session.run_spec(_STREAM_SPEC)
-        assert [row["tripled"] for row in result.rows] == [3, 6, 9, 12]
-        assert result.name == "parallel_triple_sweep"
-
     def test_process_session_matches_serial_rows(self):
         with Session() as serial_session:
             serial = serial_session.run("firing_rate", seed=21, rates=(0.1, 0.3))
@@ -75,14 +62,6 @@ class TestRunPlan:
             assert process_session.pool_launches == 1  # the shared pool ran it
         assert serial.rows == parallel.rows
         assert serial.headline == parallel.headline
-
-    def test_run_plan_explicit_backend_object(self):
-        with Session() as session:
-            rows = sorted(
-                session.run_plan(_STREAM_SPEC, backend=ThreadBackend(2)),
-                key=lambda row: row.index,
-            )
-        assert [row.row["n"] for row in rows] == [1, 2, 3, 4]
 
 
 class TestRegisterSweep:
@@ -107,7 +86,6 @@ class TestRegisterSweep:
             assert [row["tripled"] for row in result.rows] == [6, 12]
         finally:
             SWEEPS.pop("registered_triple", None)
-            SCENARIOS.pop("registered_triple", None)
 
 
 # --------------------------------------------------------------------------- #

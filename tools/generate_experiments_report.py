@@ -14,16 +14,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.eval.experiments import (
-    accelerator_comparison_experiment,
-    energy_experiment,
-    memory_footprint_experiment,
-    run_svgg11_variants,
-    speedup_experiment,
-    spva_microbenchmark_experiment,
-    utilization_experiment,
-)
 from repro.eval.reporting import format_table
+from repro.session import Session
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,13 +50,15 @@ def _row(metric: str, paper: float, measured: float, unit: str = "") -> str:
 
 
 def build_report(batch_size: int, seed: int) -> str:
-    variants = run_svgg11_variants(batch_size=batch_size, seed=seed)
-    footprint = memory_footprint_experiment(batch_size=max(batch_size, 16), seed=seed)
-    utilization = utilization_experiment(variants=variants)
-    speedups = speedup_experiment(variants=variants)
-    energy = energy_experiment(variants=variants)
-    comparison = accelerator_comparison_experiment(timesteps=500, batch_size=4, seed=seed)
-    spva = spva_microbenchmark_experiment()
+    with Session() as session:
+        variants = session.run_variants(batch_size=batch_size, seed=seed)
+        footprint = session.run("memory_footprint", batch_size=max(batch_size, 16), seed=seed)
+        utilization = session.run("utilization", variants=variants)
+        speedups = session.run("speedup", variants=variants)
+        energy = session.run("energy", variants=variants)
+        comparison = session.run("accelerator_comparison", timesteps=500, batch_size=4,
+                                 seed=seed)
+        spva = session.run("spva_microbenchmark")
 
     p = PAPER_VALUES
     u, s, e, c = utilization.headline, speedups.headline, energy.headline, comparison.headline

@@ -107,8 +107,8 @@ def run_fast_sweep() -> int:
     return 0
 
 
-#: (label, run_sweep keyword arguments) of every execution backend the
-#: matrix check exercises.
+#: (label, Session keyword arguments) of every pool kind the matrix check
+#: exercises.
 BACKEND_MATRIX = (
     ("serial", {"backend": "serial"}),
     ("thread", {"backend": "thread", "jobs": 2}),
@@ -117,19 +117,20 @@ BACKEND_MATRIX = (
 
 
 def backend_matrix_check(sweep: str = "stream_length", **point_kwargs) -> None:
-    """One SweepSpec through every backend; rows must be bit-for-bit equal.
+    """One SweepSpec through every pool kind; rows must be bit-for-bit equal.
 
     Importable (used by the ``smoke``-marked tier-1 test) and raising
     ``AssertionError`` on the first divergence so failures name the backend.
     """
     if str(REPO_ROOT / "src") not in sys.path:
         sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.eval.runner import run_sweep
+    from repro.session import Session
 
     point_kwargs = point_kwargs or {"lengths": (1, 4, 16, 64)}
     reference = None
     for label, kwargs in BACKEND_MATRIX:
-        result = run_sweep(sweep, seed=17, **kwargs, **point_kwargs)
+        with Session(**kwargs) as session:
+            result = session.run(sweep, seed=17, **point_kwargs)
         if reference is None:
             reference = (label, result)
             continue
