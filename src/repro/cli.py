@@ -182,14 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="credit window spawned workers advertise: batches "
                             "the coordinator may keep in flight per worker "
                             "(--distributed; default 2)")
-    serve.add_argument("--blob-threshold", type=_positive_int, default=None,
-                       metavar="BYTES",
-                       help="arrays at or above this size cross the wire as "
-                            "content digests served from the blob cache "
-                            "(--distributed; default 65536)")
-    serve.add_argument("--wire-compress", action="store_true",
-                       help="deflate large wire buffers (worth it for sparse "
-                            "spike tensors; overhead for dense weights)")
     serve.add_argument("--workers-remote", type=_positive_int, default=2,
                        metavar="N",
                        help="worker processes to spawn under --distributed")
@@ -265,19 +257,10 @@ def _build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--heartbeat-ms", type=float, default=200.0,
                         help="heartbeat cadence; the coordinator's "
                              "registration ack overrides it")
-    worker.add_argument("--seed", type=int, default=2025)
     worker.add_argument("--credit", type=_positive_int, default=None,
                         metavar="N",
                         help="advertised credit window: batches the "
                              "coordinator may keep in flight here (default 2)")
-    worker.add_argument("--blob-threshold", type=_positive_int, default=None,
-                        metavar="BYTES",
-                        help="arrays at or above this size cross the wire as "
-                             "content digests (default 65536)")
-    worker.add_argument("--wire-compress", action="store_true",
-                        help="deflate large wire buffers on send")
-    worker.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="directory persisting this worker's result store")
     # Chaos levers for the rescue tests and smoke: hang or hard-exit the
     # process after N batches.  Deliberately undocumented in --help.
     worker.add_argument("--chaos-hang-after", type=int, default=None,
@@ -649,11 +632,7 @@ def _command_serve(args: argparse.Namespace) -> str:
     if args.distributed:
         from .net import Coordinator, spawn_worker
 
-        server = Coordinator(
-            blob_threshold=args.blob_threshold,
-            wire_compress=args.wire_compress,
-            **service_kwargs,
-        )
+        server = Coordinator(**service_kwargs)
         # Under --format json stdout is a machine-parsed document; the
         # workers' exit summaries must not interleave into it.
         processes = [
@@ -661,8 +640,6 @@ def _command_serve(args: argparse.Namespace) -> str:
                 server.address,
                 quiet=args.output_format == "json",
                 credit=args.credit,
-                blob_threshold=args.blob_threshold,
-                wire_compress=args.wire_compress,
             )
             for _ in range(args.workers_remote)
         ]
@@ -760,23 +737,18 @@ def _command_worker(args: argparse.Namespace) -> str:
         raise SystemExit(
             f"error: --connect expects HOST:PORT, got {args.connect!r}"
         )
-    session = Session(cache_dir=args.cache_dir, seed=args.seed)
     worker_kwargs = {}
     if args.credit is not None:
         worker_kwargs["credit"] = args.credit
     worker = NetWorker(
         (host, int(port_text)),
-        session=session,
         worker_id=args.worker_id,
         heartbeat_interval_s=args.heartbeat_ms / 1e3,
         chaos_hang_after=args.chaos_hang_after,
         chaos_exit_after=args.chaos_exit_after,
-        blob_threshold=args.blob_threshold,
-        wire_compress=args.wire_compress,
         **worker_kwargs,
     )
-    with session:
-        counters = worker.run()
+    counters = worker.run()
     detail = ", ".join(f"{key}={value}" for key, value in sorted(counters.items()))
     return f"worker {worker.worker_id or '?'} done: {detail}"
 

@@ -1,18 +1,18 @@
 """repro.net — the multi-host serving tier.
 
-A stdlib-only distributed transport (wire protocol v2: zero-copy array
-framing over ``sendmsg``/``recv_into``, a content-addressed
-:class:`~repro.net.blob.BlobCache` so weights cross each link once, and
-optional per-buffer compression — :mod:`~repro.net.framing`) connecting one
+A stdlib-only distributed transport (wire protocol v3: zero-copy array
+framing over ``sendmsg``/``recv_into`` and a content-addressed
+:class:`~repro.net.blob.BlobCache` so weights cross each link once —
+:mod:`~repro.net.framing`) connecting one
 :class:`~repro.net.coordinator.Coordinator` — the admission front, a
 :class:`~repro.serve.server.InferenceServer` whose queue is drained by
 remote hosts — to N :class:`~repro.net.worker.NetWorker` processes that
 register with a credit window, heartbeat, execute pushed
-fingerprint-compatible micro-batches and stream bit-for-bit results back.
-The coordinator stores every result in its session's
-:class:`~repro.session.ResultStore` and broadcasts it to the other
-workers' stores, so a result computed on any host short-circuits the
-identical request cluster-wide.
+fingerprint-compatible micro-batches under the coordinator's hardware
+models and stream bit-for-bit results back.  The coordinator's session
+:class:`~repro.session.ResultStore` is the cluster's one result cache:
+every result lands there, and an identical request resolves from it at
+admission or at dispatch without reaching a worker.
 
 Quickstart (two terminals)::
 
@@ -33,12 +33,8 @@ from .framing import (
     TruncatedFrame,
     VersionMismatch,
     WIRE_VERSION,
-    decode_frame,
-    encode_frame,
-    recv_message,
     request_from_wire,
     request_to_wire,
-    send_message,
 )
 from .worker import DEFAULT_CREDIT, NetWorker, spawn_worker
 
@@ -56,11 +52,7 @@ __all__ = [
     "VersionMismatch",
     "WIRE_VERSION",
     "array_digest",
-    "decode_frame",
-    "encode_frame",
-    "recv_message",
     "request_from_wire",
     "request_to_wire",
-    "send_message",
     "spawn_worker",
 ]

@@ -1,8 +1,8 @@
-"""Content-addressed blob storage for the v2 wire protocol.
+"""Content-addressed blob storage for the repro.net wire protocol.
 
-Large ndarrays cross a :mod:`repro.net` connection **once**: the v2 frame
-encoder (:mod:`repro.net.framing`) replaces any eligible array at or above
-the connection's blob threshold with its content digest, and the receiver
+Large ndarrays cross a :mod:`repro.net` connection **once**: the frame
+encoder (:mod:`repro.net.framing`) replaces any eligible array of at least
+``BLOB_THRESHOLD_BYTES`` with its content digest, and the receiver
 materializes the array from its local :class:`BlobCache` — answering
 ``__need_blob__`` over the wire only on a miss.  Network weight panels and
 repeated frame stacks therefore cost one transfer per worker instead of one

@@ -6,7 +6,7 @@ with ``workers=0``: the whole single-host admission surface — bounded
 result-store short-circuit, ``submit_statistical`` / ``submit_functional``,
 telemetry — is inherited unchanged, and instead of local worker threads the
 queue is drained by *remote worker processes* speaking the
-:mod:`repro.net.framing` wire protocol (v2).
+:mod:`repro.net.framing` wire protocol (v3).
 
 Dispatch is credit-based and pushed.  A worker registers advertising a
 *credit window* — how many batches may be outstanding on its link — and a
@@ -14,17 +14,21 @@ single dispatcher thread drains the queue: it waits for traffic, picks the
 least-loaded worker with free credit, lets the inherited
 :class:`~repro.serve.batcher.MicroBatcher` collect a fingerprint-compatible
 micro-batch behind the head, re-checks the result store per request (a
-result replicated from another worker since admission resolves right here —
-the cluster-wide short-circuit), records the remainder as an in-flight
-:class:`DispatchedBatch` and ships it.  With ``credit > 1`` the next batch
-is already sitting in the worker's socket buffer while the previous one
-computes, so the wire round-trip that used to serialize every
-``pull -> batch -> results`` cycle overlaps with execution.  Results stream
-back asynchronously; each one lands in the session's
-:class:`~repro.session.ResultStore`, is queued for a ``store_put_many``
-broadcast to every *other* worker (the producer already has it), resolves
-the caller's future, and refills the link's credit, waking the
-dispatcher.
+result that came back for an identical request since admission resolves
+right here), records the remainder as an in-flight :class:`DispatchedBatch`
+and ships it.  With ``credit > 1`` the next batch is already sitting in the
+worker's socket buffer while the previous one computes, so the wire
+round-trip overlaps with execution.  Results stream back asynchronously;
+each one lands in the session's :class:`~repro.session.ResultStore` — the
+cluster's one result cache (workers keep none; ``serve --cache-dir``
+persists it) — resolves the caller's future, and refills the link's
+credit, waking the dispatcher.
+
+Workers cost requests under the coordinator's hardware models: the
+``registered`` ack carries the session's ``cluster``, ``costs`` and
+``energy`` parameters, and each worker builds its session from them, so a
+remote result is the one the coordinator's own session would compute and
+is stored under the matching fingerprint.
 
 Large arrays ride the frame protocol's content-addressed blob cache
 (:class:`~repro.net.blob.BlobCache`, shared across every link): network
@@ -65,7 +69,7 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.results import PER_FRAME_METRICS, InferenceResult
 from ..serve.metrics import MetricsRegistry
@@ -143,7 +147,6 @@ class _WorkerLink:
         self.last_lag_ms = 0.0
         self.dispatches = 0
         self.results = 0
-        self.local_hits = 0
         self.rescued_from = 0
         self.alive = True
         self.stats: Dict[str, object] = {}
@@ -178,12 +181,6 @@ class Coordinator(InferenceServer):
     drain_timeout_s:
         Upper bound :meth:`close(drain=True) <close>` waits for queued and
         in-flight work to finish.
-    blob_threshold / wire_compress:
-        Wire-protocol knobs for every worker link — the array size at
-        which payloads turn into content digests (``None`` keeps the
-        :data:`~repro.net.framing.BLOB_THRESHOLD_BYTES` default), and
-        whether buffers are deflated on send (worth it for sparse spike
-        tensors, pure overhead for dense weights).
     """
 
     _MIN_WORKERS = 0  # execution happens in remote worker processes, not threads
@@ -205,8 +202,6 @@ class Coordinator(InferenceServer):
         deadline_margin_s: float = 0.5,
         pull_wait_s: float = 0.2,
         drain_timeout_s: float = 30.0,
-        blob_threshold: Optional[int] = None,
-        wire_compress: bool = False,
         tracer=None,
     ):
         super().__init__(
@@ -226,8 +221,6 @@ class Coordinator(InferenceServer):
         self.deadline_margin_s = deadline_margin_s
         self.pull_wait_s = pull_wait_s
         self.drain_timeout_s = drain_timeout_s
-        self.blob_threshold = blob_threshold
-        self.wire_compress = wire_compress
         #: one cache across every link: a blob registered while encoding
         #: for one worker answers any worker's ``__need_blob__``
         self.blob_cache = BlobCache()
@@ -236,14 +229,6 @@ class Coordinator(InferenceServer):
         self._worker_ids = itertools.count(1)
         self._batch_ids = itertools.count(1)
         self._collecting = 0
-        #: write-behind replication buffer: ``(entries, origin)`` per
-        #: results frame, plus the monotonic stamp of the oldest buffered
-        #: frame (see ``_replicate_many``).  Guarded by ``_net_lock``.
-        self._replication_pending: List[Tuple[List[Dict[str, object]], Optional[str]]] = []
-        self._replication_stamp: Optional[float] = None
-        #: oldest a buffered replication entry may grow before the monitor
-        #: flushes it even under sustained load
-        self.replication_flush_s = 0.5
         self._shutting_down = False
         self._deadline_rescued: set = set()
         self._stop_monitor = threading.Event()
@@ -257,9 +242,8 @@ class Coordinator(InferenceServer):
         # the parent: every snapshot has every key, zeroed or not).
         for counter in ("net.dispatches", "net.results", "net.rescues",
                         "net.redispatched_requests", "net.dispatch_short_circuits",
-                        "net.heartbeats", "net.store_replications",
-                        "net.workers_registered", "net.workers_lost",
-                        "net.credit_stalls"):
+                        "net.heartbeats", "net.workers_registered",
+                        "net.workers_lost", "net.credit_stalls"):
             self.metrics.counter(counter)
         for histogram in ("net.heartbeat_lag_ms", "net.batch_rtt_ms"):
             self.metrics.histogram(histogram)
@@ -290,12 +274,7 @@ class Coordinator(InferenceServer):
                 sock, _peer = self._listener.accept()
             except OSError:
                 return  # listener closed: shutdown
-            connection = FramedConnection(
-                sock,
-                blob_cache=self.blob_cache,
-                blob_threshold=self.blob_threshold,
-                compress=self.wire_compress,
-            )
+            connection = FramedConnection(sock, blob_cache=self.blob_cache)
             try:
                 hello = connection.recv()
                 if hello.kind != "register":
@@ -325,6 +304,9 @@ class Coordinator(InferenceServer):
                 worker_id=worker_id,
                 heartbeat_interval_s=self.heartbeat_interval_s,
                 coordinator_pid=os.getpid(),
+                cluster=self.session.cluster,
+                costs=self.session.costs,
+                energy=self.session.energy,
             )
         except _LINK_ERRORS as error:
             self._lose_worker(link, error)
@@ -371,10 +353,6 @@ class Coordinator(InferenceServer):
                 link.last_heartbeat = time.time()
             if message.kind == "heartbeat":
                 self._on_heartbeat(link, message)
-            elif message.kind == "pull":
-                # v2 readiness signal (sent once after registration); work
-                # is pushed by the dispatcher, so just nudge it.
-                self._dispatch_wake.set()
             elif message.kind == "results":
                 self._on_results(link, message)
             elif message.kind == "goodbye":
@@ -463,9 +441,10 @@ class Coordinator(InferenceServer):
                     self._collecting -= 1
 
     def _short_circuit(self, batch: List[InferenceRequest]) -> List[InferenceRequest]:
-        """Resolve requests already stored (e.g. replicated from a worker, or
-        computed by a stalled worker after its batch was rescued) without
-        dispatching them; returns the remainder."""
+        """Resolve requests already stored (e.g. an identical request's
+        result that came back since admission, or one a stalled worker
+        computed after its batch was rescued) without dispatching them;
+        returns the remainder."""
         pending: List[InferenceRequest] = []
         now = time.monotonic()
         for request in batch:
@@ -547,7 +526,6 @@ class Coordinator(InferenceServer):
         with self._net_lock:
             dispatched = link.inflight.pop(batch_id, None)
             link.results += 1
-            link.local_hits += int(message.get("local_hits") or 0)
         now = time.monotonic()
         if dispatched is not None:
             self.metrics.histogram("net.batch_rtt_ms").observe(
@@ -576,19 +554,16 @@ class Coordinator(InferenceServer):
             for request in (dispatched.requests if dispatched is not None else [])
         }
         completed = 0
-        # Store + queue replication for the whole frame BEFORE the futures
-        # resolve (a caller reading cluster telemetry right after its
-        # future fires must see the replication already counted).  The
-        # broadcast costs one store_put_many frame per results frame
-        # instead of a frame (and a worker wakeup) per result; adopt=True
-        # skips the store's defensive deep copy — the entries were just
-        # decoded off the wire, so they are already this process's private
-        # copies.  Callers are resolved with a _caller_copy each.
-        pairs = [(entry["fingerprint"], entry["result"]) for entry in entries
-                 if entry.get("error") is None]
-        for fingerprint, result in pairs:
-            self.session.store.put(fingerprint, result, adopt=True)
-        self._replicate_many(pairs, origin=link.worker_id)
+        # Store the whole frame BEFORE the futures resolve, so a caller that
+        # resubmits right after its future fires hits the store.
+        # adopt=True skips the store's defensive deep copy — the entries
+        # were just decoded off the wire, so they are already this
+        # process's private copies.  Callers are resolved with a
+        # _caller_copy each.
+        for entry in entries:
+            if entry.get("error") is None:
+                self.session.store.put(entry["fingerprint"], entry["result"],
+                                       adopt=True)
         for entry in entries:
             request = by_id.get(entry["id"])
             error = entry.get("error")
@@ -608,91 +583,12 @@ class Coordinator(InferenceServer):
         self.metrics.counter("net.results").inc()
         self._dispatch_wake.set()  # credit freed on this link
 
-    def _replicate_many(self, pairs: Sequence[Tuple[str, object]],
-                        origin: Optional[str] = None) -> None:
-        """Queue a results frame's entries for write-behind replication.
-
-        Replication is cache warming, not correctness — the coordinator's
-        own store already short-circuits duplicates at dispatch time — so
-        it must never compete with foreground traffic for the one thing a
-        busy cluster is short on (CPU for pickling and wire pushes).
-        Entries are buffered and flushed as one ``store_put_many`` frame
-        per link when the cluster is quiet (synchronously, so telemetry
-        read right after a lone request resolves already counts it), when
-        the oldest entry exceeds ``replication_flush_s`` (the monitor
-        ticks it), or at :meth:`close`.
-        """
-        entries = [
-            {"fingerprint": fingerprint, "result": result}
-            for fingerprint, result in pairs
-        ]
-        if not entries:
-            return
-        with self._net_lock:
-            self._replication_pending.append((entries, origin))
-            if self._replication_stamp is None:
-                self._replication_stamp = time.monotonic()
-        if self._replication_quiet():
-            self._flush_replication()
-
-    def _replication_quiet(self) -> bool:
-        """No queued traffic, nothing in flight: replication may flush."""
-        if self.queue.depth():
-            return False
-        with self._net_lock:
-            inflight = sum(len(link.inflight) for link in self._links.values())
-            return inflight == 0 and self._collecting == 0
-
-    def _maybe_flush_replication(self) -> None:
-        """Monitor hook: flush a quiet cluster's buffer, or one grown old."""
-        with self._net_lock:
-            stamp = self._replication_stamp
-            if not self._replication_pending:
-                return
-        aged = stamp is not None and (
-            time.monotonic() - stamp >= self.replication_flush_s
-        )
-        if aged or self._replication_quiet():
-            self._flush_replication()
-
-    def _flush_replication(self) -> None:
-        """Broadcast every buffered entry now (one frame per link).
-
-        Each link receives the entries every *other* worker produced —
-        the origin-skip of the eager design, preserved across batching.
-        ``net.store_replications`` still counts per entry per link.
-        """
-        with self._net_lock:
-            pending = self._replication_pending
-            self._replication_pending = []
-            self._replication_stamp = None
-            links = [link for link in self._links.values() if link.alive]
-        if not pending or not links:
-            return
-        replicated = 0
-        for link in links:
-            entries = [
-                entry
-                for frame_entries, origin in pending
-                if origin != link.worker_id
-                for entry in frame_entries
-            ]
-            if not entries:
-                continue
-            try:
-                link.connection.send("store_put_many", entries=entries)
-                replicated += len(entries)
-            except _LINK_ERRORS:
-                pass  # the link's own handler thread will reap it
-        self.metrics.counter("net.store_replications").inc(replicated)
-
     # -- liveness and rescue ------------------------------------------------
     def _monitor_loop(self) -> None:
         interval = min(0.05, self.liveness_timeout_s / 4)
         while not self._stop_monitor.wait(interval):
             self._reap_dead()
             self._rescue_stalled()
-            self._maybe_flush_replication()
 
     def _reap_dead(self) -> None:
         now = time.time()
@@ -704,12 +600,12 @@ class Coordinator(InferenceServer):
                     continue
                 if link.connection.sending:
                     # Mid-transfer — e.g. a multi-megabyte ``__blob__``
-                    # answer, compression included — the link thread cannot
-                    # read heartbeats off the socket, so their age says
-                    # nothing about the worker.  The transfer itself is the
-                    # proof of life; the fresh stamp gives the thread a full
-                    # liveness window to drain the queued heartbeats once
-                    # the send completes.
+                    # answer — the link thread cannot read heartbeats off
+                    # the socket, so their age says nothing about the
+                    # worker.  The transfer itself is the proof of life;
+                    # the fresh stamp gives the thread a full liveness
+                    # window to drain the queued heartbeats once the send
+                    # completes.
                     link.last_heartbeat = now
                     continue
                 if link.last_heartbeat < horizon:
@@ -818,7 +714,6 @@ class Coordinator(InferenceServer):
                     "credit": link.credit,
                     "dispatches": link.dispatches,
                     "results": link.results,
-                    "local_hits": link.local_hits,
                     "rescued_from": link.rescued_from,
                     "inflight": len(link.inflight),
                     "heartbeat_lag_ms": link.last_lag_ms,
@@ -910,9 +805,6 @@ class Coordinator(InferenceServer):
             self.metrics.counter("serve.cancelled").inc(cancelled)
         self._stop_dispatch.set()
         self._dispatch_wake.set()
-        # Deliver any write-behind replication still buffered before the
-        # shutdown broadcast: workers must not lose cache entries to timing.
-        self._flush_replication()
         with self._net_lock:
             self._shutting_down = True
             links = list(self._links.values())

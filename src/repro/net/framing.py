@@ -1,4 +1,4 @@
-"""Framed messages over sockets — the repro.net wire format (protocol v2).
+"""Framed messages over sockets — the repro.net wire format (protocol v3).
 
 Every message on a :mod:`repro.net` connection is one *frame*:
 
@@ -16,30 +16,25 @@ Every message on a :mod:`repro.net` connection is one *frame*:
 
 The prefix is big-endian (:data:`PREFIX` then :data:`V2_HEADER`), ``magic``
 is :data:`MAGIC` (``b"RPNT"``), and the *version field is validated before
-anything else is read*, so a peer speaking another version — including a v1
-peer, whose header also put ``version`` right after the magic — always gets
-a clean :class:`VersionMismatch` instead of a garbled decode.
-
-What changed from v1 (one pickled blob after a length header):
+anything else is read*, so a peer speaking another version — v1 and v2
+peers included, whose headers also put ``version`` right after the magic —
+always gets a clean :class:`VersionMismatch` instead of a garbled decode.
 
 * **Zero-copy array framing.**  The metadata section is a pickle
-  protocol-5 dump of the payload in which every eligible ndarray (contiguous,
-  ``nbytes >= ARRAY_OOB_BYTES``) is replaced by a placeholder; the array's
-  raw bytes travel as an entry in the *buffer table* — ``("nd", dtype,
-  shape, order, nbytes, clen)`` — followed verbatim in the buffer section.
+  protocol-5 dump of the payload in which every non-object ndarray of at
+  least ``ARRAY_OOB_BYTES`` (a strided view is first copied contiguous) is
+  replaced by a placeholder; the array's raw bytes travel as an entry in
+  the *buffer table* — ``("nd", dtype, shape, order, nbytes)`` — followed
+  verbatim in the buffer section.
   Frames are sent with :func:`socket.socket.sendmsg` scatter-gather (no
   concatenation copy) and received with ``recv_into`` straight into the
   destination allocation.
 * **Content-addressed blobs.**  With a :class:`~repro.net.blob.BlobCache`
-  attached, arrays at or above the connection's blob threshold are replaced
-  by ``("blob", digest, dtype, shape, order, nbytes)`` entries that carry
-  *no* bytes; the receiver materializes them from its cache and answers a
+  attached, arrays of at least :data:`BLOB_THRESHOLD_BYTES` are replaced by
+  ``("blob", digest, dtype, shape, order, nbytes)`` entries that carry *no*
+  bytes; the receiver materializes them from its cache and answers a
   ``__need_blob__`` frame only on a miss.  Weights cross the wire once per
   worker, not once per batch.
-* **Optional compression.**  ``compress=True`` deflates individual buffers
-  (``clen > 0`` in the table entry) when it actually shrinks them — useful
-  for sparse spike tensors; decoding always understands both forms, so
-  compression is a sender-side choice needing no negotiation.
 
 Pickle is acceptable here because both ends of every connection are trusted
 repro processes on the same deployment (the coordinator spawns or invites
@@ -57,7 +52,8 @@ Error taxonomy (all subclasses of :class:`FrameError`):
   :data:`WIRE_VERSION`; frames are not decoded across versions.
 
 :class:`FramedConnection` wraps one socket with thread-safe
-:meth:`~FramedConnection.send` / :meth:`~FramedConnection.recv`, runs the
+:meth:`~FramedConnection.send` / :meth:`~FramedConnection.recv` — the one
+encoder (:func:`encode_frame_segments`) and the one decoder — runs the
 blob-miss protocol transparently under its receive lock, and keeps byte
 accounting both in total (``bytes_sent`` / ``bytes_received``) and per
 message kind (:meth:`~FramedConnection.bytes_by_kind`) for the
@@ -71,7 +67,6 @@ import pickle
 import socket
 import struct
 import threading
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,22 +91,18 @@ __all__ = [
     "V2_HEADER",
     "VersionMismatch",
     "WIRE_VERSION",
-    "decode_frame",
-    "encode_frame",
     "encode_frame_segments",
-    "recv_message",
     "request_from_wire",
     "request_to_wire",
-    "send_message",
 ]
 
 MAGIC = b"RPNT"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 #: Version-gate prefix shared by every protocol version: reading it alone is
 #: enough to reject a foreign peer cleanly.
 PREFIX = struct.Struct("!4sH")  # magic, wire version
-#: Rest of the v2 header: flags, kind length, buffer-table entry count,
-#: pickled-table length, metadata length.
+#: Rest of the header (unchanged since v2): flags, kind length, buffer-table
+#: entry count, pickled-table length, metadata length.
 V2_HEADER = struct.Struct("!HHHIQ")
 # The metadata + table of a frame bigger than this is a corrupted header,
 # not a real payload; legitimate metadata (requests minus their arrays) is
@@ -122,11 +113,10 @@ MAX_BUFFER_BYTES = 1 << 34
 #: Arrays smaller than this pickle in-band with the metadata — framing
 #: overhead would exceed the copy they avoid.
 ARRAY_OOB_BYTES = 2048
-#: Default size at which an array is shipped as a content digest instead of
-#: bytes (when the connection has a blob cache).
+#: Size at which an array is shipped as a content digest instead of bytes
+#: (when the connection has a blob cache).  Read at encode time, so tests
+#: can lower it.
 BLOB_THRESHOLD_BYTES = 1 << 16
-#: Buffers below this are never worth deflating even with ``compress=True``.
-COMPRESS_MIN_BYTES = 1 << 14
 
 #: Reserved message kinds the connection itself exchanges to resolve blob
 #: misses; they never reach application code and never blob-substitute
@@ -215,15 +205,13 @@ def _small_nd(data: bytes, dtype: str, shape: tuple) -> np.ndarray:
 
 
 class _EncodeState:
-    __slots__ = ("arrays", "blobs", "pickle_buffers", "blob_cache",
-                 "blob_threshold")
+    __slots__ = ("arrays", "blobs", "pickle_buffers", "blob_cache")
 
-    def __init__(self, blob_cache: Optional[BlobCache], blob_threshold: int):
+    def __init__(self, blob_cache: Optional[BlobCache]):
         self.arrays: List[np.ndarray] = []
         self.blobs: List[Tuple[str, np.ndarray]] = []
         self.pickle_buffers: List[pickle.PickleBuffer] = []
         self.blob_cache = blob_cache
-        self.blob_threshold = blob_threshold
 
 
 class _WirePickler(pickle.Pickler):
@@ -244,6 +232,11 @@ class _WirePickler(pickle.Pickler):
         state = self._state
         if type(obj) is not np.ndarray:
             return NotImplemented
+        if not (obj.flags.c_contiguous or obj.flags.f_contiguous
+                or obj.dtype.hasobject):
+            # A strided view is copied either way; copying it here keeps a
+            # non-native byte order, which numpy's own reduce drops.
+            obj = np.ascontiguousarray(obj)
         if (
             obj.nbytes < ARRAY_OOB_BYTES
             and not obj.dtype.hasobject
@@ -262,7 +255,7 @@ class _WirePickler(pickle.Pickler):
         ):
             if (
                 state.blob_cache is not None
-                and obj.nbytes >= state.blob_threshold
+                and obj.nbytes >= BLOB_THRESHOLD_BYTES
             ):
                 digest = array_digest(obj)
                 state.blob_cache.register(digest, array_wire_view(obj)[0])
@@ -275,33 +268,18 @@ class _WirePickler(pickle.Pickler):
         return NotImplemented
 
 
-def _maybe_compress(view: memoryview, compress: bool,
-                    compress_min: int) -> Tuple[object, int]:
-    """``(wire_bytes, clen)`` for one buffer; ``clen == 0`` means raw."""
-    if not compress or view.nbytes < compress_min:
-        return view, 0
-    packed = zlib.compress(view, 1)
-    if len(packed) >= view.nbytes:
-        return view, 0
-    return packed, len(packed)
-
-
 def encode_frame_segments(
     message: Message,
-    version: int = WIRE_VERSION,
     *,
     blob_cache: Optional[BlobCache] = None,
-    blob_threshold: int = BLOB_THRESHOLD_BYTES,
-    compress: bool = False,
-    compress_min: int = COMPRESS_MIN_BYTES,
 ) -> Tuple[List[object], int]:
     """``message`` as scatter-gather segments plus the total byte count.
 
     The first segment is the header + kind + buffer table; the second is the
-    protocol-5 metadata; the rest are raw (or individually deflated) array
-    buffers, zero-copy views over the live payload arrays.
+    protocol-5 metadata; the rest are raw array buffers, zero-copy views
+    over the live payload arrays.
     """
-    state = _EncodeState(blob_cache, blob_threshold)
+    state = _EncodeState(blob_cache)
     sink = io.BytesIO()
     _WirePickler(sink, state).dump(message.payload)
     meta = sink.getbuffer()
@@ -311,23 +289,18 @@ def encode_frame_segments(
     buffer_bytes = 0
     for arr in state.arrays:
         view, order = array_wire_view(arr)
-        wire, clen = _maybe_compress(view, compress, compress_min)
-        table.append(("nd", arr.dtype.str, tuple(arr.shape), order,
-                      arr.nbytes, clen))
-        wire_view = wire if isinstance(wire, memoryview) else memoryview(wire)
-        buffers.append(wire_view)
-        buffer_bytes += wire_view.nbytes
+        table.append(("nd", arr.dtype.str, tuple(arr.shape), order, arr.nbytes))
+        buffers.append(view)
+        buffer_bytes += view.nbytes
     for digest, arr in state.blobs:
         _view, order = array_wire_view(arr)
         table.append(("blob", digest, arr.dtype.str, tuple(arr.shape), order,
                       arr.nbytes))
     for pb in state.pickle_buffers:
         view = pb.raw().cast("B")
-        wire, clen = _maybe_compress(view, compress, compress_min)
-        table.append(("pb", view.nbytes, clen))
-        wire_view = wire if isinstance(wire, memoryview) else memoryview(wire)
-        buffers.append(wire_view)
-        buffer_bytes += wire_view.nbytes
+        table.append(("pb", view.nbytes))
+        buffers.append(view)
+        buffer_bytes += view.nbytes
 
     kind_bytes = message.kind.encode("utf-8")
     table_bytes = pickle.dumps(table, protocol=4) if table else b""
@@ -347,21 +320,13 @@ def encode_frame_segments(
             f"buffer section of {buffer_bytes} bytes exceeds the "
             f"{MAX_BUFFER_BYTES}-byte bound"
         )
-    header = PREFIX.pack(MAGIC, version) + V2_HEADER.pack(
+    header = PREFIX.pack(MAGIC, WIRE_VERSION) + V2_HEADER.pack(
         0, len(kind_bytes), len(table), len(table_bytes), meta.nbytes
     )
     segments: List[object] = [header + kind_bytes + table_bytes, meta]
     segments.extend(buffers)
     total = len(segments[0]) + meta.nbytes + buffer_bytes
     return segments, total
-
-
-def encode_frame(message: Message, version: int = WIRE_VERSION,
-                 **options: object) -> bytes:
-    """``message`` as one contiguous frame (convenience over segments)."""
-    segments, _total = encode_frame_segments(message, version, **options)
-    return b"".join(bytes(memoryview(seg).cast("B")) if not isinstance(seg, bytes)
-                    else seg for seg in segments)
 
 
 def _parse_table(raw: object, n_entries: int) -> List[tuple]:
@@ -377,111 +342,12 @@ def _parse_table(raw: object, n_entries: int) -> List[tuple]:
 def _buffer_wire_size(entry: tuple) -> int:
     """Bytes the entry occupies in the buffer section (0 for blob refs)."""
     if entry[0] == "nd":
-        return entry[5] or entry[4]
+        return entry[4]
     if entry[0] == "pb":
-        return entry[2] or entry[1]
+        return entry[1]
     if entry[0] == "blob":
         return 0
     raise FrameError(f"unknown buffer-table entry tag {entry[0]!r}")
-
-
-def _finish_payload(meta, pb_buffers: Sequence[object],
-                    arrays: List[np.ndarray],
-                    blob_arrays: List[np.ndarray]) -> object:
-    _DECODE_CONTEXT.arrays = arrays
-    _DECODE_CONTEXT.blobs = blob_arrays
-    try:
-        return pickle.loads(meta, buffers=pb_buffers)
-    finally:
-        _DECODE_CONTEXT.arrays = None
-        _DECODE_CONTEXT.blobs = None
-
-
-def _materialize_entry(entry: tuple, raw, *, writable: bool) -> np.ndarray:
-    """Array for one ``nd`` table entry from its wire bytes."""
-    _tag, dtype, shape, order, _nbytes, clen = entry
-    if clen:
-        raw = bytearray(zlib.decompress(raw)) if writable else zlib.decompress(raw)
-    return materialize(raw, dtype, tuple(shape), order)
-
-
-def decode_frame(data: bytes,
-                 blob_cache: Optional[BlobCache] = None) -> Tuple[Message, int]:
-    """Decode one frame from ``data``; returns ``(message, bytes_consumed)``.
-
-    Raises :class:`TruncatedFrame` when ``data`` holds less than one whole
-    frame, :class:`FrameError` on a bad magic or a blob reference absent
-    from ``blob_cache``, :class:`VersionMismatch` on a foreign wire version.
-    Decoded out-of-band arrays are zero-copy (read-only) views into
-    ``data``.
-    """
-    view = memoryview(data)
-    if view.nbytes < PREFIX.size:
-        raise TruncatedFrame(
-            f"{view.nbytes} bytes is shorter than the {PREFIX.size}-byte prefix"
-        )
-    magic, version = PREFIX.unpack_from(view)
-    _check_prefix(magic, version)
-    if view.nbytes < PREFIX.size + V2_HEADER.size:
-        raise TruncatedFrame(
-            f"{view.nbytes} bytes is shorter than the "
-            f"{PREFIX.size + V2_HEADER.size}-byte v2 header"
-        )
-    _flags, kind_len, n_entries, table_len, meta_len = V2_HEADER.unpack_from(
-        view, PREFIX.size
-    )
-    if kind_len + table_len + meta_len > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame announces {kind_len + table_len + meta_len} metadata "
-            f"bytes, over the {MAX_FRAME_BYTES}-byte bound"
-        )
-    offset = PREFIX.size + V2_HEADER.size
-    if view.nbytes < offset + kind_len + table_len + meta_len:
-        raise TruncatedFrame(
-            f"frame announces {kind_len + table_len + meta_len} metadata "
-            f"bytes but only {view.nbytes - offset} are present"
-        )
-    kind = bytes(view[offset:offset + kind_len]).decode("utf-8")
-    offset += kind_len
-    table = _parse_table(view[offset:offset + table_len], n_entries)
-    offset += table_len
-    meta = view[offset:offset + meta_len]
-    offset += meta_len
-
-    buffer_bytes = sum(_buffer_wire_size(entry) for entry in table)
-    if buffer_bytes > MAX_BUFFER_BYTES:
-        raise FrameError(
-            f"buffer section of {buffer_bytes} bytes exceeds the "
-            f"{MAX_BUFFER_BYTES}-byte bound"
-        )
-    if view.nbytes < offset + buffer_bytes:
-        raise TruncatedFrame(
-            f"frame announces {buffer_bytes} buffer bytes but only "
-            f"{view.nbytes - offset} are present"
-        )
-
-    arrays: List[np.ndarray] = []
-    pb_buffers: List[object] = []
-    blob_arrays: List[np.ndarray] = []
-    for entry in table:
-        size = _buffer_wire_size(entry)
-        raw = view[offset:offset + size]
-        offset += size
-        if entry[0] == "nd":
-            arrays.append(_materialize_entry(entry, raw, writable=False))
-        elif entry[0] == "pb":
-            pb_buffers.append(zlib.decompress(raw) if entry[2] else raw)
-        else:  # blob
-            _tag, digest, dtype, shape, order, _nbytes = entry
-            stored = blob_cache.get(digest) if blob_cache is not None else None
-            if stored is None:
-                raise FrameError(
-                    f"frame references blob {digest} absent from the local cache"
-                )
-            blob_arrays.append(materialize(stored, dtype, tuple(shape), order))
-
-    payload = _finish_payload(meta, pb_buffers, arrays, blob_arrays)
-    return Message(kind, payload), offset
 
 
 # -- socket paths ------------------------------------------------------------
@@ -566,13 +432,18 @@ class _InboundFrame:
                     f"frame references blob {digest} absent from the local cache"
                 )
             blob_arrays.append(materialize(stored, dtype, tuple(shape), order))
-        payload = _finish_payload(self._meta, self._pb, self._arrays,
-                                  blob_arrays)
+        _DECODE_CONTEXT.arrays = self._arrays
+        _DECODE_CONTEXT.blobs = blob_arrays
+        try:
+            payload = pickle.loads(self._meta, buffers=self._pb)
+        finally:
+            _DECODE_CONTEXT.arrays = None
+            _DECODE_CONTEXT.blobs = None
         return Message(self.kind, payload)
 
 
 def _recv_frame(sock: socket.socket) -> _InboundFrame:
-    """Read one v2 frame, landing buffers straight in their allocations."""
+    """Read one frame, landing buffers straight in their allocations."""
     prefix = bytearray(PREFIX.size)
     _recv_exact_into(sock, memoryview(prefix), at_boundary=True)
     magic, version = PREFIX.unpack(prefix)
@@ -608,49 +479,24 @@ def _recv_frame(sock: socket.socket) -> _InboundFrame:
         tag = entry[0]
         if tag == "blob":
             blob_entries.append(entry)
-            continue
-        size = _buffer_wire_size(entry)
-        if tag == "nd" and not entry[5]:
-            # Uncompressed array: receive straight into the destination
-            # allocation — the zero-copy landing pad.
-            _t, dtype, shape, order, _nbytes, _clen = entry
+        elif tag == "nd":
+            # Receive straight into the destination allocation — the
+            # zero-copy landing pad.
+            _t, dtype, shape, order, _nbytes = entry
             if order == "F":
                 arr = np.empty(tuple(reversed(shape)), dtype=np.dtype(dtype))
             else:
                 arr = np.empty(tuple(shape), dtype=np.dtype(dtype))
             _recv_exact_into(sock, memoryview(arr).cast("B"))
             arrays.append(arr.T if order == "F" else arr)
-            continue
-        raw = bytearray(size)
-        if raw:
-            _recv_exact_into(sock, memoryview(raw))
-        if tag == "nd":
-            arrays.append(_materialize_entry(entry, raw, writable=True))
         else:  # pb
-            pb_buffers.append(
-                bytearray(zlib.decompress(raw)) if entry[2] else raw
-            )
+            raw = bytearray(entry[1])
+            if raw:
+                _recv_exact_into(sock, memoryview(raw))
+            pb_buffers.append(raw)
     total = (PREFIX.size + V2_HEADER.size + len(front) + meta_len
              + buffer_bytes)
     return _InboundFrame(kind, total, meta, pb_buffers, arrays, blob_entries)
-
-
-def send_message(sock: socket.socket, message: Message,
-                 version: int = WIRE_VERSION) -> int:
-    """Write one frame to ``sock``; returns the bytes put on the wire."""
-    segments, total = encode_frame_segments(message, version)
-    _sendmsg_all(sock, segments)
-    return total
-
-
-def recv_message(sock: socket.socket) -> Tuple[Message, int]:
-    """Read one frame from ``sock``; returns ``(message, bytes_read)``.
-
-    This cache-less entry point refuses frames carrying blob references —
-    use a :class:`FramedConnection` for those.
-    """
-    frame = _recv_frame(sock)
-    return frame.finish(None), frame.bytes_read
 
 
 # Fields of an InferenceRequest that travel to a worker.  ``future`` stays
@@ -696,14 +542,14 @@ class FramedConnection:
     """Thread-safe framed-message endpoint over one connected socket.
 
     Multiple threads may send concurrently (a worker's heartbeat thread
-    interleaves with its result stream; the coordinator's store-replication
-    broadcast interleaves with batch dispatch) — each frame is written
+    interleaves with its result stream; the coordinator's ``__blob__``
+    answers interleave with batch dispatch) — each frame is written
     atomically under the send lock.  Receiving is single-reader by
     convention (one handler/loop thread per connection) but locked anyway.
 
     With a :class:`~repro.net.blob.BlobCache` attached, the connection runs
     the blob protocol transparently: outgoing arrays at or above
-    ``blob_threshold`` travel as digests; an incoming frame whose digests
+    :data:`BLOB_THRESHOLD_BYTES` travel as digests; an incoming frame whose digests
     miss the local cache parks under the receive lock, a ``__need_blob__``
     frame asks the peer for the bytes, and ``__blob__`` replies (plus any
     interleaved application frames, which are re-queued in arrival order)
@@ -719,15 +565,9 @@ class FramedConnection:
     """
 
     def __init__(self, sock: socket.socket, *,
-                 blob_cache: Optional[BlobCache] = None,
-                 blob_threshold: Optional[int] = None,
-                 compress: bool = False):
+                 blob_cache: Optional[BlobCache] = None):
         self._sock = sock
         self._blob_cache = blob_cache
-        self._blob_threshold = (
-            BLOB_THRESHOLD_BYTES if blob_threshold is None else blob_threshold
-        )
-        self._compress = compress
         self._send_lock = threading.Lock()
         self._recv_lock = threading.Lock()
         self._counter_lock = threading.Lock()
@@ -746,19 +586,18 @@ class FramedConnection:
     @classmethod
     def connect(cls, address: Tuple[str, int],
                 timeout: Optional[float] = None,
-                **options: object) -> "FramedConnection":
+                blob_cache: Optional[BlobCache] = None) -> "FramedConnection":
         """Open a framed connection to ``(host, port)``.
 
         ``timeout`` bounds the connect; the established stream itself is
         blocking (message waits are governed by the protocol, not the
-        socket).  ``options`` forward to the constructor (blob cache,
-        threshold, compression).
+        socket).
         """
         sock = socket.create_connection(address, timeout=timeout)
         connection = None
         try:
             sock.settimeout(None)
-            connection = cls(sock, **options)
+            connection = cls(sock, blob_cache=blob_cache)
             return connection
         finally:
             if connection is None:
@@ -774,10 +613,7 @@ class FramedConnection:
             self._sends_active += 1
         try:
             segments, total = encode_frame_segments(
-                Message(kind, payload),
-                blob_cache=cache,
-                blob_threshold=self._blob_threshold,
-                compress=self._compress,
+                Message(kind, payload), blob_cache=cache
             )
             with self._send_lock:
                 _sendmsg_all(self._sock, segments)
@@ -793,10 +629,10 @@ class FramedConnection:
     def sending(self) -> bool:
         """True while any thread is inside :meth:`send`.
 
-        Covers the whole send — encoding (compression included) plus the
-        socket write — so a liveness monitor can tell "the link thread is
-        busy moving a multi-megabyte frame" apart from "the peer went
-        quiet".  A reader blocked on an empty socket is *not* sending.
+        Covers the whole send — encoding plus the socket write — so a
+        liveness monitor can tell "the link thread is busy moving a
+        multi-megabyte frame" apart from "the peer went quiet".  A reader
+        blocked on an empty socket is *not* sending.
         """
         with self._counter_lock:
             return self._sends_active > 0

@@ -3,23 +3,23 @@
 :class:`NetWorker` is the execution side of the :mod:`repro.net` protocol:
 it connects to a :class:`~repro.net.coordinator.Coordinator`, registers
 (advertising its *credit window* — how many batches the coordinator may
-keep in flight on this link), heartbeats on a daemon thread, announces
-readiness with a single ``pull``, and then serves a pushed stream of work:
+keep in flight on this link), builds its :class:`~repro.session.Session`
+from the hardware models (``cluster``, ``costs``, ``energy``) the
+``registered`` ack carries, heartbeats on a daemon thread, and then serves
+a pushed stream of work:
 
 * ``batch`` — rebuild the :class:`~repro.serve.queue.InferenceRequest`
-  objects from their wire dicts, check the *local* result store first (a
-  replicated hit skips the engine entirely), run the misses through this
-  worker's own :class:`~repro.serve.batcher.MicroBatcher` in one batched
-  pass, store, and stream the results back.  Results are bit-for-bit what
-  the coordinator's session would have produced: configs, seeds, networks
-  and frames cross the wire losslessly and the engines are deterministic.
+  objects from their wire dicts, run them through this worker's own
+  :class:`~repro.serve.batcher.MicroBatcher` in one batched pass, and
+  stream the results back.  Results are bit-for-bit what the
+  coordinator's session would have produced: configs, seeds, networks,
+  frames and hardware models cross the wire losslessly and the engines are
+  deterministic.  The worker keeps no result store: the coordinator's is
+  the cluster's one cache and never dispatches a request it can answer.
   With ``credit > 1`` the next batch is usually already queued in the
   socket buffer when results go out — compute overlaps wire latency
   instead of alternating with it.
-* ``store_put_many`` — replication traffic from the coordinator (a
-  results frame's worth of entries other workers computed), adopted into
-  the local result store.
-* ``idle`` / ``shutdown`` — keepalive no-op / drain-and-exit.
+* ``shutdown`` — drain and exit.
 
 Each worker owns a :class:`~repro.net.blob.BlobCache`: network weight
 panels and other large arrays arrive as content digests and are fetched
@@ -45,7 +45,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..obs import Tracer
 from ..serve.batcher import MicroBatcher
@@ -87,9 +87,6 @@ class NetWorker:
     ----------
     address:
         The coordinator's ``(host, port)``.
-    session:
-        The session whose engines execute batches.  Omitted: the worker
-        creates (and owns, and closes) a default one.
     worker_id:
         Requested registration name; the coordinator may uniquify it.
     heartbeat_interval_s:
@@ -98,11 +95,6 @@ class NetWorker:
     credit:
         Advertised credit window (outstanding batches the coordinator may
         push to this worker); clamped to at least 1.
-    blob_threshold / wire_compress:
-        Wire-protocol knobs forwarded to this worker's
-        :class:`~repro.net.framing.FramedConnection` — the array size at
-        which payloads turn into content digests, and whether buffers are
-        deflated on send.
     chaos_hang_after / chaos_exit_after:
         Testing levers: after this many batches have *started*, hang
         forever (heartbeats continue — a stalled worker) or hard-exit the
@@ -112,26 +104,19 @@ class NetWorker:
     def __init__(
         self,
         address: Tuple[str, int],
-        session: Optional[Session] = None,
         worker_id: Optional[str] = None,
         heartbeat_interval_s: float = 0.2,
         connect_timeout_s: float = 10.0,
         credit: int = DEFAULT_CREDIT,
-        blob_threshold: Optional[int] = None,
-        wire_compress: bool = False,
         chaos_hang_after: Optional[int] = None,
         chaos_exit_after: Optional[int] = None,
     ):
         self.address = address
-        self._owns_session = session is None
-        self.session = session if session is not None else Session()
         self.requested_id = worker_id
         self.worker_id = worker_id or ""
         self.heartbeat_interval_s = heartbeat_interval_s
         self.connect_timeout_s = connect_timeout_s
         self.credit = max(1, int(credit))
-        self.blob_threshold = blob_threshold
-        self.wire_compress = wire_compress
         self.blob_cache = BlobCache()
         self.chaos_hang_after = chaos_hang_after
         self.chaos_exit_after = chaos_exit_after
@@ -141,12 +126,10 @@ class NetWorker:
         # configuration.  Spans are drained per batch and shipped home on
         # the results frame (the coordinator rebases their clock).
         self.tracer = Tracer(enabled=True)
-        self.batcher = MicroBatcher(self.session, tracer=self.tracer)
-        self.counters: Dict[str, int] = {
-            "batches": 0,
-            "requests": 0,
-            "local_hits": 0,
-        }
+        #: built at registration, on a session with the coordinator's
+        #: hardware models
+        self.batcher: Optional[MicroBatcher] = None
+        self.counters: Dict[str, int] = {"batches": 0, "requests": 0}
         self._stop = threading.Event()
         self._connection: Optional[FramedConnection] = None
         self._heartbeat_thread: Optional[threading.Thread] = None
@@ -155,15 +138,12 @@ class NetWorker:
     def run(self) -> Dict[str, int]:
         """Serve until the coordinator shuts the cluster down.
 
-        Returns the worker's counter snapshot (batches, requests served,
-        local store hits).
+        Returns the worker's counter snapshot (batches and requests
+        served).
         """
         connection = FramedConnection.connect(
-            self.address,
-            timeout=self.connect_timeout_s,
+            self.address, timeout=self.connect_timeout_s,
             blob_cache=self.blob_cache,
-            blob_threshold=self.blob_threshold,
-            compress=self.wire_compress,
         )
         self._connection = connection
         try:
@@ -175,6 +155,10 @@ class NetWorker:
             if ack.kind != "registered":
                 raise FrameError(f"expected a registered ack, got {ack.kind!r}")
             self.worker_id = str(ack["worker_id"])
+            session = Session(
+                cluster=ack["cluster"], costs=ack["costs"], energy=ack["energy"]
+            )
+            self.batcher = MicroBatcher(session, tracer=self.tracer)
             interval = ack.get("heartbeat_interval_s")
             if interval is not None:
                 self.heartbeat_interval_s = float(interval)
@@ -197,8 +181,6 @@ class NetWorker:
             connection.close()
             if self._heartbeat_thread is not None:
                 self._heartbeat_thread.join(timeout=2.0)
-            if self._owns_session:
-                self.session.close()
         return dict(self.counters)
 
     def stop(self) -> None:
@@ -209,31 +191,16 @@ class NetWorker:
 
     # -- the protocol loop --------------------------------------------------
     def _serve(self, connection: FramedConnection) -> None:
-        # One pull announces readiness; after that the coordinator pushes
-        # work up to the advertised credit window, so the loop is
-        # recv-driven.
-        connection.send("pull", worker_id=self.worker_id)
+        # The coordinator pushes work up to the advertised credit window,
+        # so the loop is recv-driven.
         while not self._stop.is_set():
-            message = self._next_work(connection)
-            if message.kind == "idle":
-                continue
+            message = connection.recv()
             if message.kind == "shutdown":
                 return
             if message.kind == "batch":
                 self._handle_batch(connection, message)
             # unknown kinds: ignored (forward compatibility inside one
             # wire version)
-
-    def _next_work(self, connection: FramedConnection) -> Message:
-        """The next non-replication message; replication applies inline."""
-        while True:
-            message = connection.recv()
-            if message.kind == "store_put_many":
-                for entry in message["entries"]:
-                    self.session.store.put(entry["fingerprint"], entry["result"],
-                                           adopt=True)
-                continue
-            return message
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_interval_s):
@@ -269,46 +236,26 @@ class NetWorker:
         self._chaos()
         requests = [request_from_wire(data) for data in message["requests"]]
         self.counters["requests"] += len(requests)
-        entries: List[Dict[str, object]] = []
-        misses = []
-        hits = 0
-        for request in requests:
-            hit = self.session.store.get(request.fingerprint)
-            if hit is not None:
-                hits += 1
-                entries.append(
-                    {"id": request.id, "fingerprint": request.fingerprint,
-                     "result": hit, "error": None}
-                )
-            else:
-                misses.append(request)
-        self.counters["local_hits"] += hits
-        if misses:
-            ctxs = self.tracer.sampled(misses)
-            try:
-                with self.tracer.span(
-                    "worker_execute", ctxs,
-                    worker=self.worker_id, local_hits=hits,
-                ):
-                    results = self.batcher.execute(misses)
-            except Exception as error:  # noqa: BLE001 — shipped to the caller
-                wired = _wire_error(error)
-                entries.extend(
-                    {"id": request.id, "fingerprint": request.fingerprint,
-                     "result": None, "error": wired}
-                    for request in misses
-                )
-            else:
-                for request, result in zip(misses, results):
-                    self.session.store.put(request.fingerprint, result)
-                    entries.append(
-                        {"id": request.id, "fingerprint": request.fingerprint,
-                         "result": result, "error": None}
-                    )
+        ctxs = self.tracer.sampled(requests)
+        try:
+            with self.tracer.span("worker_execute", ctxs, worker=self.worker_id):
+                results = self.batcher.execute(requests)
+        except Exception as error:  # noqa: BLE001 — shipped to the caller
+            wired = _wire_error(error)
+            entries = [
+                {"id": request.id, "fingerprint": request.fingerprint,
+                 "result": None, "error": wired}
+                for request in requests
+            ]
+        else:
+            entries = [
+                {"id": request.id, "fingerprint": request.fingerprint,
+                 "result": result, "error": None}
+                for request, result in zip(requests, results)
+            ]
         payload: Dict[str, object] = {
             "batch_id": message["batch_id"],
             "results": entries,
-            "local_hits": hits,
         }
         # Tracing rides the results frame only when it produced something:
         # an untraced cluster's frames stay byte-identical to pre-tracing
@@ -328,9 +275,6 @@ def spawn_worker(
     chaos_hang_after: Optional[int] = None,
     chaos_exit_after: Optional[int] = None,
     credit: Optional[int] = None,
-    blob_threshold: Optional[int] = None,
-    wire_compress: bool = False,
-    extra_args: Sequence[str] = (),
     quiet: bool = False,
 ) -> "subprocess.Popen[bytes]":
     """Launch a worker OS process connected to ``address``.
@@ -357,11 +301,6 @@ def spawn_worker(
         argv += ["--chaos-exit-after", str(chaos_exit_after)]
     if credit is not None:
         argv += ["--credit", str(credit)]
-    if blob_threshold is not None:
-        argv += ["--blob-threshold", str(blob_threshold)]
-    if wire_compress:
-        argv += ["--wire-compress"]
-    argv += list(extra_args)
     src_dir = str(Path(__file__).resolve().parents[2])
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")

@@ -1,6 +1,6 @@
 """Content-addressed blob protocol: dedup, miss resolution, failure paths.
 
-Arrays at or above a connection's blob threshold cross the wire as content
+Arrays of at least ``BLOB_THRESHOLD_BYTES`` cross the wire as content
 digests; the receiver materializes them from its :class:`BlobCache` and
 asks the peer (``__need_blob__`` / ``__blob__``) only on a miss.  The
 contract under test: payloads stay bit-for-bit, repeated sends of the same
@@ -15,11 +15,17 @@ import threading
 import numpy as np
 import pytest
 
+from repro.net import framing
 from repro.net.blob import BlobCache, array_digest, array_wire_view
 from repro.net.framing import FrameError, FramedConnection
 
 #: Low threshold so test arrays (a few KB) take the blob path.
 THRESHOLD = 1 << 12
+
+
+@pytest.fixture(autouse=True)
+def low_blob_threshold(monkeypatch):
+    monkeypatch.setattr(framing, "BLOB_THRESHOLD_BYTES", THRESHOLD)
 
 
 @pytest.fixture
@@ -35,14 +41,10 @@ def pair():
 def _connections(pair, *, sender_cache=True, receiver_cache=True):
     left, right = pair
     sender = FramedConnection(
-        left,
-        blob_cache=BlobCache() if sender_cache else None,
-        blob_threshold=THRESHOLD,
+        left, blob_cache=BlobCache() if sender_cache else None
     )
     receiver = FramedConnection(
-        right,
-        blob_cache=BlobCache() if receiver_cache else None,
-        blob_threshold=THRESHOLD,
+        right, blob_cache=BlobCache() if receiver_cache else None
     )
     return sender, receiver
 

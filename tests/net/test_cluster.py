@@ -1,12 +1,14 @@
-"""Coordinator + workers as one cluster: equivalence, replication, telemetry.
+"""Coordinator + workers as one cluster: equivalence, one store, telemetry.
 
 The distributed tier must be invisible to callers: every response served
 through a :class:`~repro.net.coordinator.Coordinator` and its remote
 workers is bit-for-bit identical to the direct
-:class:`~repro.session.Session` call, results replicate cluster-wide so a
-repeat request short-circuits without touching a worker, a caller cannot
-change what the coordinator stored, and the ``net.*`` telemetry surface
-is complete.
+:class:`~repro.session.Session` call — under the coordinator's hardware
+models, not the workers' defaults — the coordinator's store is the one
+result cache, so a repeat request short-circuits without touching a worker
+and nothing else crosses the wire to keep caches warm, a caller cannot
+change what the coordinator stored, and the ``net.*`` telemetry surface is
+complete.
 """
 
 import threading
@@ -14,6 +16,7 @@ import time
 
 import pytest
 
+from repro.arch.params import ClusterParams
 from repro.config import spikestream_config
 from repro.eval.sweeps import functional_network
 from repro.net import Coordinator, NetWorker, framing
@@ -86,7 +89,7 @@ class TestClusterEquivalence:
             assert coordinator.wait_for_workers(1, timeout=30)
             first = coordinator.submit_statistical(config=config, seed=88)
             first_result = first.result(timeout=120)
-            # Same parameters again: the replicated store already holds it.
+            # Same parameters again: the coordinator's store already holds it.
             second = coordinator.submit_statistical(config=config, seed=88)
             second_result = second.result(timeout=120)
             stats = coordinator.stats()
@@ -103,7 +106,38 @@ class TestClusterEquivalence:
             + stats["net.dispatch_short_circuits"]
         ) >= 1
 
-    def test_worker_local_store_hit_after_replication(self, config):
+    def test_workers_cost_under_the_coordinators_hardware_models(self, config):
+        cluster = ClusterParams(num_worker_cores=4)
+        session = Session(cluster=cluster)
+        coordinator = Coordinator(session=session, max_batch=4, max_wait_ms=5)
+        workers = []
+        try:
+            workers = [
+                _start_inline_worker(coordinator.address, worker_id="custom")
+            ]
+            assert coordinator.wait_for_workers(1, timeout=30)
+            result = coordinator.submit_statistical(config=config, seed=29).result(
+                timeout=120
+            )
+        finally:
+            coordinator.close()
+            for _worker, thread in workers:
+                thread.join(timeout=10)
+        assert not any(thread.is_alive() for _worker, thread in workers)
+        direct = Session(cluster=cluster).run_inference(config, batch_size=1,
+                                                        seed=29)
+        assert result.identical_to(direct)
+        stored = session.store.get(session.fingerprint(config, None, None, 29, None))
+        assert stored is not None and stored.identical_to(direct)
+
+    def test_wave_sends_nothing_but_work_and_blobs(self, config):
+        # The coordinator's store is the only cache: a wave over two
+        # workers puts registration acks, batches, the shutdown and blob
+        # traffic on the wire, and nothing that warms worker-side caches.
+        network = functional_network(97)
+        frames, _ = SyntheticCIFAR10(
+            seed=97, image_shape=TensorShape(16, 16, 3)
+        ).sample(2)
         coordinator = Coordinator(max_batch=4, max_wait_ms=5)
         workers = []
         try:
@@ -112,22 +146,26 @@ class TestClusterEquivalence:
                 for i in range(2)
             ]
             assert coordinator.wait_for_workers(2, timeout=30)
-            future = coordinator.submit_statistical(config=config, seed=97)
-            result = future.result(timeout=120)
-            stats = coordinator.stats()
+            futures = [
+                coordinator.submit_statistical(config=config, seed=97 + index)
+                for index in range(4)
+            ] + [
+                coordinator.submit_functional(
+                    network, frames[index:index + 1], config=config
+                )
+                for index in range(2)
+            ]
+            for future in futures:
+                future.result(timeout=120)
         finally:
             coordinator.close()
             for _worker, thread in workers:
                 thread.join(timeout=10)
         assert not any(thread.is_alive() for _worker, thread in workers)
-        # One entry to one link: the worker that computed the result is
-        # skipped, its own store already holds it.
-        assert stats["net.store_replications"] == 1
-        fingerprint = Session().fingerprint(config, None, None, 97, None)
-        for worker, _thread in workers:
-            stored = worker.session.store.get(fingerprint)
-            assert stored is not None, f"{worker.worker_id} never stored it"
-            assert stored.identical_to(result)
+        sent = set(coordinator.stats()["net.bytes"]["sent_by_kind"])
+        assert {"registered", "batch", "shutdown"} <= sent
+        assert sent <= {"registered", "batch", "shutdown",
+                        framing.NEED_BLOB_KIND, framing.BLOB_KIND}
 
 
 class TestCallerIsolation:
@@ -202,8 +240,8 @@ class TestTelemetrySurface:
         for key in (
             "net.dispatches", "net.results", "net.rescues",
             "net.redispatched_requests", "net.dispatch_short_circuits",
-            "net.heartbeats", "net.store_replications",
-            "net.workers_registered", "net.workers_lost", "net.workers",
+            "net.heartbeats", "net.workers_registered", "net.workers_lost",
+            "net.workers",
         ):
             assert key in stats, f"telemetry surface is missing {key}"
 
@@ -232,9 +270,8 @@ class TestTelemetrySurface:
 
 class TestLivenessUnderTransfer:
     def test_reap_defers_to_a_link_mid_transfer(self):
-        # Regression: a multi-megabyte (possibly compressed) __blob__
-        # answer keeps the link thread inside send() for longer than the
-        # liveness window, during which it cannot read the worker's
+        # Regression: a multi-megabyte __blob__ answer keeps the link
+        # thread inside send() for longer than the liveness window, during which it cannot read the worker's
         # perfectly punctual heartbeats off the socket.  The monitor must
         # treat the in-flight transfer as proof of life instead of
         # reaping a healthy worker mid-frame — which tears the stream on

@@ -1,22 +1,25 @@
 """Property tests: result-store fingerprints survive pickle and the wire.
 
 Every cache key in the system is a :class:`~repro.session.Session`
-fingerprint that one host computes and another looks up: the coordinator
-admits a request under its fingerprint, a worker stores the result under
-the fingerprint of the request it rebuilt from the wire, and replication
-carries the entry to the other workers.  A fingerprint must therefore not
-change when its inputs cross a process boundary, by ``pickle`` (process
-pools) or by the v2 frame codec (:mod:`repro.net.framing`).
+fingerprint computed from inputs that may have crossed a process boundary:
+a process-pool worker receives its run parameters by ``pickle``, and a
+:mod:`repro.net` worker rebuilds each request from the wire and sends its
+result back under the request's fingerprint for the coordinator's store.
+A fingerprint must therefore not change when its inputs cross either, by
+``pickle`` or by the frame codec (:mod:`repro.net.framing`, through the
+one decoder behind :meth:`~repro.net.framing.FramedConnection.recv`).
 """
 
 import pickle
+import socket
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import baseline_config, spikestream_config
 from repro.eval.sweeps import functional_network
-from repro.net.framing import Message, decode_frame, encode_frame
+from repro.net.framing import FramedConnection
 from repro.session import Session
 from repro.snn.datasets import SyntheticCIFAR10
 from repro.snn.numerics import FORWARD_PATHS, PRECISIONS, NumericsPolicy
@@ -29,7 +32,17 @@ def _pickled(value):
 
 
 def _wired(value):
-    message, _consumed = decode_frame(encode_frame(Message("probe", {"value": value})))
+    left, right = socket.socketpair()
+    right.settimeout(30.0)
+    with FramedConnection(left) as sender, FramedConnection(right) as receiver:
+        # Networks are larger than the socket buffer: send from a helper
+        # thread while this one receives.
+        pusher = threading.Thread(target=sender.send, args=("probe",),
+                                  kwargs={"value": value}, daemon=True)
+        pusher.start()
+        message = receiver.recv()
+        pusher.join(timeout=30.0)
+    assert not pusher.is_alive()
     return message["value"]
 
 
