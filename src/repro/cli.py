@@ -188,7 +188,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=_positive_int, default=16,
                        help="micro-batch flush bound in coalesced frames")
     serve.add_argument("--max-wait-ms", type=float, default=5.0,
-                       help="micro-batch flush bound in milliseconds")
+                       help="longest a micro-batch lingers on an empty queue, "
+                            "in milliseconds; only clustered arrivals (a "
+                            "request admitted within this window of the one "
+                            "before it) linger, a lone request flushes at once")
     serve.add_argument("--queue-depth", type=_positive_int, default=256,
                        help="admission bound of the request queue")
     serve.add_argument("--requests", type=_positive_int, default=64,

@@ -159,6 +159,11 @@ class Coordinator(InferenceServer):
 
     Parameters (beyond the inherited :class:`InferenceServer` ones)
     ----------------------------------------------------------------
+    max_batch / max_wait_ms:
+        As for :class:`InferenceServer`: the dispatcher collects every batch
+        through the same :meth:`~repro.serve.batcher.MicroBatcher.collect`,
+        so a lone request ships at once and only clustered arrivals linger,
+        for at most ``max_wait_ms``, to fill a batch.
     host / port:
         Listen address; ``port=0`` picks a free port — read it back from
         :attr:`address`.

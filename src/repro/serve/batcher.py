@@ -13,9 +13,14 @@ serving workload arrives as many small independent requests.  The
   :meth:`~repro.session.Session.functional_fingerprint`) that key the
   result store;
 * :meth:`MicroBatcher.collect` gathers a FIFO prefix of compatible requests,
-  flushing when the batch reaches ``max_batch`` frames, when ``max_wait_ms``
-  expires, or as soon as an incompatible request reaches the queue head
-  (waiting longer could not grow the batch without reordering);
+  flushing when the batch reaches ``max_batch`` frames or as soon as an
+  incompatible request reaches the queue head (waiting longer could not grow
+  the batch without reordering).  When the queue runs empty it lingers, for
+  at most ``max_wait_ms``, only if arrivals are clustered: some request in
+  the batch was admitted within ``max_wait_ms`` of the admission before it
+  (the ``arrival_gap`` :meth:`~repro.serve.queue.RequestQueue.put` stamps).
+  A lone request therefore flushes at once, while a burst still coalesces —
+  only its first request goes alone;
 * :meth:`MicroBatcher.execute` runs the coalesced batch through ONE engine
   pass — statistical requests' per-seed workloads are concatenated with
   :func:`repro.core.pipeline.concat_workloads`, functional requests' frames
@@ -102,9 +107,9 @@ class MicroBatcher:
     """Collect and execute micro-batches of compatible inference requests.
 
     ``max_batch`` bounds the *frame* count of a batch (a multi-frame request
-    admitted last may overshoot it — requests are never split); a batch
-    flushes early when ``max_wait_ms`` elapses from collection start or when
-    the queue head is incompatible with the batch under construction.
+    admitted last may overshoot it — requests are never split);
+    ``max_wait_ms`` bounds how long :meth:`collect` lingers on an empty queue
+    for clustered arrivals, counted from collection start.
     """
 
     def __init__(
@@ -150,37 +155,56 @@ class MicroBatcher:
     ) -> List[InferenceRequest]:
         """Grow a micro-batch from ``first`` by popping compatible neighbours.
 
-        Flush conditions, in priority order: batch reached ``max_batch``
-        frames; an incompatible request is at the queue head (FIFO order is
-        preserved — it will seed the next batch); ``max_wait_ms`` elapsed
-        with the queue empty.
+        The flush reason is counted as ``serve.flush.<reason>`` (so
+        ``serve.batches`` is the sum of the four) and put on every
+        ``batch_assembly`` span as ``flush``:
+
+        * ``full`` — the batch reached ``max_batch`` frames;
+        * ``incompatible`` — an incompatible request is at the queue head
+          (FIFO order is preserved — it will seed the next batch);
+        * ``idle`` — the queue is empty and no request in the batch arrived
+          within ``max_wait_ms`` of the admission before it, so nothing
+          suggests another is coming: the batch, in practice a lone
+          request, flushes at once;
+        * ``waited`` — arrivals are clustered, so the batch lingered on the
+          empty queue until ``max_wait_ms`` after collection start (or
+          until the queue closed).
         """
         requests = [first]
         frames = first.frames_count
+        clustered = first.arrival_gap < self.max_wait_s
         started = time.monotonic()
         deadline = started + self.max_wait_s
         traced = self.tracer.enabled
         joins = [started]
         if traced:
             self._record_queue_wait(first, started)
+        reason = "full"
         while frames < self.max_batch:
             request = queue.pop_matching(first.group_key)
             if request is not None:
                 requests.append(request)
                 frames += request.frames_count
+                clustered = clustered or request.arrival_gap < self.max_wait_s
                 if traced:
                     joined = time.monotonic()
                     joins.append(joined)
                     self._record_queue_wait(request, joined)
                 continue
             if queue.depth() > 0:
-                break  # incompatible head: waiting longer cannot help
+                reason = "incompatible"  # waiting longer cannot help
+                break
+            if not clustered:
+                reason = "idle"
+                break
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not queue.wait_nonempty(remaining):
+                reason = "waited"
                 break
         finished = time.monotonic()
         wait_ms = (finished - started) * 1e3
         self.metrics.counter("serve.batches").inc()
+        self.metrics.counter(f"serve.flush.{reason}").inc()
         self.metrics.histogram("serve.batch_frames").observe(frames)
         self.metrics.histogram("serve.batch_requests").observe(len(requests))
         self.metrics.histogram("serve.batch_collect_ms").observe(wait_ms)
@@ -195,7 +219,7 @@ class MicroBatcher:
                 self.tracer.record_span(
                     "batch_assembly", (trace,), joined, finished,
                     parent_id=trace.root_id,
-                    requests=len(requests), frames=frames,
+                    requests=len(requests), frames=frames, flush=reason,
                 )
         return requests
 

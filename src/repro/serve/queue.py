@@ -21,12 +21,15 @@ Batching support: :meth:`RequestQueue.pop` returns the head request, and
 :meth:`RequestQueue.pop_matching` pops the head *only if* it belongs to a
 given compatibility group — the primitive
 :class:`repro.serve.batcher.MicroBatcher` builds FIFO-order micro-batches
-from.
+from.  :meth:`RequestQueue.put` also stamps each request's
+``arrival_gap`` (seconds since the previous admission), the signal the
+batcher reads to tell a lone request from a clustered arrival.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -99,6 +102,10 @@ class InferenceRequest:
     entries.  ``trace`` is the request's :class:`repro.obs.TraceContext`
     when the server's tracer sampled it (``None`` otherwise); it ships to
     remote workers so their spans stitch into the same trace.
+    ``arrival_gap`` is the time in seconds between the previous admission
+    to the queue and this one, stamped by :meth:`RequestQueue.put` (``inf``
+    for the queue's first admission and for a request never put); it is
+    process-local and never crosses the wire.
     """
 
     mode: str
@@ -118,6 +125,7 @@ class InferenceRequest:
     future: Future = field(default_factory=Future)
     id: int = field(default_factory=lambda: next(_REQUEST_IDS))
     enqueued_at: float = field(default_factory=time.monotonic)
+    arrival_gap: float = math.inf
 
     def expired(self, now: Optional[float] = None) -> bool:
         """Whether the request's deadline has passed."""
@@ -147,13 +155,16 @@ class RequestQueue:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
+        self._last_admitted = -math.inf
 
     # -- producer side ------------------------------------------------------
     def put(self, request: InferenceRequest) -> None:
         """Admit one request or raise (:class:`QueueFull`/:class:`ServerClosed`).
 
         Never blocks: a full queue is an admission decision the caller must
-        see immediately, not a hidden stall.
+        see immediately, not a hidden stall.  Stamps ``enqueued_at`` and
+        ``arrival_gap``; a rejected request leaves the previous admission
+        time as it was.
         """
         with self._lock:
             if self._closed:
@@ -162,7 +173,10 @@ class RequestQueue:
                 raise QueueFull(
                     f"request queue is at its bound ({self.maxsize}); try again later"
                 )
-            request.enqueued_at = time.monotonic()
+            now = time.monotonic()
+            request.enqueued_at = now
+            request.arrival_gap = now - self._last_admitted
+            self._last_admitted = now
             self._items.append(request)
             self._not_empty.notify()
 
@@ -174,7 +188,8 @@ class RequestQueue:
         requests were admitted once, so they bypass the depth bound, and they
         go to the front so the rescue still lands inside the original
         deadline.  Works on a closed queue too — a graceful drain must still
-        execute rescued requests rather than lose them.
+        execute rescued requests rather than lose them.  The request keeps
+        the ``enqueued_at`` and ``arrival_gap`` of its admission.
         """
         with self._lock:
             self._items.appendleft(request)

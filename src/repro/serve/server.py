@@ -71,9 +71,11 @@ class InferenceServer:
         queue instead (the :class:`repro.net.Coordinator` subclass hands
         batches to remote worker processes).
     max_batch / max_wait_ms:
-        Micro-batching knobs (see :class:`~repro.serve.batcher.MicroBatcher`):
-        flush at ``max_batch`` coalesced frames or after ``max_wait_ms`` of
-        collection, whichever comes first.
+        Micro-batching knobs (see :meth:`~repro.serve.batcher.MicroBatcher.collect`):
+        a batch flushes at ``max_batch`` coalesced frames.  On an empty queue
+        it lingers for at most ``max_wait_ms`` of collection, and only when
+        arrivals are clustered (a request admitted within ``max_wait_ms`` of
+        the one before it); a lone request flushes at once.
     max_queue:
         Admission bound of the request queue (backpressure).
     default_deadline_s:
@@ -142,7 +144,9 @@ class InferenceServer:
         # the same keys, zeroed, whether or not an event happened yet.
         for counter in ("serve.requests", "serve.completed", "serve.rejected",
                         "serve.expired", "serve.errors", "serve.cancelled",
-                        "serve.store_short_circuits", "serve.batches"):
+                        "serve.store_short_circuits", "serve.batches",
+                        "serve.flush.idle", "serve.flush.full",
+                        "serve.flush.waited", "serve.flush.incompatible"):
             self.metrics.counter(counter)
         for histogram in ("serve.latency_ms", "serve.batch_frames",
                           "serve.batch_requests", "serve.batch_collect_ms"):

@@ -230,6 +230,33 @@ class TestLifecycle:
         assert not coordinator._accept_thread.is_alive()
 
 
+class TestFlushPolicy:
+    def test_lone_request_ships_without_the_window(self, config):
+        # The dispatcher collects through the server's batcher, so a lone
+        # request skips the 10s window here too.
+        coordinator = Coordinator(max_wait_ms=10_000)
+        workers = []
+        try:
+            workers = [
+                _start_inline_worker(coordinator.address, worker_id="lone")
+            ]
+            assert coordinator.wait_for_workers(1, timeout=30)
+            result = coordinator.submit_statistical(config=config, seed=29).result(
+                timeout=5
+            )
+            stats = coordinator.stats()
+        finally:
+            coordinator.close()
+            for _worker, thread in workers:
+                thread.join(timeout=10)
+
+        assert stats["serve.flush.idle"] == 1
+        with Session() as reference:
+            assert result.identical_to(
+                reference.run_inference(config, batch_size=1, seed=29)
+            )
+
+
 class TestTelemetrySurface:
     def test_stats_snapshot_declares_the_net_surface(self):
         coordinator = Coordinator()
@@ -241,7 +268,8 @@ class TestTelemetrySurface:
             "net.dispatches", "net.results", "net.rescues",
             "net.redispatched_requests", "net.dispatch_short_circuits",
             "net.heartbeats", "net.workers_registered", "net.workers_lost",
-            "net.workers",
+            "net.workers", "serve.flush.idle", "serve.flush.full",
+            "serve.flush.waited", "serve.flush.incompatible",
         ):
             assert key in stats, f"telemetry surface is missing {key}"
 

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import baseline_config, spikestream_config
 from repro.serve.batcher import (
@@ -154,7 +155,31 @@ class TestCoalescedExecution:
         assert MicroBatcher(session).execute([]) == []
 
 
+def _flushes(batcher):
+    """The batcher's flush-reason counters, by reason."""
+    return {
+        reason: batcher.metrics.counter(f"serve.flush.{reason}").value
+        for reason in ("idle", "full", "waited", "incompatible")
+    }
+
+
 class TestCollectPolicy:
+    def test_lone_request_flushes_at_once(self, session):
+        # The queue's first admission has no predecessor, so nothing says
+        # another request is coming: no 10s linger on the empty queue.
+        config = spikestream_config(batch_size=1)
+        queue = RequestQueue(maxsize=32)
+        queue.put(_statistical_request(session, config, 5))
+        batcher = MicroBatcher(session, max_batch=64, max_wait_ms=10_000)
+        first = queue.pop(timeout=1)
+        start = time.monotonic()
+        batch = batcher.collect(queue, first)
+        assert time.monotonic() - start < 1.0
+        assert batch == [first]
+        assert _flushes(batcher) == {
+            "idle": 1, "full": 0, "waited": 0, "incompatible": 0,
+        }
+
     def test_flush_on_max_batch(self, session):
         config = spikestream_config(batch_size=1)
         queue = RequestQueue(maxsize=32)
@@ -167,20 +192,28 @@ class TestCollectPolicy:
         # Flushes at the frame bound long before the 10s wait expires.
         assert [r.id for r in batch] == [r.id for r in requests[:4]]
         assert queue.depth() == 2
+        assert _flushes(batcher)["full"] == 1
 
     def test_flush_on_max_wait(self, session):
+        # Two back-to-back admissions are clustered: collecting from the
+        # first takes the second, then lingers on the empty queue for the
+        # whole window before flushing both.
         config = spikestream_config(batch_size=1)
         queue = RequestQueue(maxsize=32)
-        request = _statistical_request(session, config, 7)
-        queue.put(request)
+        requests = [_statistical_request(session, config, seed) for seed in (7, 8)]
+        for request in requests:
+            queue.put(request)
         batcher = MicroBatcher(session, max_batch=64, max_wait_ms=30)
         first = queue.pop(timeout=1)
         start = time.monotonic()
         batch = batcher.collect(queue, first)
         elapsed = time.monotonic() - start
-        assert batch == [first]
-        # Waited for more work, but no longer than the wait bound (plus slack).
-        assert 0.01 <= elapsed < 1.0
+        assert batch == requests
+        # Waited out the window, but no longer than the wait bound (plus slack).
+        assert 0.03 <= elapsed < 1.0
+        assert _flushes(batcher) == {
+            "idle": 0, "full": 0, "waited": 1, "incompatible": 0,
+        }
 
     def test_flush_on_incompatible_head(self, session):
         stream_config = spikestream_config(batch_size=1)
@@ -199,6 +232,7 @@ class TestCollectPolicy:
         assert time.monotonic() - start < 1.0
         assert [r.id for r in batch] == [r.id for r in compatible]
         assert queue.pop(timeout=0.1) is other
+        assert _flushes(batcher)["incompatible"] == 1
 
     def test_multi_frame_request_may_overshoot_bound(self, session):
         config = spikestream_config(batch_size=1)
@@ -218,6 +252,51 @@ class TestCollectPolicy:
             MicroBatcher(session, max_batch=0)
         with pytest.raises(ValueError, match="max_wait_ms"):
             MicroBatcher(session, max_wait_ms=-1)
+
+
+class TestScatterProperty:
+    """Whatever shares a coalesced batch, each scattered result is the
+    request's solo run bit for bit — including the ``[1]`` + ``[rest]``
+    splits a burst's lone first batch produces."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(requests=st.lists(
+        st.tuples(st.integers(1, 4), st.integers(0, 2**31 - 1)),
+        min_size=1, max_size=4,
+    ))
+    @example(requests=[(1, 11), (3, 22), (2, 11)])
+    def test_statistical_scatter_matches_solo_runs(self, session, requests):
+        config = spikestream_config(batch_size=1, timesteps=2, seed=0)
+        batch = [
+            _statistical_request(session, config, seed, batch_size)
+            for batch_size, seed in requests
+        ]
+        results = MicroBatcher(session, max_batch=16).execute(batch)
+        assert len(results) == len(batch)
+        for (batch_size, seed), result in zip(requests, results):
+            solo = session.run_inference(config, batch_size=batch_size, seed=seed)
+            assert result.identical_to(solo), (batch_size, seed)
+
+    @settings(max_examples=20, deadline=None)
+    @given(picks=st.lists(
+        st.lists(st.integers(0, 5), min_size=1, max_size=4),
+        min_size=1, max_size=3,
+    ))
+    @example(picks=[[0], [1, 2, 3, 4, 5]])
+    def test_functional_scatter_matches_solo_runs(
+        self, session, small_functional_workload, picks
+    ):
+        network, frames = small_functional_workload
+        config = spikestream_config(batch_size=1, timesteps=2, seed=0)
+        batch = [
+            _functional_request(session, config, network, frames[indices])
+            for indices in picks
+        ]
+        results = MicroBatcher(session, max_batch=16).execute(batch)
+        assert len(results) == len(batch)
+        for request, result in zip(batch, results):
+            solo = session.run_functional(network, request.frames, config=config)
+            assert result.identical_to(solo)
 
 
 class TestFrameSlice:

@@ -55,6 +55,34 @@ class TestAdmission:
         with pytest.raises(ServerClosed):
             queue.put(_request())
 
+    def test_put_stamps_the_gap_since_the_previous_admission(self):
+        queue = RequestQueue(maxsize=2)
+        first, second, rejected = _request(), _request(), _request()
+        queue.put(first)
+        queue.put(second)
+        with pytest.raises(QueueFull):
+            queue.put(rejected)
+        assert first.arrival_gap == float("inf")
+        assert second.arrival_gap == second.enqueued_at - first.enqueued_at
+        # A rejection is no admission: it neither gets a gap nor moves the
+        # previous admission time.
+        assert rejected.arrival_gap == float("inf")
+        assert queue.pop(timeout=0.1) is first
+        third = _request()
+        queue.put(third)
+        assert third.arrival_gap == third.enqueued_at - second.enqueued_at
+
+    def test_requeue_keeps_the_admission_stamps(self):
+        queue = RequestQueue(maxsize=2)
+        first, second = _request(), _request()
+        queue.put(first)
+        queue.put(second)
+        stamps = (second.enqueued_at, second.arrival_gap)
+        assert queue.pop(timeout=0.1) is first
+        assert queue.pop(timeout=0.1) is second
+        queue.requeue(second)
+        assert (second.enqueued_at, second.arrival_gap) == stamps
+
 
 class TestDeadlines:
     def test_expired_request_fails_with_deadline_exceeded(self):

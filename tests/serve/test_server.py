@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.config import baseline_config, spikestream_config
+from repro.obs import Tracer
 from repro.serve import (
     DeadlineExceeded,
     InferenceServer,
@@ -250,6 +251,42 @@ class TestLoadGenerator:
             LoadGenerator(lambda i: None, requests=1, arrival_rate_hz=0.0)
 
 
+class TestFlushPolicy:
+    def test_lone_request_skips_the_window(self, config):
+        # A 10s window, but nothing else is coming: the request must not
+        # wait it out.
+        tracer = Tracer(enabled=True)
+        with InferenceServer(workers=1, max_wait_ms=10_000,
+                             tracer=tracer) as server:
+            result = server.submit_statistical(config=config, seed=23).result(5)
+            assert server.stats()["serve.flush.idle"] == 1
+        [trace] = tracer.completed()
+        [assembly] = [span for span in trace["spans"]
+                      if span["name"] == "batch_assembly"]
+        assert assembly["attrs"]["flush"] == "idle"
+        with Session() as reference:
+            assert result.identical_to(
+                reference.run_inference(config, batch_size=1, seed=23)
+            )
+
+    def test_burst_still_coalesces(self, config):
+        # Only the burst's first request may go alone; the others fill one
+        # batch up to max_batch.  Either way there are at most two passes.
+        seeds = range(60, 68)
+        server = InferenceServer(workers=1, max_batch=7, max_wait_ms=2_000)
+        futures = [server.submit_statistical(config=config, seed=seed)
+                   for seed in seeds]
+        # The graceful close executes every request and cuts a last batch's
+        # linger short: a closed queue gets no more arrivals.
+        server.close()
+        results = [future.result(timeout=60) for future in futures]
+        assert server.stats()["serve.batches"] <= 2
+        with Session() as reference:
+            for seed, result in zip(seeds, results):
+                direct = reference.run_inference(config, batch_size=1, seed=seed)
+                assert result.identical_to(direct), f"seed {seed} diverged"
+
+
 class TestTelemetry:
     def test_snapshot_has_the_announced_surface(self, config):
         with InferenceServer(workers=1, max_wait_ms=5) as server:
@@ -264,6 +301,11 @@ class TestTelemetry:
             snapshot["serve.store"]
         )
         assert snapshot["serve.batch_frames"]["count"] >= 1
+        # Every flush reason is declared; the one lone request flushed idle.
+        assert {
+            reason: snapshot[f"serve.flush.{reason}"]
+            for reason in ("idle", "full", "waited", "incompatible")
+        } == {"idle": 1, "full": 0, "waited": 0, "incompatible": 0}
 
     def test_validation(self):
         with pytest.raises(ValueError, match="workers"):
