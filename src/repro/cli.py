@@ -242,8 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="per-trace sampling probability under "
                             "--trace-out (default: 1.0, trace everything)")
     serve.add_argument("--profile-layers", action="store_true",
-                       help="record per-layer engine timings inside every "
-                            "traced engine pass (needs --trace-out)")
+                       help="record per-layer forward-pass and costing timings "
+                            "inside every traced engine pass (needs --trace-out)")
 
     worker = subparsers.add_parser(
         "worker",

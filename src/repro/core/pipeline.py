@@ -50,11 +50,9 @@ and ``benchmarks/bench_functional.py``.
 
 from __future__ import annotations
 
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,6 +65,7 @@ from ..formats.convert import compress_ifmap, compress_vector
 from ..kernels.conv import conv_layer_perf, conv_layer_perf_batch, pad_counts
 from ..kernels.encode import encode_layer_perf, encode_layer_perf_batch
 from ..kernels.fc import fc_layer_perf, fc_layer_perf_batch
+from ..obs.tracer import layer_profiler_hook
 from ..snn.network import BatchNetworkActivity, NetworkActivity, SpikingNetwork
 from ..snn.numerics import NumericsPolicy, resolve as resolve_numerics
 from ..types import LayerKind
@@ -74,31 +73,6 @@ from ..utils.rng import SeedLike, make_rng, spawn_rngs
 from .layer_mapping import KernelKind, LayerPlan
 from .optimizer import SpikeStreamOptimizer
 from .results import InferenceResult, LayerResult
-
-
-#: Thread-local per-layer profiling hook installed by :func:`layer_profiler`.
-#: Thread-local because concurrent server worker threads run independent
-#: engine passes — one traced batch must not time another thread's layers.
-_LAYER_PROFILER = threading.local()
-
-
-@contextmanager
-def layer_profiler(hook: Optional[Callable[[str, float, float], None]]):
-    """Install a per-layer timing hook for engine passes on this thread.
-
-    While active, :meth:`SpikeStreamInference._run_layer_batches` calls
-    ``hook(layer_name, start, end)`` (``time.monotonic`` seconds) once per
-    layer workload it costs.  ``None`` uninstalls (a no-op guard, so
-    callers need not branch on whether profiling is enabled).  The engine
-    pays one attribute read per pass when no hook is installed — profiling
-    cost exists only for profiled passes.
-    """
-    previous = getattr(_LAYER_PROFILER, "hook", None)
-    _LAYER_PROFILER.hook = hook
-    try:
-        yield
-    finally:
-        _LAYER_PROFILER.hook = previous
 
 
 @dataclass
@@ -284,7 +258,7 @@ class SpikeStreamInference:
         """
         clock_hz = self.cluster.clock_hz
         layers = []
-        profile = getattr(_LAYER_PROFILER, "hook", None)
+        profile = layer_profiler_hook()
         for work in workloads:
             plan = work.plan
             layer_started = time.monotonic() if profile is not None else 0.0
@@ -318,7 +292,7 @@ class SpikeStreamInference:
                 )
             )
             if profile is not None:
-                profile(plan.name, layer_started, time.monotonic())
+                profile(plan.name, layer_started, time.monotonic(), "layer")
         return InferenceResult(config=self.config, layers=layers, clock_hz=clock_hz)
 
     # -- public workload API (used by repro.serve's micro-batcher) --------- #

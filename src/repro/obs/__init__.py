@@ -14,6 +14,7 @@ from repro.obs.tracer import (
     TraceContext,
     Tracer,
     layer_hook,
+    layer_profiler,
 )
 
 __all__ = [
@@ -25,6 +26,7 @@ __all__ = [
     "TraceContext",
     "Tracer",
     "layer_hook",
+    "layer_profiler",
     "read_jsonl",
     "to_chrome",
     "to_jsonl",

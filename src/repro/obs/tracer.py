@@ -11,8 +11,8 @@ one **trace**: a tree of timed spans on :func:`time.monotonic` clocks.
   an unusual exit.
 * :class:`~repro.serve.batcher.MicroBatcher` records ``queue_wait`` /
   ``batch_assembly`` child spans while collecting and wraps execution in an
-  ``engine_pass`` span (with per-layer children when
-  :attr:`Tracer.profile_layers` is on).
+  ``engine_pass`` span (with per-layer ``forward:<name>`` and
+  ``layer:<name>`` children when :attr:`Tracer.profile_layers` is on).
 * The :class:`~repro.net.coordinator.Coordinator` opens a ``dispatch`` span
   per shipped batch; the :class:`TraceContext` rides the v2 wire inside the
   request dicts, the worker's ``worker_execute`` / engine spans come back on
@@ -38,6 +38,7 @@ import random
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
@@ -601,17 +602,55 @@ def _future_status(future) -> str:
     return "error" if future.exception() is not None else "ok"
 
 
+#: Thread-local per-layer profiling hook installed by :func:`layer_profiler`.
+#: Thread-local because concurrent server worker threads run independent
+#: engine passes — one traced batch must not time another thread's layers.
+_LAYER_PROFILER = threading.local()
+
+
+@contextmanager
+def layer_profiler(hook: Optional[Callable[[str, float, float, str], None]]):
+    """Install a per-layer timing hook for engine passes on this thread.
+
+    While active, ``hook(layer_name, start, end, stage)`` (``time.monotonic``
+    seconds) is called once per layer by two loops: the golden-model forward
+    pass (:meth:`SpikingNetwork.forward_batch
+    <repro.snn.network.SpikingNetwork.forward_batch>`, ``stage="forward"``,
+    once per layer and timestep) and the costing loop
+    (:meth:`SpikeStreamInference.run_workloads
+    <repro.core.pipeline.SpikeStreamInference.run_workloads>`,
+    ``stage="layer"``, once per layer workload).  ``None`` uninstalls (a
+    no-op guard, so callers need not branch on whether profiling is
+    enabled).  Each loop reads the hook once per pass
+    (:func:`layer_profiler_hook`), so a pass without a hook pays one
+    attribute read and nothing else.
+    """
+    previous = getattr(_LAYER_PROFILER, "hook", None)
+    _LAYER_PROFILER.hook = hook
+    try:
+        yield
+    finally:
+        _LAYER_PROFILER.hook = previous
+
+
+def layer_profiler_hook() -> Optional[Callable[[str, float, float, str], None]]:
+    """The hook :func:`layer_profiler` installed on this thread, or ``None``."""
+    return getattr(_LAYER_PROFILER, "hook", None)
+
+
 def layer_hook(tracer: Tracer, ctxs: Sequence[TraceContext],
-               parent_id: Optional[str]) -> Callable[[str, float, float], None]:
+               parent_id: Optional[str]) -> Callable[[str, float, float, str], None]:
     """The per-layer profiling callback ``engine_pass`` installs.
 
-    Bound once per batch (not per layer) so the engine's layer loop pays
-    one indirect call per layer, nothing more.
+    Files one ``<stage>:<name>`` span per call: ``forward:conv1`` for the
+    forward pass, ``layer:conv1`` for its costing.  Bound once per batch
+    (not per layer) so each layer loop pays one indirect call per layer,
+    nothing more.
     """
 
-    def record(name: str, start: float, end: float) -> None:
+    def record(name: str, start: float, end: float, stage: str) -> None:
         tracer.record_span(
-            f"layer:{name}", ctxs, start, end, parent_id=parent_id
+            f"{stage}:{name}", ctxs, start, end, parent_id=parent_id
         )
 
     return record

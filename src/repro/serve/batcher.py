@@ -43,9 +43,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..config import RunConfig
-from ..core.pipeline import concat_workloads, layer_profiler
+from ..core.pipeline import concat_workloads
 from ..core.results import InferenceResult
-from ..obs import Tracer, layer_hook
+from ..obs import Tracer, layer_hook, layer_profiler
 from ..session import Session
 from .metrics import MetricsRegistry
 from .queue import InferenceRequest, RequestQueue

@@ -18,11 +18,13 @@ corresponding per-frame record exactly.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass, field, fields as dataclass_fields
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..obs.tracer import layer_profiler_hook
 from ..types import LayerKind, TensorShape
 from .layers import Flatten, SpikingAvgPool2d, SpikingConv2d, SpikingLinear, SpikingMaxPool2d
 from .neuron import LIFState, lif_step, lif_step_batch
@@ -363,9 +365,18 @@ class SpikingNetwork:
         matrix products, LIF updates and pooling — runs once per layer and
         timestep over the stacked batch instead of once per frame, which is
         where the batched functional engine's speedup comes from
-        (``benchmarks/bench_functional.py``).  Every frame's slice of the
-        returned records is bit-for-bit identical to the per-frame loop
-        (gated by ``tests/snn/test_forward_batch.py``).
+        (``benchmarks/bench_functional.py``).  None of it walks positions
+        in Python: im2row and max pooling read strided window views of the
+        whole batch, and the LIF update runs in-place ufuncs.  What is left
+        is the GEMMs.  Every frame's slice of the returned records is
+        bit-for-bit identical to the per-frame loop (gated by
+        ``tests/snn/test_forward_batch.py``).
+
+        Under :func:`~repro.obs.tracer.layer_profiler` each layer reports
+        its wall time per timestep as ``hook(layer.name, start, end,
+        "forward")``, which a traced request files as a ``forward:<name>``
+        span beside the ``layer:<name>`` costing spans.  Without a hook the
+        pass pays one attribute read.
 
         ``policy`` selects the numerics of the pass
         (:class:`~repro.snn.numerics.NumericsPolicy`); ``None`` means the
@@ -390,8 +401,9 @@ class SpikingNetwork:
             raise ValueError("frames must contain at least one frame")
         states = self._batch_states(stacked.shape[0], dtype=policy.dtype)
         activity = BatchNetworkActivity()
+        profile = layer_profiler_hook()
         for t in range(timesteps):
-            self._forward_timestep_batch(stacked, states, t, activity, policy)
+            self._forward_timestep_batch(stacked, states, t, activity, policy, profile)
         return activity
 
     def _forward_timestep_batch(
@@ -400,14 +412,19 @@ class SpikingNetwork:
         states: Dict[int, LIFState],
         timestep: int,
         activity: BatchNetworkActivity,
-        policy: Optional[NumericsPolicy] = None,
+        policy: NumericsPolicy,
+        profile: Optional[Callable[[str, float, float, str], None]],
     ) -> None:
-        """One batched timestep; appends records to ``activity`` in layer order."""
-        policy = resolve(policy)
+        """One batched timestep; appends records to ``activity`` in layer order.
+
+        ``profile`` is the pass's :func:`~repro.obs.tracer.layer_profiler`
+        hook, or ``None``.
+        """
         dtype = policy.dtype
         event_sparse = policy.forward_path == "event_sparse"
         current: np.ndarray = frames
         for index, layer in enumerate(self.layers):
+            started = time.monotonic() if profile is not None else 0.0
             if layer.kind is LayerKind.CONV:
                 weights = self._cast_weights(index, layer.require_weights(), dtype)
                 # The encoding layer consumes the real-valued frame (density
@@ -476,6 +493,8 @@ class SpikingNetwork:
                 current = np.asarray(current).reshape(current.shape[0], -1)
             else:  # pragma: no cover - defensive
                 raise NotImplementedError(f"unsupported layer kind {layer.kind}")
+            if profile is not None:
+                profile(layer.name, started, time.monotonic(), "forward")
 
     def predict_batch(
         self,

@@ -95,14 +95,16 @@ def lif_step(
         )
     membrane = state.membrane * params.alpha + params.resistance * input_current
     spikes = membrane >= params.v_threshold
-    membrane = membrane - params.v_reset * spikes
+    # The reset term in the membrane's own dtype: a Python float times a
+    # bool array is float64 and would promote an fp32 membrane.
+    membrane = membrane - membrane.dtype.type(params.v_reset) * spikes
     return LIFState(membrane=membrane), spikes
 
 
 #: Element count of one chunk of the batched LIF update (~4 MB of FP64).
 #: A whole batch-64 S-VGG11 conv2 membrane is a 67 MB array; updating it in
 #: one sweep would stream every intermediate through DRAM, while chunks this
-#: size keep the temporaries cache-resident.
+#: size keep the scratch buffer cache-resident.
 _LIF_CHUNK_ELEMS = 512 * 1024
 
 
@@ -112,13 +114,14 @@ def lif_step_batch(
     """Advance a *batched* LIF population by one timestep.
 
     The state's membrane (and ``input_current``) carry a leading batch axis:
-    shape ``(B,) + population_shape``.  The update applies the same
-    element-wise arithmetic as :func:`lif_step` in the same per-element
-    operation order — evaluated over cache-sized chunks of the flattened
-    population — so every frame's slice of the result is bit-for-bit
-    identical to stepping that frame's population alone.  That exactness is
-    what makes the batched network forward pass a drop-in for the per-frame
-    loop.
+    shape ``(B,) + population_shape``.  The update evaluates the same
+    element-wise expressions as :func:`lif_step`, operation for operation,
+    as in-place ufuncs that write straight into the output membrane and
+    spike arrays plus one scratch buffer, over cache-sized chunks of the
+    flattened population.  Every frame's slice of the result is therefore
+    bit-for-bit identical to stepping that frame's population alone, in
+    dtype as well as value.  That exactness is what makes the batched
+    network forward pass a drop-in for the per-frame loop.
     """
     input_current = np.asarray(input_current)
     if input_current.shape != state.membrane.shape:
@@ -131,19 +134,27 @@ def lif_step_batch(
     # A zero-length probe step fixes the output dtype to exactly what
     # lif_step would produce for these operand dtypes.
     probe, _ = lif_step(LIFState(membrane=flat_state[:0]), flat_current[:0], params)
+    dtype = probe.membrane.dtype
+    reset = dtype.type(params.v_reset)
     # Fresh C-contiguous outputs: their flat views below must alias them.
-    membrane = np.empty(state.membrane.shape, dtype=probe.membrane.dtype)
+    membrane = np.empty(state.membrane.shape, dtype=dtype)
     spikes = np.empty(state.membrane.shape, dtype=bool)
     flat_membrane = membrane.reshape(-1)
     flat_spikes = spikes.reshape(-1)
+    scratch = np.empty(min(flat_state.size, _LIF_CHUNK_ELEMS), dtype=dtype)
     for start in range(0, flat_state.size, _LIF_CHUNK_ELEMS):
         stop = min(start + _LIF_CHUNK_ELEMS, flat_state.size)
-        # The exact lif_step expressions, element-wise over one chunk:
-        # chunking cannot change a single bit.
-        chunk = flat_state[start:stop] * params.alpha + params.resistance * flat_current[start:stop]
-        chunk_spikes = chunk >= params.v_threshold
-        flat_membrane[start:stop] = chunk - params.v_reset * chunk_spikes
-        flat_spikes[start:stop] = chunk_spikes
+        v = flat_membrane[start:stop]
+        s = flat_spikes[start:stop]
+        term = scratch[: stop - start]
+        # lif_step's expressions in its order; a ufunc writing to ``out``
+        # computes in the dtype the operator would, so no bit can change.
+        np.multiply(flat_state[start:stop], params.alpha, out=v)
+        np.multiply(params.resistance, flat_current[start:stop], out=term)
+        np.add(v, term, out=v)
+        np.greater_equal(v, params.v_threshold, out=s)
+        np.multiply(reset, s, out=term)
+        np.subtract(v, term, out=v)
     return LIFState(membrane=membrane), spikes
 
 

@@ -5,13 +5,24 @@ These functions are the "ground truth" against which the cluster kernels of
 computational route (dense im2col matrix products) than the kernels (gathers
 over compressed index arrays) so that agreement between the two is a
 meaningful correctness check.
+
+Each op comes twice.  The per-frame functions (:func:`im2row`,
+:func:`conv2d_hwc`, :func:`maxpool2d_hwc`, ...) walk output positions in
+plain Python loops: they are the oracles and stay that simple.  The
+``*_batch`` functions that drive :meth:`SpikingNetwork.forward_batch
+<repro.snn.network.SpikingNetwork.forward_batch>` take every receptive field
+at once from one strided window view of the (padded) map — the software
+counterpart of SpikeStream's affine address streams — so no output position
+costs an interpreter iteration.  A view copy moves values and a max
+reduction picks one, so both stay bit-for-bit equal to the oracles.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def pad_hwc(x: np.ndarray, padding: int) -> np.ndarray:
@@ -69,15 +80,25 @@ def im2row(x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int) ->
     return rows
 
 
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Read-only ``(B, out_h, out_w, kh, kw, C)`` view of a BHWC map's windows.
+
+    Element ``[b, oy, ox, dy, dx, c]`` is ``x[b, oy * stride + dy,
+    ox * stride + dx, c]``: the receptive fields of every output position,
+    addressed by strides alone, with no copy.
+    """
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return windows.transpose(0, 1, 2, 4, 5, 3)
+
+
 def im2row_batch(
     x: np.ndarray, kernel: Tuple[int, int], stride: int, padding: int
 ) -> np.ndarray:
     """Batched :func:`im2row`: BHWC input -> ``(B, out_h * out_w, kh * kw * C)``.
 
-    The receptive-field walk runs once for the whole batch (each iteration
-    slices every frame's patch at that output position), so the Python loop
-    cost is amortized over the batch instead of paid per frame.  Each
-    ``im2row_batch(x, ...)[b]`` holds exactly the bytes of
+    One copy out of a strided window view of the padded map builds every
+    frame's rows in (kh, kw, C) order; no output position costs a Python
+    iteration.  Each ``im2row_batch(x, ...)[b]`` holds exactly the bytes of
     ``im2row(x[b], ...)`` — patch extraction copies values, it performs no
     arithmetic.
     """
@@ -85,16 +106,9 @@ def im2row_batch(
     if x.ndim != 4:
         raise ValueError(f"expected a BHWC tensor, got shape {x.shape}")
     kh, kw = kernel
-    padded = pad_bhwc(x, padding)
-    batch, in_h, in_w, channels = padded.shape
-    out_h = (in_h - kh) // stride + 1
-    out_w = (in_w - kw) // stride + 1
-    rows = np.empty((batch, out_h * out_w, kh * kw * channels), dtype=padded.dtype)
-    for oy in range(out_h):
-        for ox in range(out_w):
-            patch = padded[:, oy * stride : oy * stride + kh, ox * stride : ox * stride + kw, :]
-            rows[:, oy * out_w + ox] = patch.reshape(batch, -1)
-    return rows
+    windows = _windows(pad_bhwc(x, padding), kh, kw, stride)
+    batch, out_h, out_w = windows.shape[:3]
+    return windows.copy().reshape(batch, out_h * out_w, kh * kw * x.shape[-1])
 
 
 def conv2d_hwc(
@@ -133,11 +147,19 @@ def conv2d_hwc(
     return flat.reshape(out_h, out_w, c_out)
 
 
-#: Target byte size of one im2row chunk buffer.  Large enough to amortize the
-#: per-position Python walk over many frames, small enough that the buffer
+#: Target byte size of one im2row chunk buffer.  Large enough that each GEMM
+#: reuses its weight panels across many frames, small enough that the buffer
 #: and the GEMM working set stay cache/TLB-friendly (a full batch-64 buffer
 #: for S-VGG11's conv2 would be 300 MB and thrash).
 _IM2ROW_CHUNK_BYTES = 32 * 1024 * 1024
+
+#: Weight matrices of at least this many bytes go through one GEMM per chunk
+#: of frames, which streams each weight panel once per chunk.  Smaller ones
+#: stay cache-resident across per-frame products, so there each frame gets
+#: the oracle's own product at no cost: on S-VGG11 at batch 16, the GEMMs of
+#: conv1 (14 KB) and conv2 (590 KB) run as fast per frame, while those of
+#: conv3-conv8 (2.4-19 MB) run 13-117% slower per frame than as one.
+_CHUNK_GEMM_MIN_BYTES = 1024 * 1024
 
 
 def conv2d_hwc_batch(
@@ -145,21 +167,25 @@ def conv2d_hwc_batch(
     weights: np.ndarray,
     stride: int = 1,
     padding: int = 0,
-    chunk_frames: Optional[int] = None,
     dtype: np.dtype = np.float64,
 ) -> np.ndarray:
     """Batched :func:`conv2d_hwc`: BHWC input -> ``(B, out_h, out_w, C_out)``.
 
-    Bit-for-bit per frame: the chunked im2row rows hold the same bytes as
-    the per-frame rows, and each chunk of frames goes through one
-    ``(chunk * P, K) @ (K, C)`` GEMM.  Each output row's accumulation over
-    the shared ``K`` axis is independent of which other rows the GEMM
-    computes (BLAS partitions the row axis, never the reduction order), so
-    every frame's block is bit-for-bit identical to the scalar
-    ``(P, K) @ (K, C)`` product — for any chunking.  Chunks are sized so the
-    im2row buffer stays cache-friendly (:data:`_IM2ROW_CHUNK_BYTES`) while
-    the weight panels are reused across all frames of a chunk instead of
-    re-streamed per frame; ``chunk_frames`` overrides the automatic size.
+    Bit-for-bit per frame.  The batch runs in chunks of frames sized so the
+    im2row buffer stays cache-friendly (:data:`_IM2ROW_CHUNK_BYTES`).  Each
+    chunk's zero-padded map is built directly in the GEMM dtype, and its
+    im2row rows (:func:`im2row_batch`) hold the same bytes as the per-frame
+    rows.  Weight matrices of at least :data:`_CHUNK_GEMM_MIN_BYTES` then go
+    through one ``(chunk * P, K) @ (K, C)`` GEMM, so their panels stream
+    once per chunk instead of once per frame.  That is exact only while BLAS
+    computes each output row independently of how many rows the GEMM has,
+    which holds for S-VGG11's shapes (gated by ``tests/snn`` and the
+    functional identity tests) but not for every shape: numpy multiplies a
+    lone ``(1, K)`` row with gemv rather than gemm, and OpenBLAS rounds
+    differently by row position when there are fewer than four output
+    channels.  So maps with a single output position, and all smaller
+    weight matrices, get one ``(P, K) @ (K, C)`` product per frame: the
+    oracle's own call, equal by construction.
 
     ``dtype`` selects the GEMM precision (the
     :class:`~repro.snn.numerics.NumericsPolicy` knob).  The default
@@ -178,27 +204,28 @@ def conv2d_hwc_batch(
         raise ValueError(
             f"input has {x.shape[-1]} channels but weights expect {c_in}"
         )
-    batch = x.shape[0]
-    out_h = conv_output_size(x.shape[1], kh, stride, padding)
-    out_w = conv_output_size(x.shape[2], kw, stride, padding)
+    if padding < 0:
+        raise ValueError(f"padding must be non-negative, got {padding}")
+    batch, height, width = x.shape[:3]
+    out_h = conv_output_size(height, kh, stride, padding)
+    out_w = conv_output_size(width, kw, stride, padding)
     positions, k = out_h * out_w, kh * kw * c_in
-    if chunk_frames is None:
-        chunk_frames = max(1, _IM2ROW_CHUNK_BYTES // (positions * k * dtype.itemsize))
+    chunk_frames = max(1, _IM2ROW_CHUNK_BYTES // (positions * k * dtype.itemsize))
     flat_weights = weights.reshape(k, c_out)
-    # Pad while the spike map is still 1-byte bools; the float conversion
-    # happens per chunk, so the kh*kw-fold overlapping reads of the patch
-    # walk hit a cache-resident float chunk instead of re-streaming a
-    # batch-sized float tensor from memory.
-    padded = pad_bhwc(x, padding)
+    chunk_gemm = positions > 1 and flat_weights.nbytes >= _CHUNK_GEMM_MIN_BYTES
     out = np.empty((batch, out_h, out_w, c_out), dtype=dtype)
     for start in range(0, batch, chunk_frames):
         stop = min(start + chunk_frames, batch)
-        chunk = padded[start:stop]
-        if chunk.dtype != dtype:
-            chunk = chunk.astype(dtype)
-        rows = im2row_batch(chunk, (kh, kw), stride, 0)
-        flat = rows.reshape((stop - start) * positions, k) @ flat_weights
-        out[start:stop] = flat.reshape(stop - start, out_h, out_w, c_out)
+        # Pad and convert in one write: the 1-byte spike map lands straight
+        # in a zeroed buffer of the GEMM dtype.
+        padded = np.zeros(
+            (stop - start, height + 2 * padding, width + 2 * padding, c_in), dtype=dtype
+        )
+        padded[:, padding:padding + height, padding:padding + width] = x[start:stop]
+        rows = im2row_batch(padded, (kh, kw), stride, 0)
+        if chunk_gemm:
+            rows = rows.reshape((stop - start) * positions, k)
+        out[start:stop] = (rows @ flat_weights).reshape(stop - start, out_h, out_w, c_out)
     return out
 
 
@@ -387,19 +414,20 @@ def maxpool2d_hwc(x: np.ndarray, kernel: int = 2, stride: int = 2) -> np.ndarray
 
 
 def maxpool2d_hwc_batch(x: np.ndarray, kernel: int = 2, stride: int = 2) -> np.ndarray:
-    """Batched :func:`maxpool2d_hwc` over a BHWC tensor (exact per frame)."""
+    """Batched :func:`maxpool2d_hwc` over a BHWC tensor (exact per frame).
+
+    One max reduction over a strided window view covers every window of
+    every frame; a maximum picks an input value, so no rounding can differ
+    from the per-window loop.  One freedom is left to numpy: when a float
+    window's maximum is a zero present as both +0.0 and -0.0 (or a NaN with
+    several payloads), which one comes back depends on the reduction order,
+    and on single-channel maps that order differs from the oracle's.  Spike
+    maps are bools, where no such tie exists.
+    """
     x = np.asarray(x)
     if x.ndim != 4:
         raise ValueError(f"expected a BHWC tensor, got shape {x.shape}")
-    batch, height, width, channels = x.shape
-    out_h = (height - kernel) // stride + 1
-    out_w = (width - kernel) // stride + 1
-    out = np.empty((batch, out_h, out_w, channels), dtype=x.dtype)
-    for oy in range(out_h):
-        for ox in range(out_w):
-            window = x[:, oy * stride : oy * stride + kernel, ox * stride : ox * stride + kernel, :]
-            out[:, oy, ox] = window.max(axis=(1, 2))
-    return out
+    return _windows(x, kernel, kernel, stride).max(axis=(3, 4))
 
 
 def avgpool2d_hwc(x: np.ndarray, kernel: int = 2, stride: int = 2) -> np.ndarray:

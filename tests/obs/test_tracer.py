@@ -299,11 +299,13 @@ def test_layer_hook_records_under_parent():
     request = traced_request(tracer)
     ctxs = tracer.sampled([request])
     hook = layer_hook(tracer, ctxs, parent_id="engine-span")
-    hook("conv1", 1.0, 1.1)
+    hook("conv1", 1.0, 1.1, "forward")
+    hook("conv1", 1.1, 1.2, "layer")
     request.future.resolve()
     (trace,) = tracer.completed()
-    layer = next(s for s in trace["spans"] if s["name"] == "layer:conv1")
-    assert layer["parent_id"] == "engine-span"
+    for name in ("forward:conv1", "layer:conv1"):
+        span = next(s for s in trace["spans"] if s["name"] == name)
+        assert span["parent_id"] == "engine-span"
 
 
 # -- exporters ---------------------------------------------------------------

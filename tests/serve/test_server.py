@@ -307,6 +307,28 @@ class TestTelemetry:
             for reason in ("idle", "full", "waited", "incompatible")
         } == {"idle": 1, "full": 0, "waited": 0, "incompatible": 0}
 
+    def test_profiled_functional_request_times_forward_and_costing_per_layer(
+        self, config
+    ):
+        network = functional_network(17)
+        frames, _ = SyntheticCIFAR10(
+            seed=17, image_shape=TensorShape(16, 16, 3)
+        ).sample(1)
+        tracer = Tracer(enabled=True, profile_layers=True)
+        with InferenceServer(workers=1, tracer=tracer) as server:
+            server.submit_functional(network, frames, config=config).result(60)
+        [trace] = tracer.completed()
+        [engine] = [s for s in trace["spans"] if s["name"] == "engine_pass"]
+        children = [s for s in trace["spans"] if s["parent_id"] == engine["span_id"]]
+        forward = [s["name"] for s in children if s["name"].startswith("forward:")]
+        costing = [s["name"] for s in children if s["name"].startswith("layer:")]
+        assert forward == [f"forward:{layer.name}" for layer in network.layers]
+        assert costing == [
+            f"layer:{network.layers[i].name}" for i in network.weighted_layers
+        ]
+        for span in children:
+            assert engine["start"] <= span["start"] <= span["end"] <= engine["end"]
+
     def test_validation(self):
         with pytest.raises(ValueError, match="workers"):
             InferenceServer(workers=0)

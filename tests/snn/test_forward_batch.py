@@ -11,7 +11,9 @@ tests gate exactly.
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from repro.obs import layer_profiler
 from repro.snn.neuron import LIFParameters, LIFState, lif_step, lif_step_batch
 from repro.snn.reference import (
     avgpool2d_hwc,
@@ -56,15 +58,23 @@ class TestBatchedReferenceOps:
             im2row_batch(np.ones((4, 4, 3)), (2, 2), 1, 0)
 
     @pytest.mark.parametrize("chunk_frames", [None, 1, 2, 64])
-    def test_conv2d_batch_bit_for_bit(self, rng, chunk_frames):
-        """Exact per frame, for ANY chunking (GEMM rows are M-invariant)."""
-        x = rng.random((5, 8, 8, 6)) < 0.35
-        weights = rng.normal(size=(3, 3, 6, 10))
-        batched = conv2d_hwc_batch(x, weights, stride=1, padding=1,
-                                   chunk_frames=chunk_frames)
+    def test_conv2d_batch_bit_for_bit(self, rng, monkeypatch, chunk_frames):
+        """Exact per frame for any chunking, on the one-GEMM-per-chunk path."""
+        import repro.snn.reference as reference
+
+        x = rng.random((5, 4, 4, 128)) < 0.35
+        weights = rng.normal(size=(3, 3, 128, 128))  # 1.2 MB: one GEMM per chunk
+        assert weights.nbytes >= reference._CHUNK_GEMM_MIN_BYTES
+        if chunk_frames is not None:
+            # Size the chunk buffer to hold exactly ``chunk_frames`` frames'
+            # im2row rows: 16 positions of K = 3 * 3 * 128 float64 values.
+            monkeypatch.setattr(
+                reference, "_IM2ROW_CHUNK_BYTES", chunk_frames * 16 * 1152 * 8
+            )
+        batched = conv2d_hwc_batch(x, weights, stride=1, padding=1)
         for frame in range(5):
             expected = conv2d_hwc(x[frame], weights, stride=1, padding=1)
-            assert np.array_equal(batched[frame], expected)
+            _assert_same_bytes(batched[frame], expected)
 
     def test_conv2d_batch_validates(self, rng):
         weights = rng.normal(size=(3, 3, 6, 10))
@@ -135,6 +145,114 @@ class TestLifStepBatch:
         with pytest.raises(ValueError):
             lif_step_batch(LIFState.zeros((2, 4)), np.ones((2, 5)), LIFParameters())
 
+    @pytest.mark.parametrize("step", [lif_step, lif_step_batch])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_membrane_keeps_its_dtype(self, rng, step, dtype):
+        """The soft reset must not promote an fp32 membrane to float64."""
+        params = LIFParameters(alpha=0.9, v_threshold=0.5)
+        state = LIFState.zeros((2, 6), dtype=dtype)
+        for _ in range(3):
+            current = rng.normal(size=(2, 6)).astype(dtype)
+            state, _ = step(state, current, params)
+            assert state.membrane.dtype == dtype
+
+
+def _assert_same_bytes(got, expected):
+    """Equal dtype, shape and bytes: ``np.array_equal`` would ignore the
+    dtype and take -0.0 for 0.0."""
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _random_map(rng, shape, dtype):
+    """Spikes for ``bool``; otherwise small integers, half of them plus a
+    fraction, so pooling windows hold ties for the max.  No -0.0: numpy
+    leaves the sign of a tied zero maximum to its reduction order (see
+    ``maxpool2d_hwc_batch``)."""
+    if dtype == "bool":
+        return rng.random(shape) < 0.4
+    values = rng.integers(-3, 4, size=shape) + rng.random(shape) * (rng.random(shape) < 0.5)
+    return values.astype(dtype)
+
+
+_MAPS = dict(
+    batch=st.integers(1, 4),
+    height=st.integers(1, 9),
+    width=st.integers(1, 9),
+    channels=st.integers(1, 5),
+    dtype=st.sampled_from(["bool", "float32", "float64"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestBatchedOpsProperty:
+    """Each batched op equals its per-frame oracle byte for byte, over map
+    geometry, kernel, stride, padding and input dtype."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kh=st.integers(1, 3), kw=st.integers(1, 3), stride=st.integers(1, 3),
+           padding=st.integers(0, 2), out_channels=st.integers(1, 5), **_MAPS)
+    # A single output position, and fewer than four output channels: the
+    # shapes where one GEMM over all frames would round differently.
+    @example(kh=3, kw=3, stride=1, padding=0, out_channels=4, batch=3, height=3,
+             width=3, channels=5, dtype="float64", seed=0)
+    @example(kh=3, kw=1, stride=2, padding=1, out_channels=2, batch=2, height=7,
+             width=5, channels=3, dtype="float64", seed=1)
+    def test_im2row_and_conv_match_per_frame(
+        self, kh, kw, stride, padding, out_channels, batch, height, width,
+        channels, dtype, seed,
+    ):
+        assume(height + 2 * padding >= kh and width + 2 * padding >= kw)
+        rng = np.random.default_rng(seed)
+        x = _random_map(rng, (batch, height, width, channels), dtype)
+        weights = rng.normal(size=(kh, kw, channels, out_channels))
+        rows = im2row_batch(x, (kh, kw), stride, padding)
+        currents = conv2d_hwc_batch(x, weights, stride=stride, padding=padding)
+        for frame in range(batch):
+            _assert_same_bytes(rows[frame], im2row(x[frame], (kh, kw), stride, padding))
+            _assert_same_bytes(
+                currents[frame],
+                conv2d_hwc(x[frame], weights, stride=stride, padding=padding),
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(kernel=st.integers(1, 3), stride=st.integers(1, 3), **_MAPS)
+    @example(kernel=3, stride=2, batch=2, height=7, width=8, channels=2,
+             dtype="float32", seed=2)
+    def test_maxpool_matches_per_frame(
+        self, kernel, stride, batch, height, width, channels, dtype, seed
+    ):
+        assume(height >= kernel and width >= kernel)
+        rng = np.random.default_rng(seed)
+        x = _random_map(rng, (batch, height, width, channels), dtype)
+        pooled = maxpool2d_hwc_batch(x, kernel, stride)
+        for frame in range(batch):
+            _assert_same_bytes(pooled[frame], maxpool2d_hwc(x[frame], kernel, stride))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+           chunk=st.integers(1, 64),
+           dtype=st.sampled_from(["float32", "float64"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_lif_step_batch_matches_per_frame(self, shape, chunk, dtype, seed):
+        import repro.snn.neuron as neuron
+
+        rng = np.random.default_rng(seed)
+        params = LIFParameters(alpha=0.9, v_threshold=0.3, v_reset=0.7)
+        membranes = rng.normal(size=shape).astype(dtype)
+        currents = rng.normal(size=shape).astype(dtype)
+        # A chunk smaller than the population puts a boundary inside it.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(neuron, "_LIF_CHUNK_ELEMS", chunk)
+            state, spikes = lif_step_batch(LIFState(membrane=membranes), currents, params)
+        for frame in range(shape[0]):
+            ref_state, ref_spikes = lif_step(
+                LIFState(membrane=membranes[frame]), currents[frame], params
+            )
+            _assert_same_bytes(state.membrane[frame], ref_state.membrane)
+            _assert_same_bytes(spikes[frame], ref_spikes)
+
 
 class TestForwardBatch:
     def _assert_frame_equal(self, batch_record, frame_record):
@@ -186,6 +304,23 @@ class TestForwardBatch:
         assert list(batched) == [
             tiny_network.predict(frames[index], timesteps=2) for index in range(3)
         ]
+
+    def test_layer_profiler_times_every_layer_and_timestep(self, tiny_network, rng):
+        frames = rng.random((2, 8, 8, 3))
+        calls = []
+        with layer_profiler(lambda *call: calls.append(call)):
+            profiled = tiny_network.forward_batch(frames, timesteps=2)
+        names = [layer.name for layer in tiny_network.layers]
+        assert [(name, stage) for name, _, _, stage in calls] == [
+            (name, "forward") for _ in range(2) for name in names
+        ]
+        starts = [start for _, start, _, _ in calls]
+        for (_, start, end, _), next_start in zip(calls, starts[1:] + [float("inf")]):
+            assert start <= end <= next_start
+        # Profiling observes the pass; it never changes what it records.
+        plain = tiny_network.forward_batch(frames, timesteps=2)
+        for got, expected in zip(profiled.records, plain.records):
+            assert got.output_spikes.tobytes() == expected.output_spikes.tobytes()
 
     def test_validates_inputs(self, tiny_network, rng):
         with pytest.raises(ValueError):
