@@ -22,14 +22,20 @@ engine (:meth:`SpikeStreamInference._run_layer_batches`) iterates
 layer-major, takes each layer's whole-batch workload — stacked padded
 spike-count maps for conv layers, per-frame nnz for FC layers, a plain
 frame count for the dense encoding layer — and costs it through the
-kernels' ``*_perf_batch`` entry points (vectorized SpVA costs, batched
-window aggregation, and a workload-stealing simulation that takes, per
-frame, a closed-form round-robin when every item costs the same, the heap
-when few frames remain, and a numpy loop across frames otherwise).  Each
-returns one columnar :class:`~repro.arch.trace.BatchClusterStats` — per-core
-counters as ``(batch, cores)`` arrays, cluster counters as ``(batch,)``
-arrays — from which the engine computes timestep scaling, energy, FPU
-utilization, IPC and power as whole-batch arrays; no per-frame
+kernels' ``*_perf_batch`` entry points.  Each kernel compiles its layer's
+frame-independent costing state once per configuration — the per-count
+SpVA tables, the channel-group count, the tile layout, the icache model and
+the encoding layer's whole row — memoised by value in the kernel module
+(:mod:`repro.kernels.batch_stats`), so a fresh engine per batch and every
+thread share it, and a call does only the work the spike counts decide:
+table reads, batched window aggregation, and a workload-stealing
+simulation that takes, per frame, a closed-form round-robin when every item
+costs the same, the heap when few frames remain, and a numpy loop across
+frames otherwise.  Each returns one columnar
+:class:`~repro.arch.trace.BatchClusterStats` — per-core counters as
+``(batch, cores)`` arrays, cluster counters as ``(batch,)`` arrays — from
+which the engine computes timestep scaling, energy, FPU utilization, IPC
+and power as whole-batch arrays; no per-frame
 :class:`~repro.arch.trace.ClusterStats` is built.
 The two modes differ only in where those spike counts come from:
 

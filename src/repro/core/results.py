@@ -36,13 +36,10 @@ class LayerResult:
     clock_hz: float = 1.0e9
 
     def __post_init__(self) -> None:
-        lengths = {
-            len(np.atleast_1d(getattr(self, name))) for name in PER_FRAME_METRICS
-        }
-        if len(lengths) != 1:
-            raise ValueError(f"per-frame arrays of layer {self.name!r} have inconsistent lengths")
         for name in PER_FRAME_METRICS:
             setattr(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64)))
+        if len({len(getattr(self, name)) for name in PER_FRAME_METRICS}) != 1:
+            raise ValueError(f"per-frame arrays of layer {self.name!r} have inconsistent lengths")
 
     @property
     def batch_size(self) -> int:

@@ -5,7 +5,22 @@ The conv and FC batch entry points produce the same intermediates — five
 :class:`~repro.kernels.scheduler.BatchStealingSchedule` — and reduce it to
 one :class:`~repro.arch.trace.BatchClusterStats` in exactly the same way.
 This module holds that reduction so a fix to the accounting applies to
-every batched kernel at once.
+every batched kernel at once, and the memo of the kernels' compiled
+per-layer costers.
+
+Compiled costers: everything a batched kernel derives from the layer's
+geometry and the hardware model alone — the per-count SpVA tables, the
+channel-group count, the :class:`~repro.kernels.tiling.TileLayout`, the
+conflict factor and the icache model — is built once per configuration by a
+function memoised with ``lru_cache(maxsize=COSTER_CACHE_SIZE)`` on the
+value of its arguments, so a call does only the work that depends on the
+spike counts.  Threads share the memo; two that miss on the same key at once
+both build the entry, which is harmless, and the tables are read-only.  A
+per-count table read with :func:`numpy.take` is bit-for-bit the cost
+function evaluated on the counts themselves: every SpVA cost is an
+element-wise function of one integral count in ``0..in_channels``, so the
+table built on :func:`numpy.arange` holds exactly the value each count
+would produce.
 
 Bit-for-bit equivalence with the scalar kernels: the scalar paths sum each
 core's items with ``np.sum(metric[indices])``, a pairwise reduction, while
@@ -30,11 +45,23 @@ import numpy as np
 from ..arch.icache import InstructionCache
 from ..arch.params import CostModelParams
 from ..arch.trace import BatchClusterStats
+from ..types import Precision
 from .scheduler import BatchStealingSchedule
 from .tiling import TilePlan
 
 #: Order of the metric rows consumed by :func:`cluster_stats_from_batch`.
 METRIC_ROWS = ("int_instructions", "fp_instructions", "fp_busy", "spm", "ssr")
+
+#: Compiled costers each kernel's memo keeps, least recently used dropped
+#: first.  S-VGG11 at one configuration needs 7 conv, 3 FC and 1 encoding
+#: entries, a sweep over eight core counts 56 conv entries; an entry holds
+#: at most a few hundred KiB of tables.
+COSTER_CACHE_SIZE = 128
+
+
+def layer_label(name: str, streaming: bool, precision: Precision) -> str:
+    """The ``label`` of a kernel's stats, e.g. ``conv2-spikestream-fp16``."""
+    return f"{name}-{'spikestream' if streaming else 'baseline'}-{precision.value}"
 
 
 def cluster_stats_from_batch(

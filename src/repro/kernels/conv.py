@@ -20,8 +20,9 @@ Three entry points are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass, field, fields as dataclass_fields
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,10 +34,10 @@ from ..formats.csr_fiber import CompressedIfmap, CompressedIfmapBuilder
 from ..snn.neuron import LIFParameters
 from ..types import Precision, TensorShape
 from .activation import activation_cost_per_group, fused_lif_activation
-from .batch_stats import cluster_stats_from_batch
+from .batch_stats import COSTER_CACHE_SIZE, cluster_stats_from_batch, layer_label
 from .scheduler import workload_stealing_schedule, workload_stealing_schedule_batch
-from .spva import baseline_spva_cost, spva_gather_accumulate, streaming_spva_cost
-from .tiling import plan_conv_tiles
+from .spva import SpvaCost, spva_cost, spva_gather_accumulate
+from .tiling import TileLayout, conv_tile_layout, plan_conv_tiles
 
 
 @dataclass
@@ -102,13 +103,16 @@ def pad_counts(spec: "ConvLayerSpec", counts: np.ndarray) -> np.ndarray:
     home of that logic for the statistical draw, the batched draw and the
     functional activity paths.
     """
-    counts = np.asarray(counts, dtype=np.float64)
+    counts = np.asarray(counts)
     if counts.ndim < 2:
         raise ValueError(f"counts must have at least 2 spatial axes, got shape {counts.shape}")
     if not spec.padding:
-        return counts
-    pad_width = [(0, 0)] * (counts.ndim - 2) + [(spec.padding, spec.padding)] * 2
-    return np.pad(counts, pad_width)
+        return np.asarray(counts, dtype=np.float64)
+    pad = spec.padding
+    *lead, height, width = counts.shape
+    padded = np.zeros((*lead, height + 2 * pad, width + 2 * pad), dtype=np.float64)
+    padded[..., pad:pad + height, pad:pad + width] = counts
+    return padded
 
 
 def window_sum(values: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -172,6 +176,54 @@ def window_sum_batch(values: np.ndarray, kernel: int, stride: int) -> np.ndarray
     )
 
 
+def _position_spva_cost(
+    counts: np.ndarray,
+    costs: CostModelParams,
+    streaming: bool,
+    strided_indirect: bool,
+    conflict_factor: float,
+) -> SpvaCost:
+    """SpVA cost of every spatial position with the given spike counts."""
+    per_element = costs.strided_indirect_cycles_per_element if strided_indirect else None
+    return spva_cost(counts, costs, streaming, conflict_factor, per_element)
+
+
+def _rf_metrics(
+    rf_spva: Sequence[np.ndarray],
+    groups: int,
+    precision: Precision,
+    costs: CostModelParams,
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """Per-RF cycles and the per-RF metric rows (in ``METRIC_ROWS`` order).
+
+    ``rf_spva`` holds the six :class:`SpvaCost` metrics summed over each RF
+    window, in field order.
+    """
+    spva_cycles, spva_int, spva_fp, spva_fp_busy, spva_spm, spva_ssr = rf_spva
+    act_int, act_fp = activation_cost_per_group(precision, costs)
+    group_fixed_cycles = costs.group_overhead_int_instrs + act_int + act_fp
+    group_fixed_int = costs.group_overhead_int_instrs + act_int
+    group_fixed_fp = act_fp
+
+    rf_cycles = (
+        costs.rf_overhead_int_instrs
+        + groups * (spva_cycles + group_fixed_cycles)
+    )
+    rf_int = costs.rf_overhead_int_instrs + groups * (spva_int + group_fixed_int)
+    rf_fp = groups * (spva_fp + group_fixed_fp)
+    rf_fp_busy = groups * (spva_fp_busy + group_fixed_fp)
+    rf_spm = groups * (spva_spm + 4.0)  # membrane load/store + ofmap append
+    rf_ssr = groups * spva_ssr
+    return rf_cycles, (rf_int, rf_fp, rf_fp_busy, rf_spm, rf_ssr)
+
+
+def _check_count_bound(spec: ConvLayerSpec, spike_counts: np.ndarray) -> None:
+    if (spike_counts > spec.in_channels).any():
+        raise ValueError(
+            f"spike_counts must not exceed in_channels ({spec.in_channels}) at any position"
+        )
+
+
 def conv_layer_perf(
     spec: ConvLayerSpec,
     spike_counts: np.ndarray,
@@ -189,7 +241,8 @@ def conv_layer_perf(
     ----------
     spike_counts:
         Per-spatial-position spike counts of the *padded* ifmap, shape
-        ``(Hp, Wp)`` (e.g. ``CompressedIfmap.spike_counts()``).
+        ``(Hp, Wp)`` (e.g. ``CompressedIfmap.spike_counts()``), each at
+        most ``in_channels``.
     streaming:
         False for the parallel SIMD baseline, True for SpikeStream.
     strided_indirect:
@@ -206,53 +259,32 @@ def conv_layer_perf(
             f"spike_counts has shape {spike_counts.shape}, expected "
             f"{(padded.height, padded.width)}"
         )
+    _check_count_bound(spec, spike_counts)
     num_cores = num_active_cores or params.num_worker_cores
     output_shape = spec.output_shape
     simd = precision.simd_width
     groups = (spec.out_channels + simd - 1) // simd
-    k2 = spec.kernel_size * spec.kernel_size
 
     tcdm = Tcdm(params)
     conflict_factor = tcdm.conflict_stall_factor(num_cores)
 
     # ---- per-position SpVA costs, then per-RF window aggregation ---------
-    flat_counts = spike_counts.reshape(-1)
-    if streaming:
-        per_element = (
-            costs.strided_indirect_cycles_per_element if strided_indirect else None
-        )
-        position_cost = streaming_spva_cost(
-            flat_counts, costs, conflict_factor=conflict_factor, cycles_per_element=per_element
-        )
-    else:
-        position_cost = baseline_spva_cost(flat_counts, costs)
-
-    def per_rf(values: np.ndarray) -> np.ndarray:
-        return window_sum(
-            values.reshape(padded.height, padded.width), spec.kernel_size, spec.stride
-        ).reshape(-1)
-
-    rf_spva_cycles = per_rf(position_cost.cycles)
-    rf_spva_int = per_rf(position_cost.int_instructions)
-    rf_spva_fp = per_rf(position_cost.fp_instructions)
-    rf_spva_fp_busy = per_rf(position_cost.fp_busy_cycles)
-    rf_spva_spm = per_rf(position_cost.spm_accesses)
-    rf_spva_ssr = per_rf(position_cost.ssr_spm_accesses)
-
-    act_int, act_fp = activation_cost_per_group(precision, costs)
-    group_fixed_cycles = costs.group_overhead_int_instrs + act_int + act_fp
-    group_fixed_int = costs.group_overhead_int_instrs + act_int
-    group_fixed_fp = act_fp
-
-    rf_cycles = (
-        costs.rf_overhead_int_instrs
-        + groups * (rf_spva_cycles + group_fixed_cycles)
+    position_cost = _position_spva_cost(
+        spike_counts.reshape(-1), costs, streaming, strided_indirect, conflict_factor
     )
-    rf_int = costs.rf_overhead_int_instrs + groups * (rf_spva_int + group_fixed_int)
-    rf_fp = groups * (rf_spva_fp + group_fixed_fp)
-    rf_fp_busy = groups * (rf_spva_fp_busy + group_fixed_fp)
-    rf_spm = groups * (rf_spva_spm + 4.0)  # membrane load/store + ofmap append
-    rf_ssr = groups * rf_spva_ssr
+    rf_cycles, (rf_int, rf_fp, rf_fp_busy, rf_spm, rf_ssr) = _rf_metrics(
+        [
+            window_sum(
+                getattr(position_cost, metric.name).reshape(padded.height, padded.width),
+                spec.kernel_size,
+                spec.stride,
+            ).reshape(-1)
+            for metric in dataclass_fields(SpvaCost)
+        ],
+        groups,
+        precision,
+        costs,
+    )
 
     # ---- workload stealing over receptive fields --------------------------
     schedule = workload_stealing_schedule(
@@ -304,14 +336,98 @@ def conv_layer_perf(
 
     compute_cycles = max(s.total_cycles for s in core_stats)
     dma_exposed = max(0.0, dma_cycles - compute_cycles)
-    label = f"{spec.name}-{'spikestream' if streaming else 'baseline'}-{precision.value}"
     return ClusterStats(
         core_stats=core_stats,
         dma_cycles=dma_cycles,
         dma_bytes=float(plan.total_dma_bytes),
         dma_exposed_cycles=dma_exposed,
         total_cycles=compute_cycles + dma_exposed,
-        label=label,
+        label=layer_label(spec.name, streaming, precision),
+    )
+
+
+@dataclass(frozen=True)
+class _ConvCoster:
+    """The frame-independent costing state of one conv layer configuration.
+
+    ``spva`` is the read-only ``(6, in_channels + 1)`` per-count table of
+    the SpVA cost of one position: one row per :class:`SpvaCost` field, in
+    order, one column per spike count ``0..in_channels``.
+    """
+
+    spva: np.ndarray
+    kernel_size: int
+    stride: int
+    groups: int
+    tiles: TileLayout
+    icache: InstructionCache
+
+    def rf_spva(self, counts: np.ndarray) -> np.ndarray:
+        """The six SpVA metrics summed over every RF, ``(6, B, RFs)``.
+
+        ``counts`` is the ``(B, Hp, Wp)`` integer count stack.  The metric
+        maps of up to :data:`_WINDOW_CHUNK_BYTES` worth of frames are
+        stacked as ``(6 * frames, Hp, Wp)`` and summed in one
+        :func:`window_sum_batch` call, each map exactly as on its own.
+        """
+        batch, height, width = counts.shape
+        step = max(1, _WINDOW_CHUNK_BYTES // (len(self.spva) * height * width * 8))
+        if batch <= step:
+            return self._window_sums(counts)
+        return np.concatenate(
+            [self._window_sums(counts[start:start + step]) for start in range(0, batch, step)],
+            axis=1,
+        )
+
+    def _window_sums(self, counts: np.ndarray) -> np.ndarray:
+        frames, height, width = counts.shape
+        maps = np.take(self.spva, counts, axis=1).reshape(-1, height, width)
+        sums = window_sum_batch(maps, self.kernel_size, self.stride)
+        return sums.reshape(len(self.spva), frames, sums.shape[1] * sums.shape[2])
+
+
+#: Byte budget of the stacked metric maps summed by one window_sum_batch
+#: call.  It bounds the temporaries of a large batch (at batch 128 conv2's
+#: unchunked stack and integral images take about 10 MB) the way
+#: ``_IM2ROW_CHUNK_BYTES`` bounds im2row; on a 2-CPU Xeon host budgets from
+#: 256 KiB up to an unchunked stack cost S-VGG11 batch 128 within 10% of
+#: each other.
+_WINDOW_CHUNK_BYTES = 512 * 1024
+
+
+@lru_cache(maxsize=COSTER_CACHE_SIZE)
+def _conv_coster(
+    geometry: Tuple[TensorShape, int, int, int, int, int],
+    precision: Precision,
+    streaming: bool,
+    strided_indirect: bool,
+    num_cores: int,
+    index_bytes: int,
+    params: ClusterParams,
+    costs: CostModelParams,
+) -> _ConvCoster:
+    """Build the :class:`_ConvCoster` of one configuration (memoised)."""
+    spec = ConvLayerSpec("", *geometry)
+    conflict_factor = Tcdm(params).conflict_stall_factor(num_cores)
+    per_count = _position_spva_cost(
+        np.arange(spec.in_channels + 1, dtype=np.float64),
+        costs,
+        streaming,
+        strided_indirect,
+        conflict_factor,
+    )
+    table = np.stack([getattr(per_count, metric.name) for metric in dataclass_fields(SpvaCost)])
+    table.setflags(write=False)
+    padded = spec.padded_input_shape
+    return _ConvCoster(
+        spva=table,
+        kernel_size=spec.kernel_size,
+        stride=spec.stride,
+        groups=(spec.out_channels + precision.simd_width - 1) // precision.simd_width,
+        tiles=conv_tile_layout(
+            padded, spec.output_shape, spec.kernel_size, precision, index_bytes, params
+        ),
+        icache=InstructionCache(params, costs),
     )
 
 
@@ -329,17 +445,19 @@ def conv_layer_perf_batch(
     """Batch-axis entry point of :func:`conv_layer_perf`.
 
     ``spike_counts`` has shape ``(B, Hp, Wp)``: one padded per-position
-    spike-count map per frame, every count a non-negative integer.  All
-    per-position SpVA costs and the per-RF window aggregation are computed
-    for the whole batch in one vectorized pass, the workload-stealing
-    schedules of all frames in one
-    :func:`~repro.kernels.scheduler.workload_stealing_schedule_batch` call,
-    the tiling plans over the ``(B,)`` compressed ifmap sizes in one
-    :func:`~repro.kernels.tiling.plan_conv_tiles` call, and the per-core
-    reductions in :func:`~repro.kernels.batch_stats.cluster_stats_from_batch`.
-    Frame ``i`` of the returned :class:`~repro.arch.trace.BatchClusterStats`
-    is bit-for-bit identical to calling :func:`conv_layer_perf` on that
-    frame's map alone (the reduction relies on integral counts; see
+    spike-count map per frame, every count an integer in
+    ``0..in_channels``.  Everything that depends only on the layer and the
+    hardware model is compiled once per configuration (:func:`_conv_coster`,
+    memoised by value): a call reads the six per-position SpVA metrics from
+    the per-count table with :func:`numpy.take`, sums them over the RF
+    windows in chunked :func:`window_sum_batch` calls, schedules all frames
+    in one :func:`~repro.kernels.scheduler.workload_stealing_schedule_batch`
+    call, completes the tile layout for the ``(B,)`` compressed ifmap sizes
+    and reduces per core in
+    :func:`~repro.kernels.batch_stats.cluster_stats_from_batch`.  Frame ``i``
+    of the returned :class:`~repro.arch.trace.BatchClusterStats` is
+    bit-for-bit identical to calling :func:`conv_layer_perf` on that frame's
+    map alone (the reduction relies on integral counts; see
     :mod:`repro.kernels.batch_stats`).
     """
     if strided_indirect and not streaming:
@@ -353,82 +471,31 @@ def conv_layer_perf_batch(
         )
     if (spike_counts < 0).any() or (np.floor(spike_counts) != spike_counts).any():
         raise ValueError("spike_counts must be non-negative integers")
+    _check_count_bound(spec, spike_counts)
     batch = spike_counts.shape[0]
     num_cores = num_active_cores or params.num_worker_cores
-    output_shape = spec.output_shape
-    simd = precision.simd_width
-    groups = (spec.out_channels + simd - 1) // simd
-
-    tcdm = Tcdm(params)
-    conflict_factor = tcdm.conflict_stall_factor(num_cores)
-
-    # ---- per-position SpVA costs for the whole batch ----------------------
-    flat_counts = spike_counts.reshape(batch, -1)
-    if streaming:
-        per_element = (
-            costs.strided_indirect_cycles_per_element if strided_indirect else None
-        )
-        position_cost = streaming_spva_cost(
-            flat_counts, costs, conflict_factor=conflict_factor, cycles_per_element=per_element
-        )
-    else:
-        position_cost = baseline_spva_cost(flat_counts, costs)
-
-    def per_rf(values: np.ndarray) -> np.ndarray:
-        return window_sum_batch(
-            values.reshape(batch, padded.height, padded.width), spec.kernel_size, spec.stride
-        ).reshape(batch, -1)
-
-    rf_spva_cycles = per_rf(position_cost.cycles)
-    rf_spva_int = per_rf(position_cost.int_instructions)
-    rf_spva_fp = per_rf(position_cost.fp_instructions)
-    rf_spva_fp_busy = per_rf(position_cost.fp_busy_cycles)
-    rf_spva_spm = per_rf(position_cost.spm_accesses)
-    rf_spva_ssr = per_rf(position_cost.ssr_spm_accesses)
-
-    act_int, act_fp = activation_cost_per_group(precision, costs)
-    group_fixed_cycles = costs.group_overhead_int_instrs + act_int + act_fp
-    group_fixed_int = costs.group_overhead_int_instrs + act_int
-    group_fixed_fp = act_fp
-
-    rf_cycles = (
-        costs.rf_overhead_int_instrs
-        + groups * (rf_spva_cycles + group_fixed_cycles)
+    coster = _conv_coster(
+        (spec.input_shape, spec.in_channels, spec.out_channels, spec.kernel_size,
+         spec.stride, spec.padding),
+        precision, streaming, strided_indirect, num_cores, index_bytes, params, costs,
     )
-    rf_int = costs.rf_overhead_int_instrs + groups * (rf_spva_int + group_fixed_int)
-    rf_fp = groups * (rf_spva_fp + group_fixed_fp)
-    rf_fp_busy = groups * (rf_spva_fp_busy + group_fixed_fp)
-    rf_spm = groups * (rf_spva_spm + 4.0)  # membrane load/store + ofmap append
-    rf_ssr = groups * rf_spva_ssr
-
-    # ---- workload stealing, all frames in one call -----------------------
+    rf_cycles, metric_rows = _rf_metrics(
+        coster.rf_spva(spike_counts.astype(np.intp)), coster.groups, precision, costs
+    )
     schedule = workload_stealing_schedule_batch(
         rf_cycles, num_cores, atomic_cost_cycles=costs.atomic_operation_cycles
     )
-
-    # ---- tiling/DMA plans of all frames and the per-core reductions ------
-    nnz = flat_counts.sum(axis=1)
+    nnz = spike_counts.reshape(batch, -1).sum(axis=1)
     compressed_bytes = (nnz * index_bytes + (padded.spatial_size + 1) * index_bytes).astype(
         np.int64
     )
-    plan = plan_conv_tiles(
-        input_shape=padded,
-        output_shape=output_shape,
-        kernel_size=spec.kernel_size,
-        compressed_ifmap_bytes=compressed_bytes,
-        precision=precision,
-        index_bytes=index_bytes,
-        params=params,
-        costs=costs,
-    )
-    label = f"{spec.name}-{'spikestream' if streaming else 'baseline'}-{precision.value}"
     return cluster_stats_from_batch(
-        (rf_int, rf_fp, rf_fp_busy, rf_spm, rf_ssr),
+        metric_rows,
         schedule,
         costs,
-        InstructionCache(params, costs),
-        plan,
-        label,
+        coster.icache,
+        coster.tiles.plan(compressed_bytes),
+        layer_label(spec.name, streaming, precision),
     )
 
 

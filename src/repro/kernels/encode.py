@@ -12,6 +12,7 @@ currents, one for the weights).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -25,6 +26,7 @@ from ..snn.neuron import LIFParameters
 from ..snn.reference import conv2d_hwc
 from ..types import Precision, TensorShape
 from .activation import activation_cost_per_group, fused_lif_activation
+from .batch_stats import COSTER_CACHE_SIZE, layer_label
 from .scheduler import workload_stealing_schedule_batch
 
 
@@ -153,14 +155,40 @@ def encode_layer_perf(
 
     compute_cycles = max(s.total_cycles for s in core_stats)
     dma_exposed = max(0.0, dma_cycles - compute_cycles)
-    label = f"{spec.name}-{'spikestream' if streaming else 'baseline'}-{precision.value}"
     return ClusterStats(
         core_stats=core_stats,
         dma_cycles=dma_cycles,
         dma_bytes=float(dma_bytes),
         dma_exposed_cycles=dma_exposed,
         total_cycles=compute_cycles + dma_exposed,
-        label=label,
+        label=layer_label(spec.name, streaming, precision),
+    )
+
+
+@lru_cache(maxsize=COSTER_CACHE_SIZE)
+def _encode_row(
+    geometry: Tuple[str, TensorShape, int, int, int, int, int],
+    precision: Precision,
+    streaming: bool,
+    num_cores: int,
+    index_bytes: int,
+    input_precision: Precision,
+    params: ClusterParams,
+    costs: CostModelParams,
+) -> ClusterStats:
+    """The one frame every batch of an encoding layer repeats (memoised).
+
+    Never handed out: :meth:`BatchClusterStats.repeat` copies it.
+    """
+    return encode_layer_perf(
+        EncodeLayerSpec(*geometry),
+        precision=precision,
+        streaming=streaming,
+        params=params,
+        costs=costs,
+        index_bytes=index_bytes,
+        num_active_cores=num_cores,
+        input_precision=input_precision,
     )
 
 
@@ -178,22 +206,24 @@ def encode_layer_perf_batch(
     """Batch-axis entry point of :func:`encode_layer_perf`.
 
     The dense encoding layer's cost model does not depend on the frame
-    content, so the model is evaluated once and its one row broadcast to
-    ``batch_size`` frames (read-only, so no frame can alias another).  Frame
-    ``i`` of the returned :class:`~repro.arch.trace.BatchClusterStats` is
-    bit-for-bit identical to a per-frame :func:`encode_layer_perf` call.
+    content, so the model is evaluated once per configuration (memoised by
+    value) and its one row broadcast to ``batch_size`` frames (read-only,
+    so no frame can alias another).  Frame ``i`` of the returned
+    :class:`~repro.arch.trace.BatchClusterStats` is bit-for-bit identical
+    to a per-frame :func:`encode_layer_perf` call.
     """
     if batch_size < 0:
         raise ValueError(f"batch_size must be non-negative, got {batch_size}")
-    reference = encode_layer_perf(
-        spec,
-        precision=precision,
-        streaming=streaming,
-        params=params,
-        costs=costs,
-        index_bytes=index_bytes,
-        num_active_cores=num_active_cores,
-        input_precision=input_precision,
+    reference = _encode_row(
+        (spec.name, spec.input_shape, spec.in_channels, spec.out_channels, spec.kernel_size,
+         spec.stride, spec.padding),
+        precision,
+        streaming,
+        num_active_cores or params.num_worker_cores,
+        index_bytes,
+        input_precision,
+        params,
+        costs,
     )
     return BatchClusterStats.repeat(reference, batch_size)
 

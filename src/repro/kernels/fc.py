@@ -9,6 +9,7 @@ workload-stealing scheduler used for receptive fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,10 +23,10 @@ from ..formats.csr_fiber import CompressedVector
 from ..snn.neuron import LIFParameters
 from ..types import Precision
 from .activation import activation_cost_per_group, fused_lif_activation
-from .batch_stats import cluster_stats_from_batch
+from .batch_stats import COSTER_CACHE_SIZE, cluster_stats_from_batch, layer_label
 from .scheduler import workload_stealing_schedule, workload_stealing_schedule_batch
-from .spva import baseline_spva_cost, streaming_spva_cost
-from .tiling import plan_fc_tiles
+from .spva import SpvaCost, spva_cost
+from .tiling import TileLayout, fc_tile_layout, plan_fc_tiles
 
 
 @dataclass
@@ -44,6 +45,21 @@ class FcLayerSpec:
     def weight_bytes(self, precision: Precision) -> int:
         """Bytes of the weight matrix at the given precision."""
         return self.in_features * self.out_features * precision.bytes
+
+
+def _group_metrics(
+    spva: SpvaCost, precision: Precision, costs: CostModelParams
+) -> Tuple[np.ndarray, ...]:
+    """Per-group cycles, then the metric rows in ``METRIC_ROWS`` order."""
+    act_int, act_fp = activation_cost_per_group(precision, costs)
+    return (
+        spva.cycles + costs.fc_setup_int_instrs + act_int + act_fp,
+        spva.int_instructions + costs.fc_setup_int_instrs + act_int,
+        spva.fp_instructions + act_fp,
+        spva.fp_busy_cycles + act_fp,
+        spva.spm_accesses + 4.0,
+        spva.ssr_spm_accesses,
+    )
 
 
 def fc_layer_perf(
@@ -70,19 +86,10 @@ def fc_layer_perf(
     tcdm = Tcdm(params)
     conflict_factor = tcdm.conflict_stall_factor(num_cores)
 
-    lengths = np.full(groups, float(nnz))
-    if streaming:
-        spva = streaming_spva_cost(lengths, costs, conflict_factor=conflict_factor)
-    else:
-        spva = baseline_spva_cost(lengths, costs)
-
-    act_int, act_fp = activation_cost_per_group(precision, costs)
-    group_cycles = spva.cycles + costs.fc_setup_int_instrs + act_int + act_fp
-    group_int = spva.int_instructions + costs.fc_setup_int_instrs + act_int
-    group_fp = spva.fp_instructions + act_fp
-    group_fp_busy = spva.fp_busy_cycles + act_fp
-    group_spm = spva.spm_accesses + 4.0
-    group_ssr = spva.ssr_spm_accesses
+    spva = spva_cost(np.full(groups, float(nnz)), costs, streaming, conflict_factor)
+    group_cycles, group_int, group_fp, group_fp_busy, group_spm, group_ssr = _group_metrics(
+        spva, precision, costs
+    )
 
     schedule = workload_stealing_schedule(
         group_cycles, num_cores, atomic_cost_cycles=costs.atomic_operation_cycles
@@ -127,14 +134,54 @@ def fc_layer_perf(
 
     compute_cycles = max(s.total_cycles for s in core_stats)
     dma_exposed = max(0.0, dma_cycles - compute_cycles)
-    label = f"{spec.name}-{'spikestream' if streaming else 'baseline'}-{precision.value}"
     return ClusterStats(
         core_stats=core_stats,
         dma_cycles=dma_cycles,
         dma_bytes=float(plan.total_dma_bytes),
         dma_exposed_cycles=dma_exposed,
         total_cycles=compute_cycles + dma_exposed,
-        label=label,
+        label=layer_label(spec.name, streaming, precision),
+    )
+
+
+@dataclass(frozen=True)
+class _FcCoster:
+    """The frame-independent costing state of one FC layer configuration.
+
+    ``per_count`` is the read-only ``(6, in_features + 1)`` table of the
+    per-group cycles and metric rows (:func:`_group_metrics`) per input
+    spike count.
+    """
+
+    per_count: np.ndarray
+    groups: int
+    tiles: TileLayout
+    icache: InstructionCache
+
+
+@lru_cache(maxsize=COSTER_CACHE_SIZE)
+def _fc_coster(
+    in_features: int,
+    out_features: int,
+    precision: Precision,
+    streaming: bool,
+    num_cores: int,
+    index_bytes: int,
+    params: ClusterParams,
+    costs: CostModelParams,
+) -> _FcCoster:
+    """Build the :class:`_FcCoster` of one configuration (memoised)."""
+    conflict_factor = Tcdm(params).conflict_stall_factor(num_cores)
+    spva = spva_cost(
+        np.arange(in_features + 1, dtype=np.float64), costs, streaming, conflict_factor
+    )
+    per_count = np.stack(_group_metrics(spva, precision, costs))
+    per_count.setflags(write=False)
+    return _FcCoster(
+        per_count=per_count,
+        groups=(out_features + precision.simd_width - 1) // precision.simd_width,
+        tiles=fc_tile_layout(in_features, out_features, precision, index_bytes, params),
+        icache=InstructionCache(params, costs),
     )
 
 
@@ -151,62 +198,39 @@ def fc_layer_perf_batch(
     """Batch-axis entry point of :func:`fc_layer_perf`.
 
     ``nnz`` holds the spiking input count of every frame in the batch.  All
-    output-channel groups of a frame stream the same inputs, so the SpVA
-    cost is computed once per frame (one vectorized pass over the batch)
-    and broadcast across the groups, and the scheduler deals the groups to
-    the cores round-robin in closed form.  Frame ``i`` of the returned
+    output-channel groups of a frame stream the same inputs, so each
+    frame's group metrics are one column of the per-count table compiled
+    once per configuration (:func:`_fc_coster`, memoised by value),
+    broadcast across the groups, and the scheduler deals the groups to the
+    cores round-robin in closed form.  Frame ``i`` of the returned
     :class:`~repro.arch.trace.BatchClusterStats` is bit-for-bit identical to
     a per-frame :func:`fc_layer_perf` call.
     """
     nnz_array = np.asarray(nnz, dtype=np.int64)
     if nnz_array.ndim != 1:
         raise ValueError(f"nnz must be 1-D (batch,), got shape {nnz_array.shape}")
-    if np.any(nnz_array < 0) or np.any(nnz_array > spec.in_features):
+    if (nnz_array < 0).any() or (nnz_array > spec.in_features).any():
         raise ValueError(f"every nnz must be in [0, {spec.in_features}]")
     num_cores = num_active_cores or params.num_worker_cores
-    simd = precision.simd_width
-    groups = (spec.out_features + simd - 1) // simd
-
-    tcdm = Tcdm(params)
-    conflict_factor = tcdm.conflict_stall_factor(num_cores)
-
-    lengths = nnz_array.astype(np.float64)[:, None]
-    if streaming:
-        spva = streaming_spva_cost(lengths, costs, conflict_factor=conflict_factor)
-    else:
-        spva = baseline_spva_cost(lengths, costs)
-
-    def per_group(column: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(column, (len(nnz_array), groups))
-
-    act_int, act_fp = activation_cost_per_group(precision, costs)
-    group_cycles = per_group(spva.cycles + costs.fc_setup_int_instrs + act_int + act_fp)
-    group_int = per_group(spva.int_instructions + costs.fc_setup_int_instrs + act_int)
-    group_fp = per_group(spva.fp_instructions + act_fp)
-    group_fp_busy = per_group(spva.fp_busy_cycles + act_fp)
-    group_spm = per_group(spva.spm_accesses + 4.0)
-    group_ssr = per_group(spva.ssr_spm_accesses)
-
+    coster = _fc_coster(
+        spec.in_features, spec.out_features, precision, streaming, num_cores, index_bytes,
+        params, costs,
+    )
+    # Every group of a frame costs the same: one column per metric, broadcast.
+    group_cycles, *metric_rows = np.broadcast_to(
+        np.take(coster.per_count, nnz_array[:, None], axis=1),
+        (len(coster.per_count), len(nnz_array), coster.groups),
+    )
     schedule = workload_stealing_schedule_batch(
         group_cycles, num_cores, atomic_cost_cycles=costs.atomic_operation_cycles
     )
-    plan = plan_fc_tiles(
-        in_features=spec.in_features,
-        out_features=spec.out_features,
-        compressed_input_bytes=nnz_array * index_bytes + index_bytes,
-        precision=precision,
-        index_bytes=index_bytes,
-        params=params,
-        costs=costs,
-    )
-    label = f"{spec.name}-{'spikestream' if streaming else 'baseline'}-{precision.value}"
     return cluster_stats_from_batch(
-        (group_int, group_fp, group_fp_busy, group_spm, group_ssr),
+        metric_rows,
         schedule,
         costs,
-        InstructionCache(params, costs),
-        plan,
-        label,
+        coster.icache,
+        coster.tiles.plan(nnz_array * index_bytes + index_bytes),
+        layer_label(spec.name, streaming, precision),
     )
 
 

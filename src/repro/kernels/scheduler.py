@@ -8,8 +8,17 @@ over one vector of per-RF costs with a heap of core availability times; it is
 the oracle.  :func:`workload_stealing_schedule_batch` produces the same
 schedule for a whole batch of cost vectors, picking per frame the cheapest
 exact method its input allows: a closed-form round-robin for frames whose
-items all cost the same, the heap once per frame for small batches, and a
-numpy loop over the items, vectorised across frames, for large ones.
+items all cost the same, the heap once per frame for small batches (the
+oracle's own loop, :func:`_heap_claims`, on costs validated once for the
+whole batch), and a numpy loop over the items, vectorised across frames,
+for large ones.
+
+The batched kernels read their per-item costs from per-count tables
+compiled once per layer (see :mod:`repro.kernels.batch_stats`).  Such a
+table is exact, not an approximation: every SpVA cost is an element-wise
+function of one integral spike count, so the table built on
+:func:`numpy.arange` holds bit for bit what the cost function returns for
+that count, and the schedules built on it equal the scalar kernels'.
 """
 
 from __future__ import annotations
@@ -150,12 +159,11 @@ def workload_stealing_schedule_batch(
     rest = np.flatnonzero(~closed)
     if len(rest) < SMALL_BATCH:
         for frame in rest:
-            schedule = workload_stealing_schedule(costs[frame], num_cores, atomic_cost_cycles)
-            for core, items in enumerate(schedule.assignments):
-                core_of_item[frame, items] = core
-            busy[frame] = schedule.core_busy_cycles
-            finish[frame] = schedule.core_finish_cycles
-            claims[frame] = schedule.atomic_operations_per_core
+            core_of_item[frame], finish[frame] = _heap_claims(
+                costs[frame].tolist(), num_cores, atomic_cost_cycles
+            )
+            busy[frame] = np.bincount(core_of_item[frame], costs[frame], num_cores)
+            claims[frame] = np.bincount(core_of_item[frame], minlength=num_cores)
     else:
         core_of_item[rest], busy[rest], finish[rest], claims[rest] = _stealing_loop(
             costs[rest], num_cores, atomic_cost_cycles
@@ -281,25 +289,42 @@ def workload_stealing_schedule(
             atomic_operations_per_core=np.zeros(num_cores, dtype=np.float64),
         )
 
-    # Dynamic stealing: each core grabs the next RF as soon as it is free.
-    # The sorted initial list is already a heap; a core's last push is its
-    # finish time.
-    heap = [(0.0, core) for core in range(num_cores)]
+    cost_list = costs.tolist()
+    claimed_by, finish = _heap_claims(cost_list, num_cores, atomic_cost_cycles)
     busy_cycles = [0.0] * num_cores
-    for rf_index, cost in enumerate(costs.tolist()):
-        available_at, core = heap[0]
+    for rf_index, core in enumerate(claimed_by):
         assignments[core].append(rf_index)
-        busy_cycles[core] += cost
-        heapq.heapreplace(heap, (available_at + atomic_cost_cycles + cost, core))
-    finish = np.zeros(num_cores, dtype=np.float64)
-    for available_at, core in heap:
-        finish[core] = available_at
+        busy_cycles[core] += cost_list[rf_index]
     return StealingSchedule(
         num_cores=num_cores,
         assignments=assignments,
         core_busy_cycles=np.array(busy_cycles, dtype=np.float64),
-        core_finish_cycles=finish,
+        core_finish_cycles=np.array(finish, dtype=np.float64),
         atomic_operations_per_core=np.array(
             [len(items) for items in assignments], dtype=np.float64
         ),
     )
+
+
+def _heap_claims(
+    costs: List[float], num_cores: int, atomic_cost_cycles: float
+) -> Tuple[List[int], List[float]]:
+    """Dynamic stealing of one cost vector: each core grabs the next item as
+    soon as it is free.
+
+    Returns the claiming core of every item and the finish cycles of every
+    core; a core's busy cycles are the sum of its items' costs in item
+    order.  The sorted initial list is already a heap; a core's last push is
+    its finish time.
+    """
+    heap = [(0.0, core) for core in range(num_cores)]
+    claimed_by: List[int] = []
+    claim, replace = claimed_by.append, heapq.heapreplace  # hoisted: the loop is hot
+    for cost in costs:
+        available_at, core = heap[0]
+        claim(core)
+        replace(heap, (available_at + atomic_cost_cycles + cost, core))
+    finish = [0.0] * num_cores
+    for available_at, core in heap:
+        finish[core] = available_at
+    return claimed_by, finish

@@ -152,3 +152,21 @@ def streaming_spva_cost(
         spm_accesses=np.zeros_like(lengths),
         ssr_spm_accesses=ssr_spm_accesses,
     )
+
+
+def spva_cost(
+    stream_lengths: ArrayLike,
+    costs: CostModelParams,
+    streaming: bool,
+    conflict_factor: float = 1.0,
+    cycles_per_element: Optional[float] = None,
+) -> SpvaCost:
+    """Cost of the kernel variant's SpVAs: :func:`streaming_spva_cost` when
+    ``streaming``, else :func:`baseline_spva_cost` (which takes neither
+    ``conflict_factor`` nor ``cycles_per_element``)."""
+    if not streaming:
+        return baseline_spva_cost(stream_lengths, costs)
+    return streaming_spva_cost(
+        stream_lengths, costs, conflict_factor=conflict_factor,
+        cycles_per_element=cycles_per_element,
+    )

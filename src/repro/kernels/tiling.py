@@ -14,7 +14,10 @@ while computing on the previous tile.  The planner decides
 Both planners also take a ``(batch,)`` integer array of compressed input
 sizes, one per frame, and then plan every frame at once: the fields that
 depend on the input size become ``(batch,)`` arrays, each element equal to
-the plan of that frame alone.
+the plan of that frame alone.  Each planner is the composition of a
+frame-independent :class:`TileLayout` (:func:`conv_tile_layout`,
+:func:`fc_tile_layout`) and its :meth:`TileLayout.plan` for the input
+size(s); the batched kernels keep the layout and redo only the second half.
 """
 
 from __future__ import annotations
@@ -90,6 +93,111 @@ def _weight_tile_channels(
     return min(out_channels, channels)
 
 
+@dataclass(frozen=True)
+class TileLayout:
+    """The frame-independent half of a :class:`TilePlan`.
+
+    Everything the planner derives from the layer's shapes, the precision
+    and the scratchpad alone; :meth:`plan` completes it for a compressed
+    input size, or a ``(batch,)`` array of sizes.  ``input_rows`` is the
+    padded ifmap height of a conv layer, whose ofmap rows are banded by the
+    compressed ifmap size, and 0 for an FC layer (one resident band, one
+    output row).
+    """
+
+    weight_bytes: int
+    ofmap_worst_case_bytes: int
+    membrane_bytes: int
+    channels_per_weight_tile: int
+    num_weight_tiles: int
+    output_rows: int = 1
+    input_rows: int = 0
+    band_budget_bytes: int = 0
+    output_row_bytes: int = 0
+
+    def plan(self, compressed_input_bytes: IntOrArray) -> TilePlan:
+        """The full plan for the given compressed input size(s)."""
+        if self.input_rows:
+            ifmap_bytes_per_row = np.maximum(compressed_input_bytes // self.input_rows, 1)
+            # At least 2 bytes per row, so the division below is safe.
+            per_row = 2 * ifmap_bytes_per_row + self.output_row_bytes
+            rows_per_band = _as_int(
+                np.minimum(np.maximum(self.band_budget_bytes // per_row, 1), self.output_rows)
+            )
+            num_bands = -(-self.output_rows // rows_per_band)
+        else:
+            rows_per_band = num_bands = 1
+        # Loop order (Section III-D): for each ifmap band, stream every weight
+        # tile; the compressed ifmap band and the membrane band are loaded once
+        # per band, the weights once per band per weight tile.
+        dma_bytes_in = compressed_input_bytes + self.membrane_bytes + num_bands * self.weight_bytes
+        # One descriptor per weight tile per band, one per ifmap band, plus the
+        # fragmented per-row ofmap c_idcs write-backs.
+        num_dma_transfers = num_bands * (self.num_weight_tiles + 1) + (self.output_rows + 1)
+        return TilePlan(
+            weight_bytes=self.weight_bytes,
+            ifmap_bytes=compressed_input_bytes,
+            ofmap_worst_case_bytes=self.ofmap_worst_case_bytes,
+            membrane_bytes=self.membrane_bytes,
+            channels_per_weight_tile=self.channels_per_weight_tile,
+            num_weight_tiles=self.num_weight_tiles,
+            rows_per_band=rows_per_band,
+            num_ifmap_bands=num_bands,
+            dma_bytes_in=_as_int(dma_bytes_in),
+            # expected ofmap occupancy + state
+            dma_bytes_out=int(self.ofmap_worst_case_bytes // 2 + self.membrane_bytes),
+            num_dma_transfers=_as_int(num_dma_transfers),
+        )
+
+
+def _check_budget_fraction(weight_budget_fraction: float) -> None:
+    if not 0.0 < weight_budget_fraction < 1.0:
+        raise ValueError("weight_budget_fraction must be in (0, 1)")
+
+
+def conv_tile_layout(
+    input_shape: TensorShape,
+    output_shape: TensorShape,
+    kernel_size: int,
+    precision: Precision,
+    index_bytes: int = 2,
+    params: ClusterParams = DEFAULT_CLUSTER,
+    weight_budget_fraction: float = 0.45,
+) -> TileLayout:
+    """The frame-independent half of :func:`plan_conv_tiles`."""
+    _check_budget_fraction(weight_budget_fraction)
+    spm = params.spm_bytes
+    simd = precision.simd_width
+    weight_bytes_per_channel = kernel_size * kernel_size * input_shape.channels * precision.bytes
+    weight_bytes = weight_bytes_per_channel * output_shape.channels
+
+    channels_per_tile = _weight_tile_channels(
+        weight_bytes_per_channel, output_shape.channels, simd, int(spm * weight_budget_fraction)
+    )
+    num_weight_tiles = ceil(output_shape.channels / channels_per_tile)
+    weight_tile_bytes = channels_per_tile * weight_bytes_per_channel
+
+    # Remaining SPM is shared by the double-buffered ifmap band, the
+    # worst-case compressed ofmap band and the membrane-state band.
+    remaining = spm - 2 * weight_tile_bytes
+    ofmap_bytes_per_row = output_shape.width * output_shape.channels * index_bytes + index_bytes
+    membrane_bytes_per_row = output_shape.width * output_shape.channels * precision.bytes
+
+    return TileLayout(
+        weight_bytes=weight_bytes,
+        ofmap_worst_case_bytes=(
+            output_shape.numel * index_bytes + (output_shape.spatial_size + 1) * index_bytes
+        ),
+        membrane_bytes=output_shape.numel * precision.bytes,
+        channels_per_weight_tile=channels_per_tile,
+        num_weight_tiles=num_weight_tiles,
+        output_rows=output_shape.height,
+        input_rows=max(input_shape.height, 1),
+        band_budget_bytes=remaining,
+        output_row_bytes=ofmap_bytes_per_row + membrane_bytes_per_row,
+    )
+
+
 def plan_conv_tiles(
     input_shape: TensorShape,
     output_shape: TensorShape,
@@ -107,56 +215,35 @@ def plan_conv_tiles(
     the actual (or expected) compressed footprint of that ifmap, or a
     ``(batch,)`` array of footprints, one per frame.
     """
-    if not 0.0 < weight_budget_fraction < 1.0:
-        raise ValueError("weight_budget_fraction must be in (0, 1)")
+    return conv_tile_layout(
+        input_shape, output_shape, kernel_size, precision, index_bytes, params,
+        weight_budget_fraction,
+    ).plan(compressed_ifmap_bytes)
+
+
+def fc_tile_layout(
+    in_features: int,
+    out_features: int,
+    precision: Precision,
+    index_bytes: int = 2,
+    params: ClusterParams = DEFAULT_CLUSTER,
+    weight_budget_fraction: float = 0.7,
+) -> TileLayout:
+    """The frame-independent half of :func:`plan_fc_tiles`."""
+    _check_budget_fraction(weight_budget_fraction)
     spm = params.spm_bytes
     simd = precision.simd_width
-    weight_bytes_per_channel = kernel_size * kernel_size * input_shape.channels * precision.bytes
-    weight_bytes = weight_bytes_per_channel * output_shape.channels
+    weight_bytes_per_neuron = in_features * precision.bytes
 
     channels_per_tile = _weight_tile_channels(
-        weight_bytes_per_channel, output_shape.channels, simd, int(spm * weight_budget_fraction)
+        weight_bytes_per_neuron, out_features, simd, int(spm * weight_budget_fraction)
     )
-    num_weight_tiles = ceil(output_shape.channels / channels_per_tile)
-    weight_tile_bytes = channels_per_tile * weight_bytes_per_channel
-
-    # Remaining SPM is shared by the double-buffered ifmap band, the
-    # worst-case compressed ofmap band and the membrane-state band.
-    remaining = spm - 2 * weight_tile_bytes
-    ofmap_bytes_per_row = output_shape.width * output_shape.channels * index_bytes + index_bytes
-    membrane_bytes_per_row = output_shape.width * output_shape.channels * precision.bytes
-    ifmap_bytes_per_row = np.maximum(compressed_ifmap_bytes // max(input_shape.height, 1), 1)
-    # At least 2 bytes per row, so the division below is safe.
-    per_row = 2 * ifmap_bytes_per_row + (ofmap_bytes_per_row + membrane_bytes_per_row)
-    rows_per_band = _as_int(
-        np.minimum(np.maximum(remaining // per_row, 1), output_shape.height)
-    )
-    num_bands = -(-output_shape.height // rows_per_band)
-
-    membrane_bytes = output_shape.numel * precision.bytes
-    ofmap_worst_case = output_shape.numel * index_bytes + (output_shape.spatial_size + 1) * index_bytes
-
-    # Loop order (Section III-D): for each ifmap band, stream every weight
-    # tile; the compressed ifmap band and the membrane band are loaded once
-    # per band, the weights once per band per weight tile.
-    dma_bytes_in = compressed_ifmap_bytes + membrane_bytes + num_bands * weight_bytes
-    dma_bytes_out = ofmap_worst_case // 2 + membrane_bytes  # expected ofmap occupancy + state
-    # One descriptor per weight tile per band, one per ifmap band, plus the
-    # fragmented per-row ofmap c_idcs write-backs.
-    num_dma_transfers = num_bands * (num_weight_tiles + 1) + (output_shape.height + 1)
-
-    return TilePlan(
-        weight_bytes=weight_bytes,
-        ifmap_bytes=compressed_ifmap_bytes,
-        ofmap_worst_case_bytes=ofmap_worst_case,
-        membrane_bytes=membrane_bytes,
+    return TileLayout(
+        weight_bytes=weight_bytes_per_neuron * out_features,
+        ofmap_worst_case_bytes=out_features * index_bytes + index_bytes,
+        membrane_bytes=out_features * precision.bytes,
         channels_per_weight_tile=channels_per_tile,
-        num_weight_tiles=num_weight_tiles,
-        rows_per_band=rows_per_band,
-        num_ifmap_bands=num_bands,
-        dma_bytes_in=_as_int(dma_bytes_in),
-        dma_bytes_out=int(dma_bytes_out),
-        num_dma_transfers=_as_int(num_dma_transfers),
+        num_weight_tiles=ceil(out_features / channels_per_tile),
     )
 
 
@@ -178,34 +265,6 @@ def plan_fc_tiles(
     ``compressed_input_bytes`` may be a ``(batch,)`` array, one size per
     frame.
     """
-    if not 0.0 < weight_budget_fraction < 1.0:
-        raise ValueError("weight_budget_fraction must be in (0, 1)")
-    spm = params.spm_bytes
-    simd = precision.simd_width
-    weight_bytes_per_neuron = in_features * precision.bytes
-    weight_bytes = weight_bytes_per_neuron * out_features
-
-    channels_per_tile = _weight_tile_channels(
-        weight_bytes_per_neuron, out_features, simd, int(spm * weight_budget_fraction)
-    )
-    num_weight_tiles = ceil(out_features / channels_per_tile)
-    membrane_bytes = out_features * precision.bytes
-    ofmap_worst_case = out_features * index_bytes + index_bytes
-
-    dma_bytes_in = compressed_input_bytes + membrane_bytes + weight_bytes
-    dma_bytes_out = ofmap_worst_case // 2 + membrane_bytes
-    num_dma_transfers = num_weight_tiles + 3
-
-    return TilePlan(
-        weight_bytes=weight_bytes,
-        ifmap_bytes=compressed_input_bytes,
-        ofmap_worst_case_bytes=ofmap_worst_case,
-        membrane_bytes=membrane_bytes,
-        channels_per_weight_tile=channels_per_tile,
-        num_weight_tiles=num_weight_tiles,
-        rows_per_band=1,
-        num_ifmap_bands=1,
-        dma_bytes_in=_as_int(dma_bytes_in),
-        dma_bytes_out=int(dma_bytes_out),
-        num_dma_transfers=int(num_dma_transfers),
-    )
+    return fc_tile_layout(
+        in_features, out_features, precision, index_bytes, params, weight_budget_fraction
+    ).plan(compressed_input_bytes)

@@ -31,6 +31,7 @@ import re
 import tokenize
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -94,8 +95,9 @@ class Finding:
 class ParsedModule:
     """One source file, parsed once and shared by every rule.
 
-    Exposes the AST (``tree``), the raw ``source``, the project-relative
-    ``rel_path`` and the per-line suppression map parsed from
+    Exposes the AST (``tree``), every node of it in :func:`ast.walk` order
+    (:attr:`nodes`), the raw ``source``, the project-relative ``rel_path``
+    and the per-line suppression map parsed from
     ``# lint: disable=<rule>[,<rule>...]`` comments.
     """
 
@@ -114,6 +116,12 @@ class ParsedModule:
             if match:
                 rules = {part.strip() for part in match.group(1).split(",")}
                 self.suppressions[token.start[0]] = {rule for rule in rules if rule}
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of ``tree`` in :func:`ast.walk` order, walked once for
+        all rules instead of once per rule."""
+        return list(ast.walk(self.tree))
 
     def finding(self, rule: str, node: object, message: str) -> Finding:
         """A :class:`Finding` anchored at ``node`` (an AST node or a line)."""

@@ -48,8 +48,8 @@ def _dotted(node: ast.AST) -> str:
     return ""
 
 
-def _functions(tree: ast.AST) -> Iterator[ast.AST]:
-    for node in ast.walk(tree):
+def _functions(module: ParsedModule) -> Iterator[ast.AST]:
+    for node in module.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
 
@@ -99,7 +99,7 @@ class LockDisciplineRule(Rule):
 
     def check_module(self, module: ParsedModule, project: Project) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ClassDef):
                 findings.extend(self._check_class(module, node))
         return findings
@@ -204,12 +204,16 @@ class UnseededRngRule(Rule):
     (``np.random.default_rng(seed)``, ``random.Random(seed)``): a single
     ``np.random.rand()`` or ``random.random()`` makes results depend on
     global interpreter state and silently breaks every equality gate.
+    The builtin ``hash()`` is flagged too: Python salts the hash of ``str``
+    and ``bytes`` per process (``PYTHONHASHSEED``), so a seed derived from
+    it differs from one process to the next; derive seeds with
+    ``zlib.crc32`` or :mod:`hashlib` instead.
     """
 
     name = "unseeded-rng"
     description = (
-        "no np.random.<fn> / bare random.<fn> global-state draws in "
-        "snn/, kernels/, serve/, net/ or engine modules"
+        "no np.random.<fn> / bare random.<fn> global-state draws and no "
+        "builtin hash() in snn/, kernels/, serve/, net/ or engine modules"
     )
 
     _NUMPY_ALLOWED = {"default_rng", "Generator", "SeedSequence", "PCG64", "Philox"}
@@ -229,7 +233,7 @@ class UnseededRngRule(Rule):
         if not self._in_scope(module):
             return ()
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             chain = _dotted(node.func)
@@ -250,6 +254,16 @@ class UnseededRngRule(Rule):
                         node,
                         f"{chain}() uses global random-module state; use a "
                         f"seeded random.Random(...) instance",
+                    )
+                )
+            elif chain == "hash":
+                findings.append(
+                    module.finding(
+                        self.name,
+                        node,
+                        "builtin hash() is salted per process for str and "
+                        "bytes; use zlib.crc32 or hashlib for a reproducible "
+                        "seed",
                     )
                 )
         return findings
@@ -292,7 +306,7 @@ class DtypeDisciplineRule(Rule):
 
     def check_module(self, module: ParsedModule, project: Project) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for func in _functions(module.tree):
+        for func in _functions(module):
             if not self._takes_policy(func):
                 continue
             # Only the body: the signature legitimately states the reference
@@ -346,9 +360,9 @@ class UnpicklablePointRule(Rule):
         "not lambdas or closures"
     )
 
-    def _nested_function_names(self, tree: ast.AST) -> Set[str]:
+    def _nested_function_names(self, module: ParsedModule) -> Set[str]:
         nested: Set[str] = set()
-        for outer in _functions(tree):
+        for outer in _functions(module):
             for inner in ast.walk(outer):
                 if inner is not outer and isinstance(
                     inner, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -358,8 +372,8 @@ class UnpicklablePointRule(Rule):
 
     def check_module(self, module: ParsedModule, project: Project) -> Iterable[Finding]:
         findings: List[Finding] = []
-        nested = self._nested_function_names(module.tree)
-        for node in ast.walk(module.tree):
+        nested = self._nested_function_names(module)
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             is_spec = _dotted(node.func).rsplit(".", 1)[-1] == "SweepSpec"
@@ -415,7 +429,7 @@ class FrozenMutationRule(Rule):
 
     def check_module(self, module: ParsedModule, project: Project) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if (
@@ -431,7 +445,7 @@ class FrozenMutationRule(Rule):
                                 "fingerprint was hashed from the frozen bytes",
                             )
                         )
-        for func in _functions(module.tree):
+        for func in _functions(module):
             frozen: Set[str] = set()
             for node in ast.walk(func):
                 if isinstance(node, ast.Assign):
@@ -501,7 +515,7 @@ class RegistryDocsRule(Rule):
         """Yield (name, line, has_description) per registration call."""
         builders = [
             func
-            for func in _functions(module.tree)
+            for func in _functions(module)
             if func.name == "_build_scenarios"
         ]
         for builder in builders:
@@ -520,7 +534,7 @@ class RegistryDocsRule(Rule):
                         and bool(node.args[3].value)
                     )
                     yield node.args[0].value, node.lineno, described
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not (
                 isinstance(node, ast.Call)
                 and _dotted(node.func).rsplit(".", 1)[-1] == "register_sweep"
@@ -596,7 +610,7 @@ class MutableDefaultRule(Rule):
 
     def check_module(self, module: ParsedModule, project: Project) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for func in _functions(module.tree):
+        for func in _functions(module):
             defaults = list(func.args.defaults) + [
                 default for default in func.args.kw_defaults if default is not None
             ]
@@ -682,7 +696,7 @@ class AllExportsRule(Rule):
         if has_getattr:
             dynamic = {
                 node.value
-                for node in ast.walk(module.tree)
+                for node in module.nodes
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)
             }
         findings: List[Finding] = []
@@ -862,9 +876,9 @@ class SocketDisciplineRule(Rule):
 
     def check_module(self, module: ParsedModule, project: Project) -> Iterable[Finding]:
         findings: List[Finding] = []
-        for fn in _functions(module.tree):
+        for fn in _functions(module):
             findings.extend(self._check_function(module, fn))
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ClassDef):
                 findings.extend(self._check_class(module, node))
         # Module-level sockets never have a per-call teardown path.
@@ -888,7 +902,7 @@ class SocketDisciplineRule(Rule):
 
     def _check_partial_io(self, module: ParsedModule) -> Iterator[Finding]:
         """Flag scatter-gather calls whose byte count is thrown away."""
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Expr):
                 continue
             call = node.value
@@ -1003,12 +1017,12 @@ class SpanDisciplineRule(Rule):
     def check_module(self, module: ParsedModule, project: Project) -> Iterable[Finding]:
         findings: List[Finding] = []
         with_exprs: Set[int] = set()
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
                     with_exprs.add(id(item.context_expr))
         span_names: Set[str] = set()
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Assign) and self._is_span_call(node.value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
@@ -1023,7 +1037,7 @@ class SpanDisciplineRule(Rule):
                         "`with tracer.span(...):`",
                     )
                 )
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)

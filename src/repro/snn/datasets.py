@@ -16,7 +16,7 @@ shapes and per-layer firing rates.  This module therefore provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,19 +79,6 @@ class SyntheticCIFAR10:
             images[i] = (smooth - low) / (high - low + 1e-12)
             labels[i] = rng.integers(0, self.num_classes)
         return images, labels
-
-    def __iter__(self) -> Iterator[Tuple[np.ndarray, int]]:
-        """Yield an endless stream of (image, label) pairs."""
-        index = 0
-        while True:
-            images, labels = SyntheticCIFAR10(
-                num_classes=self.num_classes,
-                image_shape=self.image_shape,
-                seed=(hash((str(self.seed), index)) & 0x7FFFFFFF),
-                smoothing=self.smoothing,
-            ).sample(1)
-            yield images[0], int(labels[0])
-            index += 1
 
 
 def synthetic_compressed_ifmap(

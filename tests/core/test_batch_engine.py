@@ -7,12 +7,15 @@ same seed: every per-frame metric array of the resulting
 exact equality (no tolerances).
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.arch.params import ClusterParams
+from repro.arch.params import DEFAULT_COSTS, ClusterParams, CostModelParams
 from repro.arch.trace import BatchClusterStats, ClusterStats, CoreStats
 from repro.config import baseline_config, spikestream_config
 from repro.core.layer_mapping import KernelKind
@@ -20,12 +23,13 @@ from repro.core.pipeline import SpikeStreamInference
 from repro.energy.model import EnergyModel
 from repro.kernels.conv import (
     ConvLayerSpec,
+    _conv_coster,
     conv_layer_perf,
     conv_layer_perf_batch,
     window_sum,
     window_sum_batch,
 )
-from repro.kernels.encode import encode_layer_perf, encode_layer_perf_batch
+from repro.kernels.encode import EncodeLayerSpec, encode_layer_perf, encode_layer_perf_batch
 from repro.kernels.fc import FcLayerSpec, fc_layer_perf, fc_layer_perf_batch
 from repro.kernels.scheduler import (
     SMALL_BATCH,
@@ -305,44 +309,89 @@ _INTEGER_COUNT_CASES = dict(
     streaming=st.booleans(),
 )
 
+#: A second cost model: most coefficients the conv and FC kernels read
+#: differ from the default (instruction counts stay whole numbers).
+_OTHER_COSTS = CostModelParams(
+    baseline_spva_instrs_per_element=7,
+    baseline_spva_stall_cycles_per_element=3.5,
+    streaming_cycles_per_element=1.85,
+    stream_setup_int_instrs=7,
+    stream_startup_cycles=2.5,
+    strided_indirect_cycles_per_element=1.3,
+    spva_address_calc_int_instrs=5,
+    rf_overhead_int_instrs=15,
+    group_overhead_int_instrs=3,
+    activation_int_instrs_per_group=9,
+    output_unpack_extra_iterations_fp8=3,
+    dense_streaming_cycles_per_mac=1.7,
+    fc_setup_int_instrs=6,
+    icache_miss_penalty_cycles=22.0,
+    icache_capacity_miss_rate=0.002,
+    dma_setup_cycles=25.0,
+    dma_bytes_per_cycle=32.0,
+    atomic_operation_cycles=6.0,
+)
+
 
 class TestBatchKernelProperties:
     """``*_perf_batch(...).frame(i)`` equals the scalar kernel on frame ``i``,
     field for field, over integer counts, batch sizes on both sides of
     :data:`SMALL_BATCH` and core counts above and below the item count."""
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         **_INTEGER_COUNT_CASES,
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(1, 6),
         channels=st.integers(1, 24),
         out_channels=st.integers(1, 40),
-        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0, None]),
+        kernel=st.integers(1, 3),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        strided_indirect=st.booleans(),
+        costs=st.sampled_from([DEFAULT_COSTS, _OTHER_COSTS]),
+        data=st.data(),
     )
     def test_conv_frames_match_scalar(
-        self, batch, cores, precision, streaming, seed, size, channels, out_channels, density
+        self, batch, cores, precision, streaming, seed, size, channels, out_channels,
+        density, kernel, stride, padding, strided_indirect, costs, data,
     ):
+        """``density=None`` draws every count uniformly from
+        ``0..in_channels``; ``active`` cores may be fewer than the cluster's."""
+        assume(size + 2 * padding >= kernel)
         spec = ConvLayerSpec(
             name="conv", input_shape=TensorShape(size, size, channels),
             in_channels=channels, out_channels=out_channels,
+            kernel_size=kernel, stride=stride, padding=padding,
         )
         padded = spec.padded_input_shape
         rng = np.random.default_rng(seed)
-        counts = rng.binomial(
-            channels, density, size=(batch, size, size)
-        ).astype(np.float64)
-        counts = np.pad(counts, ((0, 0), (1, 1), (1, 1)))
+        if density is None:
+            counts = rng.integers(0, channels + 1, size=(batch, size, size))
+        else:
+            counts = rng.binomial(channels, density, size=(batch, size, size))
+        counts = np.pad(counts.astype(np.float64), ((0, 0), (padding,) * 2, (padding,) * 2))
         assert counts.shape[1:] == (padded.height, padded.width)
         params = ClusterParams(num_worker_cores=cores)
-        batched = conv_layer_perf_batch(
-            spec, counts, precision, streaming=streaming, params=params
+        active = data.draw(st.one_of(st.none(), st.integers(1, cores)), label="active")
+        options = dict(
+            params=params, costs=costs, num_active_cores=active,
+            strided_indirect=strided_indirect and streaming,
         )
+        # Prime the memo with the same geometry under the other cost model
+        # and the other strided switch: the call under test must not reuse
+        # either entry.
+        other_costs = _OTHER_COSTS if costs is DEFAULT_COSTS else DEFAULT_COSTS
+        for primed in (
+            dict(options, costs=other_costs),
+            dict(options, strided_indirect=streaming and not options["strided_indirect"]),
+        ):
+            conv_layer_perf_batch(spec, counts[:1], precision, streaming=streaming, **primed)
+        batched = conv_layer_perf_batch(spec, counts, precision, streaming=streaming, **options)
         assert batched.batch_size == batch
         for frame in range(batch):
-            scalar = conv_layer_perf(
-                spec, counts[frame], precision, streaming=streaming, params=params
-            )
+            scalar = conv_layer_perf(spec, counts[frame], precision, streaming=streaming, **options)
             assert_stats_identical(batched.frame(frame), scalar)
 
     @settings(max_examples=40, deadline=None)
@@ -350,21 +399,132 @@ class TestBatchKernelProperties:
         **_INTEGER_COUNT_CASES,
         in_features=st.integers(1, 600),
         out_features=st.integers(1, 300),
+        costs=st.sampled_from([DEFAULT_COSTS, _OTHER_COSTS]),
         data=st.data(),
     )
     def test_fc_frames_match_scalar(
-        self, batch, cores, precision, streaming, in_features, out_features, data
+        self, batch, cores, precision, streaming, in_features, out_features, costs, data
     ):
         spec = FcLayerSpec(name="fc", in_features=in_features, out_features=out_features)
         nnz = data.draw(
             st.lists(st.integers(0, in_features), min_size=batch, max_size=batch)
         )
-        params = ClusterParams(num_worker_cores=cores)
-        batched = fc_layer_perf_batch(spec, nnz, precision, streaming=streaming, params=params)
+        active = data.draw(st.one_of(st.none(), st.integers(1, cores)), label="active")
+        options = dict(
+            params=ClusterParams(num_worker_cores=cores), costs=costs, num_active_cores=active
+        )
+        batched = fc_layer_perf_batch(spec, nnz, precision, streaming=streaming, **options)
         assert batched.batch_size == batch
         for frame, count in enumerate(nnz):
-            scalar = fc_layer_perf(spec, count, precision, streaming=streaming, params=params)
+            scalar = fc_layer_perf(spec, count, precision, streaming=streaming, **options)
             assert_stats_identical(batched.frame(frame), scalar)
+
+    def test_alternating_configurations_match_their_oracles(self):
+        """The kernels memoise per-layer costing state by configuration;
+        calls that alternate two cost models, two core counts and a switch
+        (strided-indirect for conv, streaming for FC and encode) in one
+        process must each match the scalar kernel under their own
+        configuration."""
+        conv = ConvLayerSpec(
+            name="conv", input_shape=TensorShape(5, 5, 12), in_channels=12, out_channels=20
+        )
+        fc = FcLayerSpec(name="fc", in_features=300, out_features=70)
+        encode = EncodeLayerSpec(
+            name="enc", input_shape=TensorShape(6, 6, 3), in_channels=3, out_channels=16
+        )
+        padded = conv.padded_input_shape
+        rng = np.random.default_rng(5)
+        for round_index in range(3):
+            for costs in (DEFAULT_COSTS, _OTHER_COSTS):
+                for cores in (8, 3):
+                    for switch in (False, True):
+                        options = dict(params=ClusterParams(num_worker_cores=cores), costs=costs)
+                        counts = np.pad(
+                            rng.integers(0, 13, size=(2, 5, 5)).astype(np.float64),
+                            ((0, 0), (1, 1), (1, 1)),
+                        )
+                        assert counts.shape[1:] == (padded.height, padded.width)
+                        batched = conv_layer_perf_batch(
+                            conv, counts, Precision.FP16, streaming=True,
+                            strided_indirect=switch, **options,
+                        )
+                        for frame in range(2):
+                            assert_stats_identical(
+                                batched.frame(frame),
+                                conv_layer_perf(
+                                    conv, counts[frame], Precision.FP16, streaming=True,
+                                    strided_indirect=switch, **options,
+                                ),
+                            )
+                        nnz = rng.integers(0, 301, size=2)
+                        batched = fc_layer_perf_batch(
+                            fc, nnz, Precision.FP8, streaming=switch, **options
+                        )
+                        for frame, count in enumerate(nnz):
+                            assert_stats_identical(
+                                batched.frame(frame),
+                                fc_layer_perf(
+                                    fc, int(count), Precision.FP8, streaming=switch, **options
+                                ),
+                            )
+                        assert_stats_identical(
+                            encode_layer_perf_batch(
+                                encode, 1, Precision.FP16, streaming=switch, **options
+                            ).frame(0),
+                            encode_layer_perf(
+                                encode, Precision.FP16, streaming=switch, **options
+                            ),
+                        )
+
+
+class TestCompiledCosterThreads:
+    def test_threads_sharing_the_memo_match_their_oracles(self):
+        """Four threads (more than the 2-CPU host's cores) race on the
+        kernels' memo under a short switch interval, cycling through eight
+        configurations from a cleared memo; every call must complete and
+        equal the scalar kernel under its own configuration."""
+        spec = ConvLayerSpec(
+            name="conv", input_shape=TensorShape(4, 4, 10), in_channels=10, out_channels=12
+        )
+        counts = np.pad(
+            np.random.default_rng(9).integers(0, 11, size=(2, 4, 4)).astype(np.float64),
+            ((0, 0), (1, 1), (1, 1)),
+        )
+        configs = [
+            dict(costs=costs, params=ClusterParams(num_worker_cores=cores),
+                 strided_indirect=strided)
+            for costs in (DEFAULT_COSTS, _OTHER_COSTS)
+            for cores in (8, 3)
+            for strided in (False, True)
+        ]
+        expected = [
+            [conv_layer_perf(spec, frame, Precision.FP16, streaming=True, **config)
+             for frame in counts]
+            for config in configs
+        ]
+        calls = 40
+
+        def run(offset):
+            for call in range(calls):
+                index = (offset + call) % len(configs)
+                batched = conv_layer_perf_batch(
+                    spec, counts, Precision.FP16, streaming=True, **configs[index]
+                )
+                for frame, oracle in enumerate(expected[index]):
+                    assert_stats_identical(batched.frame(frame), oracle)
+            return calls
+
+        _conv_coster.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(run, offset) for offset in range(4)]
+                # result() re-raises whatever a thread raised, mismatch or not.
+                completed = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert completed == [calls] * 4
 
 
 class TestEngineEquivalence:

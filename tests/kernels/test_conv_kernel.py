@@ -5,7 +5,13 @@ import pytest
 
 from repro.arch.params import ClusterParams
 from repro.formats.convert import compress_ifmap, decompress_ifmap
-from repro.kernels.conv import ConvLayerSpec, conv_layer_functional, conv_layer_perf, window_sum
+from repro.kernels.conv import (
+    ConvLayerSpec,
+    conv_layer_functional,
+    conv_layer_perf,
+    conv_layer_perf_batch,
+    window_sum,
+)
 from repro.snn.neuron import LIFParameters, LIFState, lif_step
 from repro.snn.reference import conv2d_hwc, pad_hwc
 from repro.types import Precision, TensorShape
@@ -170,3 +176,25 @@ class TestConvPerf:
         stats = conv_layer_perf(small_conv_spec, counts, Precision.FP16, streaming=True)
         assert stats.total_cycles > 0
         assert stats.total_fp_instructions > 0  # activation FP work remains
+
+    def test_counts_above_in_channels_rejected(self):
+        """A position cannot hold more spikes than the layer has input
+        channels; both kernels refuse to price such a map."""
+        spec = ConvLayerSpec(
+            name="c", input_shape=TensorShape(4, 4, 8), in_channels=8, out_channels=8
+        )
+        padded = spec.padded_input_shape
+        impossible = np.full((padded.height, padded.width), 50.0)
+        with pytest.raises(ValueError, match="in_channels"):
+            conv_layer_perf(spec, impossible, Precision.FP16, streaming=True)
+        with pytest.raises(ValueError, match="in_channels"):
+            conv_layer_perf_batch(spec, impossible[None], Precision.FP16, streaming=True)
+        one_over = np.zeros((2, padded.height, padded.width))
+        one_over[1, 2, 3] = spec.in_channels + 1
+        with pytest.raises(ValueError, match="in_channels"):
+            conv_layer_perf_batch(spec, one_over, Precision.FP16, streaming=False)
+        full = np.full((padded.height, padded.width), float(spec.in_channels))
+        assert conv_layer_perf(spec, full, Precision.FP16, streaming=True).total_cycles > 0
+        assert conv_layer_perf_batch(
+            spec, full[None], Precision.FP16, streaming=True
+        ).total_cycles[0] > 0

@@ -19,6 +19,11 @@ def draw_stdlib():
     return random.random()
 
 
+def seed_from_name(name, index):
+    # Violation: builtin hash() of a str is salted per process.
+    return hash((name, index)) & 0x7FFFFFFF
+
+
 def draw_seeded(seed):
     # Allowed: explicitly seeded generator objects.
     rng = np.random.default_rng(seed)

@@ -142,3 +142,14 @@ def test_docstring_mention_is_not_a_suppression(tmp_path):
     project = load_project(tmp_path, paths=("doc.py",))
     assert project.by_path["doc.py"].suppressions == {}
     assert check_project(root=tmp_path, paths=("doc.py",), project=project).passed
+
+
+def test_unseeded_rng_flags_builtin_hash():
+    """``hash()`` of a str is salted per process, so a seed derived from it
+    is not reproducible; the fixture seeds one such call."""
+    result = check_project(
+        root=FIXTURES, rule_names=["unseeded-rng"], paths=("bad_engine.py",)
+    )
+    flagged = [finding for finding in result.findings if "hash()" in finding.message]
+    assert len(flagged) == 1
+    assert flagged[0].line > 0
