@@ -10,6 +10,9 @@ execution paths of :class:`~repro.core.pipeline.SpikeStreamInference`:
 asserts at every batch size that their
 :class:`~repro.core.results.InferenceResult` objects are **bit-for-bit
 identical**, and reports one row of wall-clock times and speedup per size.
+Each row also carries ``draw_s``: the best time of
+``statistical_workloads`` alone, the per-frame spike-count draw that the
+engine's time includes.
 The acceptance bar (>= 3x) applies at batch 128 only, the paper's batch
 size; batch 1 and 16 are reported so that a slow single-request path shows.
 
@@ -53,6 +56,10 @@ def compare_engines(batch_size: int = FULL_BATCH, seed: int = SEED, repeats: int
     vectorized, vectorized_s = _best_of(
         repeats, lambda: engine.run_statistical(batch_size=batch_size, seed=seed)
     )
+    plans = engine.optimizer.plan_svgg11()
+    _, draw_s = _best_of(
+        repeats, lambda: engine.statistical_workloads(plans, batch_size, seed)
+    )
     reference, looped_s = _best_of(
         repeats, lambda: engine.run_statistical_reference(batch_size=batch_size, seed=seed)
     )
@@ -60,6 +67,7 @@ def compare_engines(batch_size: int = FULL_BATCH, seed: int = SEED, repeats: int
         "benchmark": "batch_engine",
         "batch_size": batch_size,
         "vectorized_s": vectorized_s,
+        "draw_s": draw_s,
         "looped_s": looped_s,
         "speedup": looped_s / vectorized_s if vectorized_s > 0 else float("inf"),
         "identical": vectorized.identical_to(reference),
@@ -97,13 +105,14 @@ def test_batch_engine_equivalent_and_faster(benchmark):
 def _pretty(result) -> str:
     lines = [
         "S-VGG11 statistical run, per-frame loop vs batch engine (best of N runs):",
-        f"  {'batch':>5}  {'loop (ms)':>10}  {'engine (ms)':>11}  {'speedup':>8}  bit-for-bit",
+        f"  {'batch':>5}  {'loop (ms)':>10}  {'engine (ms)':>11}  {'of which draw':>13}"
+        f"  {'speedup':>8}  bit-for-bit",
     ]
     for row in result["rows"]:
         lines.append(
             f"  {row['batch_size']:>5}  {row['looped_s'] * 1e3:>10.1f}  "
-            f"{row['vectorized_s'] * 1e3:>11.1f}  {row['speedup']:>7.2f}x  "
-            f"{'yes' if row['identical'] else 'NO'}"
+            f"{row['vectorized_s'] * 1e3:>11.1f}  {row['draw_s'] * 1e3:>13.1f}  "
+            f"{row['speedup']:>7.2f}x  {'yes' if row['identical'] else 'NO'}"
         )
     lines.append(f"  acceptance bar: >= {SPEEDUP_BAR}x at batch {FULL_BATCH}")
     return "\n".join(lines)

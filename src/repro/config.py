@@ -9,10 +9,21 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Optional
 
 from .types import OptimizationFlag, Precision
 from .utils.serialization import canonical_json
+
+
+def check_run_size(batch_size: Optional[int], timesteps: Optional[int]) -> None:
+    """Reject a batch size or timestep count below 1.
+
+    ``None`` stands for "the configuration's own value" wherever a run takes
+    these as overrides; 0 is never a default, it is an empty run.
+    """
+    for name, value in (("batch_size", batch_size), ("timesteps", timesteps)):
+        if value is not None and value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +58,7 @@ class RunConfig:
     index_bytes: int = 2
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.timesteps <= 0:
-            raise ValueError(f"timesteps must be positive, got {self.timesteps}")
+        check_run_size(self.batch_size, self.timesteps)
         if self.index_bytes not in (1, 2, 4):
             raise ValueError(f"index_bytes must be 1, 2 or 4, got {self.index_bytes}")
 

@@ -56,9 +56,20 @@ class SpikeStreamOptimizer:
     # Planning entry points
     # ------------------------------------------------------------------ #
     def plan_svgg11(self, firing_rates: Optional[Dict[str, float]] = None) -> List[LayerPlan]:
-        """Plan the full S-VGG11 network from its shape description."""
+        """Plan the full S-VGG11 network from its shape description.
+
+        ``firing_rates`` overrides the Figure 3a rate of the layers it names;
+        a name that is not an S-VGG11 layer raises ``ValueError`` instead of
+        being ignored.
+        """
         rates = dict(SVGG11_LAYER_FIRING_RATES)
         if firing_rates:
+            unknown = sorted(set(firing_rates) - set(rates))
+            if unknown:
+                raise ValueError(
+                    f"unknown S-VGG11 layer name(s) {unknown} in firing_rates; "
+                    f"valid names: {list(rates)}"
+                )
             rates.update(firing_rates)
         return self.plan_descriptions(svgg11_layer_shapes(), rates)
 

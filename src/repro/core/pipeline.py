@@ -12,7 +12,8 @@ Two execution modes are provided:
   ifmap spike counts are drawn from the layer's firing-rate profile (the
   default profile follows Figure 3a).  This is what the figure-level
   experiments use — performance and energy depend only on tensor shapes and
-  spike counts, so a batch of 128 frames runs in seconds.
+  spike counts, so a batch of 128 frames runs in well under a tenth of a
+  second on a 2-CPU host.
 * **functional** (:meth:`SpikeStreamInference.run_functional`): an actual
   :class:`~repro.snn.network.SpikingNetwork` forward pass supplies the real
   per-layer spike maps, and the same performance model is evaluated on them.
@@ -40,7 +41,11 @@ and power as whole-batch arrays; no per-frame
 The two modes differ only in where those spike counts come from:
 
 * statistical draws them from per-frame RNG streams
-  (:meth:`SpikeStreamInference._statistical_workloads`), and
+  (:meth:`SpikeStreamInference._statistical_workloads`), each conv layer's
+  whole batch in one :func:`~repro.utils.rng.binomial_rows` call — where
+  numpy's binomial takes its inversion branch (conv2 under the Figure 3a
+  profile) that is one exact table lookup over every frame's uniforms, and
+  numpy's own per-frame draw otherwise — and
 * functional reads them off the stacked
   :class:`~repro.snn.network.BatchNetworkActivity` recorded by one
   vectorized :meth:`~repro.snn.network.SpikingNetwork.forward_batch` pass
@@ -64,7 +69,7 @@ import numpy as np
 
 from ..arch.params import ClusterParams, CostModelParams, DEFAULT_CLUSTER, DEFAULT_COSTS
 from ..arch.trace import BatchClusterStats, ClusterStats
-from ..config import RunConfig
+from ..config import RunConfig, check_run_size
 from ..energy.model import EnergyModel
 from ..energy.params import DEFAULT_ENERGY, EnergyParams
 from ..formats.convert import compress_ifmap, compress_vector
@@ -75,7 +80,7 @@ from ..obs.tracer import layer_profiler_hook
 from ..snn.network import BatchNetworkActivity, NetworkActivity, SpikingNetwork
 from ..snn.numerics import NumericsPolicy, resolve as resolve_numerics
 from ..types import LayerKind
-from ..utils.rng import SeedLike, make_rng, spawn_rngs
+from ..utils.rng import SeedLike, binomial_rows, spawn_rngs
 from .layer_mapping import KernelKind, LayerPlan
 from .optimizer import SpikeStreamOptimizer
 from .results import InferenceResult, LayerResult
@@ -358,24 +363,21 @@ class SpikeStreamInference:
     ) -> np.ndarray:
         """Stack every frame's padded spike-count map into a ``(B, Hp, Wp)`` array.
 
-        Each frame draws from its own generator (in frame order), so the
-        per-frame streams are identical to the per-frame reference loop; the
-        zero padding is applied to the whole stack in one :func:`pad_counts`
-        call (bit-for-bit the same as padding each map individually).
+        :func:`~repro.utils.rng.binomial_rows` draws every frame's map from
+        that frame's own generator, byte-identical to the per-frame
+        ``rng.binomial`` of the reference loop and leaving each stream where
+        that loop leaves it; where numpy takes its inversion branch (conv2
+        under the default profile) it turns all frames' uniforms into counts
+        with one table lookup.  The zero padding is applied to the whole
+        stack in one :func:`pad_counts` call (bit-for-bit the same as padding
+        each map individually).
         """
         spec = plan.spec
         unpadded = spec.input_shape
-        counts = np.stack(
-            [
-                rng.binomial(
-                    unpadded.channels,
-                    plan.firing_rate,
-                    size=(unpadded.height, unpadded.width),
-                )
-                for rng in rngs
-            ]
+        counts = binomial_rows(
+            rngs, unpadded.channels, plan.firing_rate, unpadded.height * unpadded.width
         )
-        return pad_counts(spec, counts)
+        return pad_counts(spec, counts.reshape(len(rngs), unpadded.height, unpadded.width))
 
     def _statistical_workloads(
         self,
@@ -427,11 +429,13 @@ class SpikeStreamInference:
         a fixed seed the result is bit-for-bit identical to the per-frame
         loop kept in :meth:`run_statistical_reference`, at a fraction of the
         wall-clock cost (``benchmarks/bench_batch_engine.py`` quantifies the
-        speedup at batch 128).
+        speedup at batch 128).  ``None`` arguments take the config's values;
+        a ``batch_size`` or ``timesteps`` below 1 raises ``ValueError``.
         """
+        check_run_size(batch_size, timesteps)
         plans = list(plans) if plans is not None else self.optimizer.plan_svgg11(firing_rates)
-        batch_size = batch_size or self.config.batch_size
-        timesteps = timesteps or self.config.timesteps
+        batch_size = self.config.batch_size if batch_size is None else batch_size
+        timesteps = self.config.timesteps if timesteps is None else timesteps
         seed = seed if seed is not None else self.config.seed
         workloads = self._statistical_workloads(plans, batch_size, seed)
         return self._run_layer_batches(workloads, timesteps=timesteps)
@@ -452,9 +456,10 @@ class SpikeStreamInference:
         ``benchmarks/bench_batch_engine.py``; produces bit-for-bit the same
         :class:`~repro.core.results.InferenceResult` as the vectorized path.
         """
+        check_run_size(batch_size, timesteps)
         plans = list(plans) if plans is not None else self.optimizer.plan_svgg11(firing_rates)
-        batch_size = batch_size or self.config.batch_size
-        timesteps = timesteps or self.config.timesteps
+        batch_size = self.config.batch_size if batch_size is None else batch_size
+        timesteps = self.config.timesteps if timesteps is None else timesteps
         seed = seed if seed is not None else self.config.seed
         frame_rngs = spawn_rngs(seed, batch_size)
 

@@ -37,7 +37,7 @@ import time
 from concurrent.futures import Future
 from typing import Dict, List, Optional
 
-from ..config import RunConfig
+from ..config import RunConfig, check_run_size
 from ..obs import Tracer
 from ..session import Session
 from ..snn.numerics import NumericsPolicy, resolve as resolve_numerics
@@ -227,8 +227,11 @@ class InferenceServer:
 
         Parameter defaults mirror :meth:`Session.run_inference` exactly
         (``None`` falls back to the config's own values), and the result is
-        bit-for-bit what that direct call would return.
+        bit-for-bit what that direct call would return.  A ``batch_size`` or
+        ``timesteps`` below 1 raises ``ValueError`` here, before admission,
+        so it can never join (and fail) a micro-batch.
         """
+        check_run_size(batch_size, timesteps)
         config = config if config is not None else self.session.config
         batch_size = batch_size if batch_size is not None else config.batch_size
         seed = seed if seed is not None else config.seed
@@ -268,6 +271,7 @@ class InferenceServer:
         forward pass.  ``numerics`` selects the request's golden-model
         policy (default: the server's :attr:`default_numerics`); requests
         under different policies never share a batch or a store entry.
+        Zero frames raise ``ValueError`` here, before admission.
         """
         import numpy as np
 
@@ -276,6 +280,8 @@ class InferenceServer:
         stacked = frames if isinstance(frames, np.ndarray) else np.stack(
             [np.asarray(frame) for frame in frames]
         )
+        if stacked.shape[0] < 1:
+            raise ValueError("a functional request needs at least one frame, got 0")
         self.metrics.counter(f"serve.numerics.requests.{policy.key()}").inc()
         request = InferenceRequest(
             mode="functional",

@@ -51,7 +51,7 @@ import numpy as np
 
 from .arch.params import ClusterParams, CostModelParams, DEFAULT_CLUSTER, DEFAULT_COSTS
 from .backends import BACKENDS, execute
-from .config import RunConfig, spikestream_config
+from .config import RunConfig, check_run_size, spikestream_config
 from .core.pipeline import SpikeStreamInference
 from .core.results import InferenceResult
 from .energy.params import DEFAULT_ENERGY, EnergyParams
@@ -758,8 +758,11 @@ class Session:
 
         A hit returns the stored result without touching an engine; a miss
         simulates through :meth:`engine` and persists the result (when the
-        store is disk-backed) for every later session.
+        store is disk-backed) for every later session.  ``None`` means the
+        config's own value; a ``batch_size`` or ``timesteps`` below 1 raises
+        ``ValueError`` before the store is consulted.
         """
+        check_run_size(batch_size, timesteps)
         config = config if config is not None else self.config
         key = self.fingerprint(config, batch_size, firing_rates, seed, timesteps)
         hit = self.store.get(key)

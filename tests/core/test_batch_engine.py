@@ -594,3 +594,28 @@ class TestEngineEquivalence:
             batch_size=3, seed=6, firing_rates={"conv6": 0.35}
         )
         assert_results_identical(vectorized, reference)
+
+    @pytest.mark.parametrize("rate", [0.45, 0.46875, 0.47, 0.6, 1.0])
+    def test_conv2_draw_branches_identical(self, rate):
+        """conv2 has 64 input channels, so numpy's binomial switches from
+        inversion to BTPE above 0.46875 (30 / 64); 0.6 takes inversion
+        through ``n - X`` and 1.0 is certain firing."""
+        engine = SpikeStreamInference(spikestream_config(batch_size=6, seed=21))
+        rates = {"conv2": rate}
+        vectorized = engine.run_statistical(batch_size=6, seed=21, firing_rates=rates)
+        reference = engine.run_statistical_reference(
+            batch_size=6, seed=21, firing_rates=rates
+        )
+        assert_results_identical(vectorized, reference)
+
+
+class TestRunSizeValidation:
+    """Zero frames or timesteps are an error, never the config's default."""
+
+    @pytest.mark.parametrize("run", ["run_statistical", "run_statistical_reference"])
+    @pytest.mark.parametrize("size", [{"batch_size": 0}, {"timesteps": 0},
+                                      {"batch_size": -2}])
+    def test_below_one_raises(self, run, size):
+        engine = SpikeStreamInference(spikestream_config(batch_size=2, seed=3))
+        with pytest.raises(ValueError, match="must be positive"):
+            getattr(engine, run)(seed=3, **size)

@@ -48,6 +48,11 @@ class TestOptimizerSvgg11:
         plans = SpikeStreamOptimizer(spikestream_config()).plan_svgg11({"conv3": 0.77})
         assert [p for p in plans if p.name == "conv3"][0].firing_rate == 0.77
 
+    def test_unknown_firing_rate_layer_rejected(self):
+        optimizer = SpikeStreamOptimizer(spikestream_config())
+        with pytest.raises(ValueError, match=r"\['conv_2'\].*valid names: \['conv1', 'conv2'"):
+            optimizer.plan_svgg11({"conv_2": 0.9, "conv3": 0.2})
+
     def test_precision_propagates_to_plans(self):
         plans = SpikeStreamOptimizer(spikestream_config(Precision.FP8)).plan_svgg11()
         assert all(p.precision is Precision.FP8 for p in plans)

@@ -257,6 +257,34 @@ class TestFlushPolicy:
             )
 
 
+class TestEmptyRequests:
+    def test_zero_batch_refused_before_dispatch(self, config):
+        # The Coordinator inherits the server's admission checks: the empty
+        # request raises at submission and its neighbours are served.
+        seeds = range(90, 96)
+        coordinator = Coordinator(max_batch=16, max_wait_ms=50)
+        workers = []
+        try:
+            workers = [_start_inline_worker(coordinator.address, worker_id="w0")]
+            assert coordinator.wait_for_workers(1, timeout=30)
+            futures = [coordinator.submit_statistical(config=config, seed=seed)
+                       for seed in seeds[:3]]
+            with pytest.raises(ValueError, match="batch_size must be positive"):
+                coordinator.submit_statistical(config=config, batch_size=0, seed=99)
+            futures += [coordinator.submit_statistical(config=config, seed=seed)
+                        for seed in seeds[3:]]
+            results = [future.result(timeout=60) for future in futures]
+        finally:
+            coordinator.close()
+            for _worker, thread in workers:
+                thread.join(timeout=10)
+
+        with Session() as reference:
+            for seed, result in zip(seeds, results):
+                direct = reference.run_inference(config, batch_size=1, seed=seed)
+                assert result.identical_to(direct), f"seed {seed} diverged"
+
+
 class TestTelemetrySurface:
     def test_stats_snapshot_declares_the_net_surface(self):
         coordinator = Coordinator()

@@ -287,6 +287,48 @@ class TestFlushPolicy:
                 assert result.identical_to(direct), f"seed {seed} diverged"
 
 
+class TestEmptyRequests:
+    """A request for zero frames is refused at submission: it never joins a
+    micro-batch, so the requests coalesced around it are served as usual."""
+
+    def test_zero_batch_statistical_refused_neighbours_served(self, config):
+        seeds = range(80, 92)
+        server = InferenceServer(workers=1, max_batch=16, max_wait_ms=2_000)
+        futures = [server.submit_statistical(config=config, seed=seed)
+                   for seed in seeds[:6]]
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            server.submit_statistical(config=config, batch_size=0, seed=99)
+        with pytest.raises(ValueError, match="timesteps must be positive"):
+            server.submit_statistical(config=config, timesteps=0, seed=99)
+        futures += [server.submit_statistical(config=config, seed=seed)
+                    for seed in seeds[6:]]
+        server.close()
+        results = [future.result(timeout=60) for future in futures]
+        with Session() as reference:
+            for seed, result in zip(seeds, results):
+                direct = reference.run_inference(config, batch_size=1, seed=seed)
+                assert result.identical_to(direct), f"seed {seed} diverged"
+
+    def test_zero_frame_functional_refused_neighbours_served(self, config):
+        network = functional_network(17)
+        frames, _ = SyntheticCIFAR10(
+            seed=17, image_shape=TensorShape(16, 16, 3)
+        ).sample(4)
+        server = InferenceServer(workers=1, max_batch=16, max_wait_ms=2_000)
+        futures = [server.submit_functional(network, frames[i:i + 1], config=config)
+                   for i in range(2)]
+        with pytest.raises(ValueError, match="at least one frame"):
+            server.submit_functional(network, frames[2:2], config=config)
+        futures += [server.submit_functional(network, frames[i:i + 1], config=config)
+                    for i in range(2, 4)]
+        server.close()
+        results = [future.result(timeout=60) for future in futures]
+        with Session() as reference:
+            for i, result in enumerate(results):
+                direct = reference.run_functional(network, frames[i:i + 1], config=config)
+                assert result.identical_to(direct), f"frame {i} diverged"
+
+
 class TestTelemetry:
     def test_snapshot_has_the_announced_surface(self, config):
         with InferenceServer(workers=1, max_wait_ms=5) as server:

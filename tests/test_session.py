@@ -225,6 +225,19 @@ class TestResultStoreIntegration:
         third = session.run_inference(config)
         assert third.layers[0].cycles[0] == pristine_cycles
 
+    @pytest.mark.parametrize("size", [{"batch_size": 0}, {"timesteps": 0}])
+    def test_empty_run_raises_before_the_store(self, size):
+        session = Session()
+        with pytest.raises(ValueError, match="must be positive"):
+            session.run_inference(seed=1, **size)
+        assert session.store.hits == 0 and session.store.misses == 0
+
+    def test_unknown_firing_rate_layer_raises(self):
+        session = Session()
+        with pytest.raises(ValueError, match="conv_2"):
+            session.run_inference(batch_size=2, seed=1, firing_rates={"conv_2": 0.9})
+        assert session.store.stats()["entries"] == 0
+
     def test_different_fingerprint_misses(self):
         session = Session()
         config = spikestream_config(batch_size=1, seed=2)
