@@ -12,6 +12,7 @@ Run with::
 """
 
 from repro import Session
+from repro.eval.claims import PAPER_CLAIMS
 from repro.eval.reporting import format_table
 
 
@@ -25,18 +26,10 @@ def main():
         "system", "latency_ms", "energy_mj", "peak_gsop", "technology_nm", "precision_bits",
     ]))
 
-    headline = result.headline
-    print("\nHeadline ratios (paper values in parentheses):")
-    print(f"  SpikeStream FP8 vs LSMCore latency : "
-          f"{headline['fp8_slowdown_vs_lsmcore']:.2f}x slower (4.71x)")
-    print(f"  SpikeStream FP8 vs Loihi latency   : "
-          f"{headline['fp8_speedup_vs_loihi']:.2f}x faster (2.38x)")
-    print(f"  SpikeStream FP16 vs Loihi latency  : "
-          f"{headline['fp16_speedup_vs_loihi']:.2f}x faster (1.31x)")
-    print(f"  LSMCore / SpikeStream FP16 energy  : "
-          f"{headline['fp16_energy_gain_vs_lsmcore']:.2f}x (2.37x)")
-    print(f"  LSMCore / SpikeStream FP8 energy   : "
-          f"{headline['fp8_energy_gain_vs_lsmcore']:.2f}x (3.46x)")
+    print("\nHeadline ratios (model vs paper, from repro.eval.claims):")
+    for claim in PAPER_CLAIMS:
+        if claim.scenario == "accelerator_comparison":
+            print(f"  {claim.key:28s}: {result.headline[claim.key]:8.2f} ({claim.paper})")
 
 
 if __name__ == "__main__":

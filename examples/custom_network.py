@@ -58,9 +58,6 @@ def main():
     rng = np.random.default_rng(11)
     frames = [synthetic_event_frame(rng) for _ in range(4)]
 
-    # Expected input firing rates per layer (event data is very sparse).
-    firing_rates = {"conv1": 0.08, "conv2": 0.30, "conv3": 0.20, "fc1": 0.10, "fc2": 0.05}
-
     # One Session provides every engine; all variants share its hardware models.
     session = Session()
     results = {}
@@ -69,11 +66,12 @@ def main():
         ("SpikeStream FP16", spikestream_config(batch_size=len(frames))),
     ):
         engine = session.engine(config)
-        results[label] = engine.run_functional(network, frames, firing_rates=firing_rates)
+        # The network's own forward pass supplies every layer's spike counts.
+        results[label] = engine.run_functional(network, frames)
 
     print("=== Optimizer layer plans (SpikeStream FP16) ===")
     engine = session.engine(spikestream_config())
-    plans = engine.optimizer.plan_network(network, firing_rates)
+    plans = engine.optimizer.plan_network(network)
     print(format_table(
         [
             {

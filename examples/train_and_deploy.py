@@ -67,7 +67,7 @@ def main():
         ("SpikeStream FP16", spikestream_config(batch_size=len(spike_frames))),
     ):
         engine = session.engine(config)
-        result = engine.run_functional(network, spike_frames, firing_rates={"fc1": 0.5, "fc2": 0.3})
+        result = engine.run_functional(network, spike_frames)
         rows.append({
             "variant": label,
             "runtime_us": result.total_runtime_s * 1e6,

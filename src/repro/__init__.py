@@ -42,7 +42,7 @@ from .eval.runner import register_sweep
 
 #: Serving entry points re-exported lazily (``repro.InferenceServer`` works
 #: without paying the :mod:`repro.serve` import on every ``import repro``).
-_SERVE_EXPORTS = ("InferenceServer", "ServeClient", "LoadGenerator", "MetricsRegistry")
+_SERVE_EXPORTS = ("InferenceServer", "LoadGenerator", "MetricsRegistry")
 
 #: Distributed-tier entry points, same lazy treatment (``repro.Coordinator``
 #: without paying the :mod:`repro.net` import up front).
@@ -68,7 +68,6 @@ __all__ = [
     "LoadGenerator",
     "MetricsRegistry",
     "NetWorker",
-    "ServeClient",
     "RunConfig",
     "baseline_config",
     "spikestream_config",

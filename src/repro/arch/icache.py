@@ -30,11 +30,6 @@ class InstructionCache:
     params: ClusterParams = DEFAULT_CLUSTER
     costs: CostModelParams = DEFAULT_COSTS
 
-    @property
-    def capacity_lines(self) -> int:
-        """Number of cache lines."""
-        return self.params.icache_bytes // self.params.icache_line_bytes
-
     def kernel_fits(self, kernel_bytes: int) -> bool:
         """Whether a kernel's code footprint fits entirely in the cache."""
         return kernel_bytes <= self.params.icache_bytes

@@ -1,27 +1,28 @@
 """Command-line interface for the SpikeStream reproduction.
 
-Six subcommands cover the common workflows, all built on the unified
+Seven subcommands cover the common workflows, all built on the unified
 :class:`repro.session.Session` API::
 
     python -m repro.cli run        --precision fp16 --batch 8        # S-VGG11 inference
     python -m repro.cli run        --scenario speedup --jobs 4       # any registered scenario
     python -m repro.cli run        --list-scenarios                  # what can I run?
-    python -m repro.cli figures    --figure fig3c --batch 8          # regenerate one figure
-    python -m repro.cli compare    --timesteps 500                   # Figure-5 comparison
-    python -m repro.cli spva       --lengths 1 8 64                  # Listing-1 micro-benchmark
+    python -m repro.cli run        --scenario fidelity               # every paper claim vs the model
     python -m repro.cli sweep      --sweep firing_rate --jobs 4      # parallel parameter sweep
     python -m repro.cli plan       --list                            # declarative sweep specs
     python -m repro.cli serve      --workers 2 --max-batch 16        # micro-batching service demo
     python -m repro.cli serve      --trace-out spans.jsonl --stats-out stats.json
+    python -m repro.cli worker     --connect HOST:PORT               # repro.net worker host
     python -m repro.cli trace      --input spans.jsonl --format chrome --output trace.json
     python -m repro.cli check      --format json                     # repo lint rules (repro.lint)
 
-Every command prints an aligned text table (the same rows the corresponding
-paper figure reports); ``run`` and ``sweep`` can also emit machine-readable
-JSON or CSV (``--format json|csv``) through one shared reporting path.
-``--jobs``/``--backend`` size the session's shared worker pool, and
-``--cache-dir`` points the session's persistent result store (whole
-inference runs) at a directory, so repeated invocations — e.g.
+Every paper figure is a scenario: ``run --scenario memory_footprint``
+(Figure 3a), ``utilization`` (3b), ``speedup`` (3c), ``energy`` (4),
+``accelerator_comparison`` (5) and ``spva_microbenchmark`` (Listing 1).
+Every command prints an aligned text table; ``run`` and ``sweep`` can also
+emit machine-readable JSON or CSV (``--format json|csv``) through one
+shared reporting path.  ``--jobs``/``--backend`` size the session's shared
+worker pool, and ``--cache-dir`` points the session's persistent result
+store (whole inference runs) at a directory, so repeated invocations — e.g.
 regenerating several figures that share the same S-VGG11 variant runs —
 skip work already done.
 """
@@ -42,18 +43,6 @@ from .snn.numerics import FORWARD_PATHS as NUMERICS_FORWARD_PATHS
 from .snn.numerics import PRECISIONS as NUMERICS_PRECISIONS
 from .snn.numerics import NumericsPolicy, resolve as resolve_numerics
 from .types import Precision
-
-_FIGURES = ("fig3a", "fig3b", "fig3c", "fig4", "fig5", "listing1")
-
-#: figure name -> scenario name in the session registry
-_FIGURE_SCENARIOS = {
-    "fig3a": "memory_footprint",
-    "fig3b": "utilization",
-    "fig3c": "speedup",
-    "fig4": "energy",
-    "fig5": "accelerator_comparison",
-    "listing1": "spva_microbenchmark",
-}
 
 
 def _positive_int(value: str) -> int:
@@ -129,21 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "eviction counters) to stderr after the run")
     _add_export_arguments(run)
     _add_session_arguments(run)
-
-    figures = subparsers.add_parser("figures", help="regenerate one of the paper's figures")
-    figures.add_argument("--figure", required=True, choices=_FIGURES)
-    figures.add_argument("--batch", type=_positive_int, default=None,
-                         help="frames per run (default: 8; 16 for fig3a)")
-    figures.add_argument("--seed", type=int, default=2025)
-    _add_session_arguments(figures)
-
-    compare = subparsers.add_parser("compare", help="Figure-5 accelerator comparison")
-    compare.add_argument("--timesteps", type=_positive_int, default=500)
-    compare.add_argument("--batch", type=_positive_int, default=4)
-    compare.add_argument("--seed", type=int, default=2025)
-
-    spva = subparsers.add_parser("spva", help="Listing-1 SpVA micro-benchmark")
-    spva.add_argument("--lengths", type=int, nargs="+", default=[1, 2, 4, 8, 16, 32, 64, 128])
 
     sweep = subparsers.add_parser(
         "sweep", help="run a parameter sweep over a worker pool"
@@ -325,10 +299,6 @@ def _session_from_args(args: argparse.Namespace) -> Session:
     )
 
 
-def _render_result(title: str, result) -> str:
-    return export_experiment(result, "table", title=title)
-
-
 def _emit(rendered: str, args: argparse.Namespace) -> str:
     """Deliver rendered output: to ``--output`` when given, else stdout."""
     output = getattr(args, "output", None)
@@ -495,40 +465,6 @@ def _command_run(args: argparse.Namespace) -> str:
             format_table([result.summary()]),
         ]
         return _emit("\n".join(lines), args)
-
-
-#: Figure 3a reports mean/std footprints over the batch; below this batch
-#: size the statistics are noisy, but the user's request is still honored.
-_FIG3A_RECOMMENDED_BATCH = 16
-
-
-def _command_figures(args: argparse.Namespace) -> str:
-    # Each figure has its own default batch; an *explicitly requested* batch
-    # is always honored, with a warning when fig3a's statistics get noisy.
-    default_batch = _FIG3A_RECOMMENDED_BATCH if args.figure == "fig3a" else 8
-    batch = args.batch if args.batch is not None else default_batch
-    if args.figure == "fig3a" and batch < _FIG3A_RECOMMENDED_BATCH:
-        print(
-            f"warning: fig3a statistics are noisy below batch "
-            f"{_FIG3A_RECOMMENDED_BATCH}; running with requested batch {batch}",
-            file=sys.stderr,
-        )
-    scenario = _FIGURE_SCENARIOS[args.figure]
-    with _session_from_args(args) as session:
-        params = {"seed": args.seed}
-        if "batch_size" in session.describe(scenario)["params"]:
-            params["batch_size"] = batch
-        result = session.run(scenario, **params)
-    return _render_result(f"{result.figure}: {result.name}", result)
-
-
-def _command_compare(args: argparse.Namespace) -> str:
-    with Session(seed=args.seed) as session:
-        result = session.run(
-            "accelerator_comparison",
-            timesteps=args.timesteps, batch_size=args.batch, seed=args.seed,
-        )
-    return _render_result("Figure 5: accelerator comparison", result)
 
 
 def _command_sweep(args: argparse.Namespace) -> str:
@@ -863,21 +799,12 @@ def _command_trace(args: argparse.Namespace) -> str:
     return _emit(rendered, args)
 
 
-def _command_spva(args: argparse.Namespace) -> str:
-    with Session() as session:
-        result = session.run("spva_microbenchmark", stream_lengths=tuple(args.lengths))
-    return _render_result("Listing 1: SpVA micro-benchmark", result)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {
         "run": _command_run,
-        "figures": _command_figures,
-        "compare": _command_compare,
-        "spva": _command_spva,
         "sweep": _command_sweep,
         "plan": _command_plan,
         "serve": _command_serve,

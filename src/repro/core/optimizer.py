@@ -17,7 +17,7 @@ The optimizer also checks the plan against the hardware's capabilities
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..arch.params import ClusterParams, DEFAULT_CLUSTER
 from ..config import RunConfig
@@ -26,7 +26,7 @@ from ..kernels.encode import EncodeLayerSpec
 from ..kernels.fc import FcLayerSpec
 from ..snn.network import SpikingNetwork
 from ..snn.svgg11 import SVGG11_LAYER_FIRING_RATES, svgg11_layer_shapes
-from ..types import LayerKind, OptimizationFlag, StreamKind
+from ..types import LayerKind, StreamKind
 from .layer_mapping import KernelKind, LayerPlan
 
 LayerDescription = Dict[str, object]
@@ -87,16 +87,18 @@ class SpikeStreamOptimizer:
             plans.append(self._plan_one(description, rate))
         return plans
 
-    def plan_network(
-        self, network: SpikingNetwork, firing_rates: Optional[Dict[str, float]] = None
-    ) -> List[LayerPlan]:
-        """Plan an arbitrary :class:`~repro.snn.network.SpikingNetwork`."""
-        firing_rates = firing_rates or {}
+    def plan_network(self, network: SpikingNetwork) -> List[LayerPlan]:
+        """Plan an arbitrary :class:`~repro.snn.network.SpikingNetwork`.
+
+        A functional run costs the network's recorded spike counts, so the
+        plans' firing rates are placeholders (1.0 for the encoding layer,
+        0.5 elsewhere): only the statistical draws read them.
+        """
         plans: List[LayerPlan] = []
         for index in network.weighted_layers:
             layer = network.layers[index]
             input_shape = network.layer_input_shape(index)
-            rate = float(firing_rates.get(layer.name, 1.0 if getattr(layer, "encodes_input", False) else 0.5))
+            rate = 1.0 if getattr(layer, "encodes_input", False) else 0.5
             if layer.kind is LayerKind.CONV:
                 description: LayerDescription = {
                     "name": layer.name,

@@ -581,7 +581,6 @@ class SpikeStreamInference:
         self,
         network: SpikingNetwork,
         frames: Sequence[np.ndarray],
-        firing_rates: Optional[Dict[str, float]] = None,
         activity: Optional[BatchNetworkActivity] = None,
         numerics: Optional[NumericsPolicy] = None,
     ) -> InferenceResult:
@@ -607,7 +606,7 @@ class SpikeStreamInference:
         policy-independent — it reads spike counts — so only the recorded
         spike maps (and thus the costed counts) can differ between policies.
         """
-        plans = self.optimizer.plan_network(network, firing_rates)
+        plans = self.optimizer.plan_network(network)
         if activity is None:
             activity = self.record_activity(network, frames, numerics=numerics)
         else:
@@ -621,7 +620,6 @@ class SpikeStreamInference:
         self,
         network: SpikingNetwork,
         frames: Sequence[np.ndarray],
-        firing_rates: Optional[Dict[str, float]] = None,
     ) -> InferenceResult:
         """Per-frame reference implementation of :meth:`run_functional`.
 
@@ -632,7 +630,7 @@ class SpikeStreamInference:
         equivalence tests and as the baseline timed by
         ``benchmarks/bench_functional.py``.
         """
-        plans = self.optimizer.plan_network(network, firing_rates)
+        plans = self.optimizer.plan_network(network)
         plans_by_name = {plan.name: plan for plan in plans}
         accumulators = {plan.name: _LayerAccumulator(plan) for plan in plans}
 

@@ -49,13 +49,6 @@ class ExperimentResult:
     rows: List[Dict[str, object]] = field(default_factory=list)
     headline: Dict[str, float] = field(default_factory=dict)
 
-    def row_for(self, key: str, value: object) -> Dict[str, object]:
-        """First row whose column ``key`` equals ``value``."""
-        for row in self.rows:
-            if row.get(key) == value:
-                return row
-        raise KeyError(f"no row with {key}={value!r} in experiment {self.name!r}")
-
 
 # --------------------------------------------------------------------------- #
 # Figure 3a: ifmap memory footprint (AER vs CSR) and firing activity

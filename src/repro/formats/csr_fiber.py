@@ -95,10 +95,6 @@ class CompressedIfmap:
         start, stop = int(self.s_ptr[pos]), int(self.s_ptr[pos + 1])
         return self.c_idcs[start:stop]
 
-    def spike_count_at(self, row: int, col: int) -> int:
-        """Number of spikes at spatial position (row, col)."""
-        return len(self.spatial_slice(row, col))
-
     def spike_counts(self) -> np.ndarray:
         """Per-spatial-position spike counts as an (H, W) array."""
         counts = np.diff(self.s_ptr)

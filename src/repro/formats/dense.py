@@ -44,11 +44,3 @@ def firing_rate(dense: np.ndarray) -> float:
         return 0.0
     return float(np.count_nonzero(dense)) / dense.size
 
-
-def random_spike_map(
-    shape: TensorShape, rate: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Generate a random Bernoulli spike map with the requested firing rate."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must be in [0, 1], got {rate}")
-    return rng.random((shape.height, shape.width, shape.channels)) < rate

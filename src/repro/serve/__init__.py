@@ -10,7 +10,7 @@ a :class:`~repro.serve.metrics.MetricsRegistry`.
 
 Quick start::
 
-    from repro.serve import InferenceServer, ServeClient
+    from repro.serve import InferenceServer
 
     with InferenceServer(workers=2, max_batch=16, max_wait_ms=5) as server:
         futures = [server.submit_statistical(batch_size=1, seed=s)
@@ -23,7 +23,7 @@ synthetic load benchmark: ``benchmarks/bench_serve.py``.
 """
 
 from .batcher import MicroBatcher, functional_group_key, statistical_group_key
-from .client import LoadGenerator, LoadReport, ServeClient
+from .client import LoadGenerator, LoadReport
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile_of_sorted
 from .queue import (
     DeadlineExceeded,
@@ -48,7 +48,6 @@ __all__ = [
     "MicroBatcher",
     "QueueFull",
     "RequestQueue",
-    "ServeClient",
     "ServerClosed",
     "functional_group_key",
     "percentile_of_sorted",

@@ -6,9 +6,9 @@ serving workload arrives as many small independent requests.  The
 :class:`MicroBatcher` closes that gap:
 
 * requests are **compatible** when they share a configuration fingerprint
-  (hardware models, run configuration, firing rates, timesteps, and for
-  functional mode the network and frame geometry) — computed once at
-  admission from the same canonical fingerprints
+  (hardware models, run configuration, and for statistical mode the
+  firing rates and timesteps, for functional mode the network and frame
+  geometry) — computed once at admission from the same canonical fingerprints
   (:meth:`repro.session.Session.fingerprint` /
   :meth:`~repro.session.Session.functional_fingerprint`) that key the
   result store;
@@ -54,7 +54,7 @@ __all__ = ["MicroBatcher", "functional_group_key", "statistical_group_key"]
 
 #: Placeholder frames hashed into functional group keys: the key must cover
 #: everything *except* the actual frame pixels (config, models, network,
-#: firing rates), so compatible requests with different frames coalesce.
+#: numerics), so compatible requests with different frames coalesce.
 _NO_FRAMES = np.zeros((0, 1, 1, 1))
 
 
@@ -82,7 +82,6 @@ def functional_group_key(
     config: RunConfig,
     network,
     frames,
-    firing_rates,
     numerics=None,
 ) -> str:
     """Compatibility fingerprint of a functional request.
@@ -97,9 +96,7 @@ def functional_group_key(
     stacked = frames if isinstance(frames, np.ndarray) else np.stack(
         [np.asarray(frame) for frame in frames]
     )
-    base = session.functional_fingerprint(
-        config, network, _NO_FRAMES, firing_rates, numerics=numerics
-    )
+    base = session.functional_fingerprint(config, network, _NO_FRAMES, numerics=numerics)
     return f"func:{base}:{tuple(stacked.shape[1:])}:{stacked.dtype}"
 
 
@@ -254,8 +251,7 @@ class MicroBatcher:
                             [np.asarray(r.frames) for r in requests], axis=0
                         )
                     batch_result = engine.run_functional(
-                        first.network, stacked, firing_rates=first.firing_rates,
-                        numerics=first.policy,
+                        first.network, stacked, numerics=first.policy
                     )
                     # Functional metric rows enumerate (frame, timestep)
                     # frame-major.

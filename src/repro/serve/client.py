@@ -1,8 +1,4 @@
-"""Client-side conveniences: blocking calls and an open-loop load generator.
-
-:class:`ServeClient` wraps an in-process :class:`~repro.serve.server.InferenceServer`
-with the blocking call shape most callers want (submit + wait, deadline
-surfaced as the exception the server recorded).
+"""Client-side load generation: an open-loop driver for a server.
 
 :class:`LoadGenerator` drives a server the way a benchmark or soak test
 needs: **open-loop** arrival — requests fire on a fixed schedule derived
@@ -22,24 +18,8 @@ from typing import Callable, Dict, List, Optional
 
 from .metrics import percentile_of_sorted
 from .queue import DeadlineExceeded, QueueFull, ServerClosed
-from .server import InferenceServer
 
-__all__ = ["LoadGenerator", "LoadReport", "ServeClient"]
-
-
-class ServeClient:
-    """Blocking facade over an :class:`InferenceServer`."""
-
-    def __init__(self, server: InferenceServer):
-        self.server = server
-
-    def run_statistical(self, timeout: Optional[float] = None, **kwargs):
-        """Submit one statistical request and wait for its result."""
-        return self.server.submit_statistical(**kwargs).result(timeout)
-
-    def run_functional(self, network, frames, timeout: Optional[float] = None, **kwargs):
-        """Submit one functional request and wait for its result."""
-        return self.server.submit_functional(network, frames, **kwargs).result(timeout)
+__all__ = ["LoadGenerator", "LoadReport"]
 
 
 @dataclass

@@ -89,8 +89,8 @@ class InferenceRequest:
     """One queued inference call and the future its caller waits on.
 
     ``mode`` is ``"statistical"`` (payload: ``batch_size``/``seed``/
-    ``timesteps``) or ``"functional"`` (payload: ``network``/``frames``).
-    ``config`` and ``firing_rates`` apply to both.  ``group_key`` is the
+    ``timesteps``/``firing_rates``) or ``"functional"`` (payload:
+    ``network``/``frames``).  ``config`` applies to both.  ``group_key`` is the
     compatibility fingerprint under which the micro-batcher may coalesce
     this request with its neighbours; ``fingerprint`` is the request's full
     result-store key.  ``frames_count`` is the number of frames the request

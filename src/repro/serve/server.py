@@ -259,7 +259,6 @@ class InferenceServer:
         network,
         frames,
         config: Optional[RunConfig] = None,
-        firing_rates: Optional[Dict[str, float]] = None,
         deadline_s: Optional[float] = None,
         numerics: Optional[NumericsPolicy] = None,
     ) -> Future:
@@ -287,14 +286,12 @@ class InferenceServer:
             mode="functional",
             config=config,
             group_key=functional_group_key(
-                self.session, config, network, stacked, firing_rates,
-                numerics=policy,
+                self.session, config, network, stacked, numerics=policy
             ),
             fingerprint=self.session.functional_fingerprint(
-                config, network, stacked, firing_rates, numerics=policy
+                config, network, stacked, numerics=policy
             ),
             frames_count=int(stacked.shape[0]),
-            firing_rates=firing_rates,
             network=network,
             frames=stacked,
             policy=policy,

@@ -55,6 +55,7 @@ from .config import RunConfig, check_run_size, spikestream_config
 from .core.pipeline import SpikeStreamInference
 from .core.results import InferenceResult
 from .energy.params import DEFAULT_ENERGY, EnergyParams
+from .eval.claims import fidelity
 from .eval.experiments import (
     ExperimentResult,
     accelerator_comparison_experiment,
@@ -549,6 +550,10 @@ def _build_scenarios() -> Dict[str, Scenario]:
     add("spva_microbenchmark", "experiment", "listing1",
         "instruction-level SpVA micro-benchmark across stream lengths",
         ("stream_lengths", "seed"), _without_session(spva_microbenchmark_experiment))
+    add("fidelity", "experiment", "paper",
+        "every headline claim of the paper (repro.eval.claims) against the model: "
+        "paper value, model value, ratio and band",
+        ("batch_size", "seed"), fidelity, uses_session_models=True)
     return registry
 
 
@@ -779,7 +784,6 @@ class Session:
         config: RunConfig,
         network,
         frames,
-        firing_rates: Optional[Mapping[str, float]] = None,
         numerics: Optional[NumericsPolicy] = None,
     ) -> str:
         """Canonical fingerprint of one functional run under this session.
@@ -801,7 +805,6 @@ class Session:
             "energy": asdict(self.energy),
             "network": network.fingerprint(),
             "frames": frames_fingerprint(frames),
-            "firing_rates": sorted(firing_rates.items()) if firing_rates else None,
             "numerics": resolve_numerics(numerics).key(),
         }
         return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
@@ -811,7 +814,6 @@ class Session:
         network,
         frames,
         config: Optional[RunConfig] = None,
-        firing_rates: Optional[Dict[str, float]] = None,
         activity=None,
         numerics: Optional[NumericsPolicy] = None,
     ) -> InferenceResult:
@@ -830,15 +832,12 @@ class Session:
         each policy memoizes under its own entry.
         """
         config = config if config is not None else self.config
-        key = self.functional_fingerprint(
-            config, network, frames, firing_rates, numerics=numerics
-        )
+        key = self.functional_fingerprint(config, network, frames, numerics=numerics)
         hit = self.store.get(key)
         if hit is not None:
             return hit
         result = self.engine(config).run_functional(
-            network, frames, firing_rates=firing_rates, activity=activity,
-            numerics=numerics,
+            network, frames, activity=activity, numerics=numerics
         )
         self.store.put(key, result)
         return result
@@ -849,7 +848,6 @@ class Session:
         frames,
         batch_size: Optional[int] = None,
         seed: int = 2025,
-        firing_rates: Optional[Dict[str, float]] = None,
         timesteps: int = 1,
         activity=None,
         numerics: Optional[NumericsPolicy] = None,
@@ -871,7 +869,7 @@ class Session:
         results: Dict[str, InferenceResult] = {}
         for key, config in configs.items():
             fingerprint = self.functional_fingerprint(
-                config, network, frames, firing_rates, numerics=numerics
+                config, network, frames, numerics=numerics
             )
             hit = self.store.get(fingerprint)
             if hit is not None:
@@ -882,8 +880,7 @@ class Session:
                     network, frames, numerics=numerics
                 )
             result = self.engine(config).run_functional(
-                network, frames, firing_rates=firing_rates, activity=activity,
-                numerics=numerics,
+                network, frames, activity=activity, numerics=numerics
             )
             self.store.put(fingerprint, result)
             results[key] = result

@@ -80,14 +80,6 @@ class TestFunctionalEngineEquivalence:
         # One per-layer entry per (frame, timestep) pair, frame-major.
         assert vectorized.layers[0].batch_size == 9
 
-    def test_firing_rate_override_identical(self):
-        network, frames = _small_svgg_workload(2)
-        engine = SpikeStreamInference(spikestream_config(batch_size=2, seed=6))
-        rates = {"conv2": 0.4, "fc1": 0.2}
-        vectorized = engine.run_functional(network, frames, firing_rates=rates)
-        reference = engine.run_functional_reference(network, frames, firing_rates=rates)
-        assert_results_identical(vectorized, reference)
-
     def test_precomputed_activity_reused_across_variants(self):
         """One recorded activity feeds several configs, identical results."""
         network, frames = _small_svgg_workload(3)

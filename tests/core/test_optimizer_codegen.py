@@ -78,12 +78,6 @@ class TestOptimizerNetwork:
         assert plans[1].kernel is KernelKind.CONV
         assert plans[2].kernel is KernelKind.FC
 
-    def test_plan_network_firing_rates(self, tiny_network):
-        plans = SpikeStreamOptimizer(spikestream_config()).plan_network(
-            tiny_network, {"conv2": 0.2}
-        )
-        assert plans[1].firing_rate == 0.2
-
 
 class TestLayerPlanValidation:
     def test_spec_type_checked(self):

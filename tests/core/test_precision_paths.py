@@ -152,10 +152,10 @@ def test_policies_get_distinct_store_fingerprints_and_entries():
     with Session() as session:
         config = session.config
         reference_print = session.functional_fingerprint(
-            config, network, frames, None, numerics=REFERENCE
+            config, network, frames, numerics=REFERENCE
         )
         fast_print = session.functional_fingerprint(
-            config, network, frames, None, numerics=FAST
+            config, network, frames, numerics=FAST
         )
         assert reference_print != fast_print
         # Same frames, different policies: two cold computes, two entries.

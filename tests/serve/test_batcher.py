@@ -49,8 +49,8 @@ def _functional_request(session, config, network, frames):
     return InferenceRequest(
         mode="functional",
         config=config,
-        group_key=functional_group_key(session, config, network, frames, None),
-        fingerprint=session.functional_fingerprint(config, network, frames, None),
+        group_key=functional_group_key(session, config, network, frames),
+        fingerprint=session.functional_fingerprint(config, network, frames),
         frames_count=len(frames),
         network=network,
         frames=np.asarray(frames),
@@ -90,21 +90,21 @@ class TestGroupKeys:
         network, frames = small_functional_workload
         config = spikestream_config(batch_size=1)
         assert functional_group_key(
-            session, config, network, frames[0:1], None
-        ) == functional_group_key(session, config, network, frames[1:2], None)
+            session, config, network, frames[0:1]
+        ) == functional_group_key(session, config, network, frames[1:2])
 
     def test_functional_key_separates_networks_and_dtypes(
         self, session, small_functional_workload
     ):
         network, frames = small_functional_workload
         config = spikestream_config(batch_size=1)
-        base = functional_group_key(session, config, network, frames[0:1], None)
+        base = functional_group_key(session, config, network, frames[0:1])
         other_network = functional_network(99)
         assert functional_group_key(
-            session, config, other_network, frames[0:1], None
+            session, config, other_network, frames[0:1]
         ) != base
         assert functional_group_key(
-            session, config, network, frames[0:1].astype(np.float32), None
+            session, config, network, frames[0:1].astype(np.float32)
         ) != base
 
 

@@ -52,7 +52,7 @@ def test_different_policies_never_share_a_group_key():
         config = session.config
         keys = {
             policy.key(): functional_group_key(
-                session, config, network, frames, None, numerics=policy
+                session, config, network, frames, numerics=policy
             )
             for policy in (
                 REFERENCE,

@@ -1,6 +1,5 @@
 """The inference server: concurrency, caching, backpressure, drain, telemetry."""
 
-import threading
 import time
 
 import numpy as np
@@ -13,7 +12,6 @@ from repro.serve import (
     InferenceServer,
     LoadGenerator,
     QueueFull,
-    ServeClient,
     ServerClosed,
 )
 from repro.session import Session
@@ -74,14 +72,6 @@ class TestConcurrentEquivalence:
         )
         assert all_results[6].identical_to(
             reference.run_inference(other_config, batch_size=1, seed=1)
-        )
-
-    def test_client_blocking_facade(self, config):
-        with InferenceServer(workers=1) as server:
-            client = ServeClient(server)
-            result = client.run_statistical(config=config, seed=5, timeout=60)
-        assert result.identical_to(
-            Session().run_inference(config, batch_size=1, seed=5)
         )
 
 

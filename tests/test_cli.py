@@ -20,43 +20,32 @@ class TestCli:
         assert "baseline" in capsys.readouterr().out
 
     def test_figures_fig3a(self, capsys):
-        assert main(["figures", "--figure", "fig3a", "--batch", "2"]) == 0
+        assert main(["run", "--scenario", "memory_footprint", "--batch", "2"]) == 0
         output = capsys.readouterr().out
         assert "csr_bytes_mean" in output
         assert "headline" in output
 
-    def test_figures_fig3a_honors_small_batch_with_warning(self, capsys):
-        # Regression: --batch used to be silently clamped to >= 16.
-        assert main(["figures", "--figure", "fig3a", "--batch", "3"]) == 0
-        captured = capsys.readouterr()
-        assert "warning" in captured.err and "batch 3" in captured.err
-        small = captured.out
-        assert main(["figures", "--figure", "fig3a", "--batch", "16"]) == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        # Different batch sizes must produce different statistics.
-        assert small != captured.out
-
     def test_figures_fig3a_default_batch_is_warning_free(self, capsys):
-        # Without --batch, fig3a keeps its recommended batch of 16: same
-        # output as an explicit 16, and no stderr warning.
-        assert main(["figures", "--figure", "fig3a"]) == 0
+        # Without --batch, fig3a keeps its scenario's own batch of 128: same
+        # output as an explicit 128, and no stderr warning.
+        assert main(["run", "--scenario", "memory_footprint"]) == 0
         default = capsys.readouterr()
         assert default.err == ""
-        assert main(["figures", "--figure", "fig3a", "--batch", "16"]) == 0
+        assert main(["run", "--scenario", "memory_footprint", "--batch", "128"]) == 0
         assert capsys.readouterr().out == default.out
 
     def test_figures_fig3c(self, capsys):
-        assert main(["figures", "--figure", "fig3c", "--batch", "1"]) == 0
+        assert main(["run", "--scenario", "speedup", "--batch", "1"]) == 0
         assert "speedup_fp16_over_baseline" in capsys.readouterr().out
 
     def test_compare_command(self, capsys):
-        assert main(["compare", "--batch", "1", "--timesteps", "10"]) == 0
+        assert main(["run", "--scenario", "accelerator_comparison",
+                     "--batch", "1", "--timesteps", "10"]) == 0
         output = capsys.readouterr().out
         assert "LSMCore" in output and "Loihi" in output
 
     def test_spva_command(self, capsys):
-        assert main(["spva", "--lengths", "1", "8"]) == 0
+        assert main(["run", "--scenario", "spva_microbenchmark"]) == 0
         assert "stream_length" in capsys.readouterr().out
 
     def test_run_list_scenarios(self, capsys):
@@ -74,13 +63,12 @@ class TestCli:
             main(["run", "--scenario", "bogus"])
 
     def test_run_scenario_keeps_scenario_defaults(self, capsys):
-        # No flags: the scenario's own defaults (500 timesteps, batch 4)
-        # apply, so the data matches the dedicated `compare` command.
+        # No flags: the scenario's own defaults (500 timesteps, batch 4) apply.
         assert main(["run", "--scenario", "accelerator_comparison"]) == 0
-        scenario_out = capsys.readouterr().out
-        assert main(["compare"]) == 0
-        compare_out = capsys.readouterr().out
-        assert scenario_out.splitlines()[1:] == compare_out.splitlines()[1:]
+        default_out = capsys.readouterr().out
+        assert main(["run", "--scenario", "accelerator_comparison",
+                     "--timesteps", "500", "--batch", "4"]) == 0
+        assert capsys.readouterr().out == default_out
 
     def test_run_scenario_forwards_timesteps(self, capsys):
         assert main(["run", "--scenario", "accelerator_comparison",
@@ -130,10 +118,10 @@ class TestCli:
         assert json.loads(out.read_text()) == first
 
     @pytest.mark.parametrize("argv", [
-        ["figures", "--figure", "fig3a", "--batch", "0"],
+        ["run", "--scenario", "memory_footprint", "--batch", "0"],
         ["run", "--batch", "-3"],
         ["sweep", "--sweep", "precision", "--batch", "0"],
-        ["compare", "--timesteps", "0"],
+        ["run", "--scenario", "accelerator_comparison", "--timesteps", "0"],
     ])
     def test_non_positive_batch_rejected_at_parse_time(self, argv, capsys):
         with pytest.raises(SystemExit):
@@ -150,8 +138,9 @@ class TestCli:
                   "--output", "/nonexistent-dir/out.json"])
 
     def test_unknown_figure_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["figures", "--figure", "fig99"])
+        # Figure labels are not scenario names: each figure is its scenario.
+        with pytest.raises(SystemExit, match="unknown scenario"):
+            main(["run", "--scenario", "fig3a"])
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
