@@ -5,8 +5,8 @@ The paper's technique is not specific to S-VGG11: any feed-forward SNN built
 from spiking conv / pool / FC layers can be planned and executed.  This
 example defines a small event-camera-style classifier (DVS-gesture-like
 128-channel sparse input), lets the optimizer choose the per-layer execution
-strategy, prints the generated SpVA inner loops, and compares the baseline
-against SpikeStream on the cluster model.
+strategy, and compares the baseline against SpikeStream on the cluster
+model.
 
 Run with::
 
@@ -16,7 +16,6 @@ Run with::
 import numpy as np
 
 from repro import Session, baseline_config, spikestream_config
-from repro.core.codegen import spva_pseudocode
 from repro.eval.reporting import format_table
 from repro.snn import (
     Flatten,
@@ -86,11 +85,7 @@ def main():
         columns=["layer", "kernel", "streams", "simd_width", "notes"],
     ))
 
-    print("\n=== Generated SpVA inner loop for conv2 ===")
-    conv2_plan = [p for p in plans if p.name == "conv2"][0]
-    print(spva_pseudocode(conv2_plan))
-
-    print("=== Baseline vs SpikeStream on the event classifier ===")
+    print("\n=== Baseline vs SpikeStream on the event classifier ===")
     rows = []
     for label, result in results.items():
         rows.append({

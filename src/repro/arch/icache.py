@@ -30,10 +30,6 @@ class InstructionCache:
     params: ClusterParams = DEFAULT_CLUSTER
     costs: CostModelParams = DEFAULT_COSTS
 
-    def kernel_fits(self, kernel_bytes: int) -> bool:
-        """Whether a kernel's code footprint fits entirely in the cache."""
-        return kernel_bytes <= self.params.icache_bytes
-
     def miss_cycles(
         self,
         instructions_executed: Union[float, np.ndarray],

@@ -44,21 +44,6 @@ class ClusterParams:
         if self.spm_bytes % (self.spm_banks * self.spm_word_bytes) != 0:
             raise ValueError("SPM size must be divisible by banks * word size")
 
-    @property
-    def cycle_time_s(self) -> float:
-        """Duration of one clock cycle in seconds."""
-        return 1.0 / self.clock_hz
-
-    @property
-    def dma_bus_bytes(self) -> int:
-        """DMA bus width in bytes per cycle."""
-        return self.dma_bus_bits // 8
-
-    @property
-    def bank_bytes(self) -> int:
-        """Capacity of a single SPM bank."""
-        return self.spm_bytes // self.spm_banks
-
 
 @dataclass(frozen=True)
 class CostModelParams:

@@ -12,7 +12,7 @@ single-cycle logarithmic interconnect.  Two aspects matter for SpikeStream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from .params import ClusterParams, DEFAULT_CLUSTER
@@ -43,7 +43,6 @@ class Tcdm:
         self.params = params
         self._cursor = 0
         self._buffers: Dict[str, TcdmBuffer] = {}
-        self.total_accesses = 0
 
     # ------------------------------------------------------------------ #
     # Allocation
@@ -96,11 +95,6 @@ class Tcdm:
     # ------------------------------------------------------------------ #
     # Bank-conflict model
     # ------------------------------------------------------------------ #
-    def bank_of(self, address: int) -> int:
-        """Bank index addressed by a byte address (word-interleaved mapping)."""
-        word = address // self.params.spm_word_bytes
-        return int(word % self.params.spm_banks)
-
     def conflict_stall_factor(self, active_requesters: int) -> float:
         """Expected slowdown factor for random accesses from ``active_requesters`` cores.
 
@@ -116,9 +110,3 @@ class Tcdm:
         served = banks * (1.0 - (1.0 - 1.0 / banks) ** active_requesters)
         throughput_per_requester = served / active_requesters
         return 1.0 / throughput_per_requester
-
-    def record_accesses(self, count: int) -> None:
-        """Account for ``count`` SPM accesses (used by the energy model)."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        self.total_accesses += count

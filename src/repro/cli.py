@@ -1,14 +1,13 @@
 """Command-line interface for the SpikeStream reproduction.
 
-Seven subcommands cover the common workflows, all built on the unified
+Five subcommands cover the common workflows, all built on the unified
 :class:`repro.session.Session` API::
 
     python -m repro.cli run        --precision fp16 --batch 8        # S-VGG11 inference
     python -m repro.cli run        --scenario speedup --jobs 4       # any registered scenario
     python -m repro.cli run        --list-scenarios                  # what can I run?
     python -m repro.cli run        --scenario fidelity               # every paper claim vs the model
-    python -m repro.cli sweep      --sweep firing_rate --jobs 4      # parallel parameter sweep
-    python -m repro.cli plan       --list                            # declarative sweep specs
+    python -m repro.cli run        --scenario firing_rate --jobs 4   # a sweep is a scenario too
     python -m repro.cli serve      --workers 2 --max-batch 16        # micro-batching service demo
     python -m repro.cli serve      --trace-out spans.jsonl --stats-out stats.json
     python -m repro.cli worker     --connect HOST:PORT               # repro.net worker host
@@ -17,14 +16,14 @@ Seven subcommands cover the common workflows, all built on the unified
 
 Every paper figure is a scenario: ``run --scenario memory_footprint``
 (Figure 3a), ``utilization`` (3b), ``speedup`` (3c), ``energy`` (4),
-``accelerator_comparison`` (5) and ``spva_microbenchmark`` (Listing 1).
-Every command prints an aligned text table; ``run`` and ``sweep`` can also
-emit machine-readable JSON or CSV (``--format json|csv``) through one
-shared reporting path.  ``--jobs``/``--backend`` size the session's shared
-worker pool, and ``--cache-dir`` points the session's persistent result
-store (whole inference runs) at a directory, so repeated invocations — e.g.
-regenerating several figures that share the same S-VGG11 variant runs —
-skip work already done.
+``accelerator_comparison`` (5) and ``spva_microbenchmark`` (Listing 1), and
+so is every registered sweep.  Every command prints an aligned text table;
+``run`` can also emit machine-readable JSON or CSV (``--format json|csv``)
+through one shared reporting path.  ``--jobs``/``--backend`` size the
+session's shared worker pool, and ``--cache-dir`` points the session's
+persistent result store (whole inference runs) at a directory, so repeated
+invocations — e.g. regenerating several figures that share the same S-VGG11
+variant runs — skip work already done.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from .backends import BACKENDS
 from .config import baseline_config, spikestream_config
 from .eval.experiments import ExperimentResult
 from .eval.reporting import EXPORT_FORMATS, export_experiment, format_table
-from .eval.runner import SWEEPS, available_sweeps, get_sweep
-from .session import Session
+from .session import ResultStore, Session, _parse_cache_limit
 from .snn.numerics import FORWARD_PATHS as NUMERICS_FORWARD_PATHS
 from .snn.numerics import PRECISIONS as NUMERICS_PRECISIONS
 from .snn.numerics import NumericsPolicy, resolve as resolve_numerics
@@ -52,27 +50,35 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _add_session_arguments(parser: argparse.ArgumentParser, jobs_default: int = 1) -> None:
-    parser.add_argument("--jobs", type=_positive_int, default=jobs_default,
-                        help="worker count of the session's shared pool (1 = serial)")
-    parser.add_argument("--backend", choices=BACKENDS, default="process",
-                        help="worker-pool kind used when --jobs > 1")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="directory persisting the session's result store "
-                             "across invocations")
-    parser.add_argument("--cache-limit", default=None, metavar="LIMIT",
-                        help="bound the result store: an entry count, an in-memory "
-                             "size ('64MB'), and/or a persisted-directory bound "
-                             "('disk:256MB'); comma-combine clauses")
+def _positive_float(value: str) -> float:
+    number = float(value)
+    if not number > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {value}")
+    return number
 
 
-def _add_export_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=EXPORT_FORMATS, default="table",
-                        dest="output_format",
-                        help="output format (one shared reporting path for "
-                             "run and sweep)")
-    parser.add_argument("--output", default=None, metavar="PATH",
-                        help="write the rendered output to a file instead of stdout")
+def _non_negative_float(value: str) -> float:
+    number = float(value)
+    if not number >= 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {value}")
+    return number
+
+
+def _probability(value: str) -> float:
+    number = float(value)
+    if not 0.0 <= number <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return number
+
+
+def _cache_limit(value: str) -> str:
+    """A ``--cache-limit`` the session would accept: its own parser and its
+    store's bounds check it, so the grammar lives in one place."""
+    try:
+        ResultStore(None, *_parse_cache_limit(value))
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error))
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,26 +122,24 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--verbose", action="store_true",
                      help="print session diagnostics (result-store hit/miss/"
                           "eviction counters) to stderr after the run")
-    _add_export_arguments(run)
-    _add_session_arguments(run)
-
-    sweep = subparsers.add_parser(
-        "sweep", help="run a parameter sweep over a worker pool"
-    )
-    sweep.add_argument("--sweep", required=True, choices=available_sweeps())
-    sweep.add_argument("--batch", type=_positive_int, default=4,
-                       help="batch size of full-network sweep points")
-    sweep.add_argument("--seed", type=int, default=2025)
-    _add_export_arguments(sweep)
-    _add_session_arguments(sweep)
-
-    plan = subparsers.add_parser(
-        "plan", help="inspect the declarative sweep specs (SweepSpec registry)"
-    )
-    plan.add_argument("--list", action="store_true", dest="list_plans",
-                      help="list every registered sweep spec (default action)")
-    plan.add_argument("--describe", default=None, metavar="NAME",
-                      help="show one spec's axes, columns and parameters")
+    run.add_argument("--format", choices=EXPORT_FORMATS, default="table",
+                     dest="output_format",
+                     help="output format (one shared reporting path for "
+                          "inference and every scenario)")
+    run.add_argument("--output", default=None, metavar="PATH",
+                     help="write the rendered output to a file instead of stdout")
+    run.add_argument("--jobs", type=_positive_int, default=1,
+                     help="worker count of the session's shared pool (1 = serial)")
+    run.add_argument("--backend", choices=BACKENDS, default="process",
+                     help="worker-pool kind used when --jobs > 1")
+    run.add_argument("--cache-dir", default=None, metavar="DIR",
+                     help="directory persisting the session's result store "
+                          "across invocations")
+    run.add_argument("--cache-limit", type=_cache_limit, default=None,
+                     metavar="LIMIT",
+                     help="bound the result store: an entry count, an in-memory "
+                          "size ('64MB'), and/or a persisted-directory bound "
+                          "('disk:256MB'); comma-combine clauses")
 
     serve = subparsers.add_parser(
         "serve",
@@ -161,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="worker processes to spawn under --distributed")
     serve.add_argument("--max-batch", type=_positive_int, default=16,
                        help="micro-batch flush bound in coalesced frames")
-    serve.add_argument("--max-wait-ms", type=float, default=5.0,
+    serve.add_argument("--max-wait-ms", type=_non_negative_float, default=5.0,
                        help="longest a micro-batch lingers on an empty queue, "
                             "in milliseconds; only clustered arrivals (a "
                             "request admitted within this window of the one "
@@ -170,7 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="admission bound of the request queue")
     serve.add_argument("--requests", type=_positive_int, default=64,
                        help="synthetic requests to fire")
-    serve.add_argument("--arrival-rate", type=float, default=None, metavar="HZ",
+    serve.add_argument("--arrival-rate", type=_positive_float, default=None,
+                       metavar="HZ",
                        help="open-loop arrival rate in requests/s "
                             "(default: one concurrent burst)")
     serve.add_argument("--mode", choices=("statistical", "functional"),
@@ -190,13 +195,14 @@ def _build_parser() -> argparse.ArgumentParser:
                             "across requests)")
     serve.add_argument("--timesteps", type=_positive_int, default=1)
     serve.add_argument("--seed", type=int, default=2025)
-    serve.add_argument("--deadline-ms", type=float, default=None,
+    serve.add_argument("--deadline-ms", type=_positive_float, default=None,
                        help="per-request deadline; queued requests expire "
                             "past it")
     serve.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="directory persisting the serving session's "
                             "result store")
-    serve.add_argument("--cache-limit", default=None, metavar="LIMIT",
+    serve.add_argument("--cache-limit", type=_cache_limit, default=None,
+                       metavar="LIMIT",
                        help="bound the serving session's result store "
                             "(see `run --cache-limit`)")
     serve.add_argument("--format", choices=("table", "json"), default="table",
@@ -212,7 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="enable request tracing and write completed "
                             "traces to this file as JSONL span records "
                             "(render them with `repro.cli trace`)")
-    serve.add_argument("--trace-sample", type=float, default=1.0, metavar="P",
+    serve.add_argument("--trace-sample", type=_probability, default=1.0,
+                       metavar="P",
                        help="per-trace sampling probability under "
                             "--trace-out (default: 1.0, trace everything)")
     serve.add_argument("--profile-layers", action="store_true",
@@ -231,9 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--worker-id", default=None,
                         help="requested registration name (the coordinator "
                              "may uniquify it)")
-    worker.add_argument("--heartbeat-ms", type=float, default=200.0,
-                        help="heartbeat cadence; the coordinator's "
-                             "registration ack overrides it")
     worker.add_argument("--credit", type=_positive_int, default=None,
                         metavar="N",
                         help="advertised credit window: batches the "
@@ -291,11 +295,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _session_from_args(args: argparse.Namespace) -> Session:
     return Session(
-        jobs=getattr(args, "jobs", 1),
-        backend=getattr(args, "backend", "process"),
-        cache_dir=getattr(args, "cache_dir", None),
-        seed=getattr(args, "seed", 2025),
-        cache_limit=getattr(args, "cache_limit", None),
+        jobs=args.jobs,
+        backend=args.backend,
+        cache_dir=args.cache_dir,
+        seed=args.seed,
+        cache_limit=args.cache_limit,
     )
 
 
@@ -465,46 +469,6 @@ def _command_run(args: argparse.Namespace) -> str:
             format_table([result.summary()]),
         ]
         return _emit("\n".join(lines), args)
-
-
-def _command_sweep(args: argparse.Namespace) -> str:
-    with _session_from_args(args) as session:
-        result = session.run(args.sweep, seed=args.seed, batch_size=args.batch)
-    rendered = export_experiment(result, args.output_format, title=f"sweep: {result.name}")
-    return _emit(rendered, args)
-
-
-def _command_plan(args: argparse.Namespace) -> str:
-    if args.describe is not None:
-        try:
-            spec = get_sweep(args.describe)
-        except KeyError as error:
-            raise SystemExit(f"error: {error.args[0]}")
-        info = spec.describe()
-        lines = [f"== sweep spec: {spec.name} =="]
-        lines.append(format_table([{
-            "axes": info["axes"],
-            "points": info["points"],
-            "seeded": info["seeded"],
-            "parameters": ", ".join(info["parameters"]),
-        }]))
-        if info["columns"]:
-            lines.append("columns: " + ", ".join(info["columns"]))
-        if info["description"]:
-            lines.append(info["description"])
-        return "\n".join(lines)
-    rows = []
-    for name in sorted(SWEEPS):
-        info = SWEEPS[name].describe()
-        rows.append({
-            "sweep": name,
-            "points": info["points"],
-            "axes": info["axes"],
-            "parameters": ", ".join(info["parameters"]),
-            "description": info["description"],
-        })
-    return format_table(rows, columns=["sweep", "points", "axes", "parameters",
-                                       "description"])
 
 
 def _flatten_telemetry(snapshot) -> List[dict]:
@@ -682,7 +646,6 @@ def _command_worker(args: argparse.Namespace) -> str:
     worker = NetWorker(
         (host, int(port_text)),
         worker_id=args.worker_id,
-        heartbeat_interval_s=args.heartbeat_ms / 1e3,
         chaos_hang_after=args.chaos_hang_after,
         chaos_exit_after=args.chaos_exit_after,
         **worker_kwargs,
@@ -805,8 +768,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "run": _command_run,
-        "sweep": _command_sweep,
-        "plan": _command_plan,
         "serve": _command_serve,
         "worker": _command_worker,
         "trace": _command_trace,

@@ -84,10 +84,6 @@ class RunConfig:
         """Return the non-streaming baseline variant of this configuration."""
         return self.with_optimizations(OptimizationFlag.baseline())
 
-    def as_spikestream(self) -> "RunConfig":
-        """Return the full SpikeStream variant of this configuration."""
-        return self.with_optimizations(OptimizationFlag.spikestream())
-
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable dictionary round-tripping through :meth:`from_dict`.

@@ -7,16 +7,12 @@
 * :class:`SpikeStreamInference` runs a whole network — functionally or in
   fast statistical mode — on the Snitch cluster model and returns per-layer
   runtime, utilization, IPC and energy.
-* :mod:`repro.core.codegen` generates the SpVA inner-loop micro-programs for
-  a given layer plan (the "automatic SpikeStream code generation" the paper
-  lists as future work).
 """
 
 from .layer_mapping import KernelKind, LayerPlan
 from .optimizer import SpikeStreamOptimizer
 from .pipeline import SpikeStreamInference
 from .results import InferenceResult, LayerResult
-from .codegen import generate_spva_program, spva_pseudocode
 from .validation import LayerValidation, ValidationReport, validate_network_on_kernels
 
 __all__ = [
@@ -26,8 +22,6 @@ __all__ = [
     "SpikeStreamInference",
     "InferenceResult",
     "LayerResult",
-    "generate_spva_program",
-    "spva_pseudocode",
     "LayerValidation",
     "ValidationReport",
     "validate_network_on_kernels",

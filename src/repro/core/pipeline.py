@@ -72,14 +72,12 @@ from ..arch.trace import BatchClusterStats, ClusterStats
 from ..config import RunConfig, check_run_size
 from ..energy.model import EnergyModel
 from ..energy.params import DEFAULT_ENERGY, EnergyParams
-from ..formats.convert import compress_ifmap, compress_vector
 from ..kernels.conv import conv_layer_perf, conv_layer_perf_batch, pad_counts
 from ..kernels.encode import encode_layer_perf, encode_layer_perf_batch
 from ..kernels.fc import fc_layer_perf, fc_layer_perf_batch
 from ..obs.tracer import layer_profiler_hook
 from ..snn.network import BatchNetworkActivity, NetworkActivity, SpikingNetwork
 from ..snn.numerics import NumericsPolicy, resolve as resolve_numerics
-from ..types import LayerKind
 from ..utils.rng import SeedLike, binomial_rows, spawn_rngs
 from .layer_mapping import KernelKind, LayerPlan
 from .optimizer import SpikeStreamOptimizer

@@ -211,11 +211,6 @@ class InferenceResult:
         """Results of the convolutional (and encoding) layers."""
         return [r for r in self.layers if r.kernel in ("conv", "encode")]
 
-    @property
-    def fc_layers(self) -> List[LayerResult]:
-        """Results of the fully connected layers."""
-        return [r for r in self.layers if r.kernel == "fc"]
-
     # -- network-level aggregates -------------------------------------------
     @property
     def total_cycles(self) -> float:

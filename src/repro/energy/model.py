@@ -133,7 +133,3 @@ class EnergyModel:
         for bit: the terms are added in the same order.
         """
         return _add_in_order(self._breakdown(stats, precision, streaming, uses_mac).values())
-
-    def total_energy(self, reports) -> float:
-        """Sum the energy of a collection of :class:`EnergyReport` objects (joules)."""
-        return float(sum(report.energy_j for report in reports))

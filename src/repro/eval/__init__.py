@@ -6,7 +6,7 @@ declarative sweeps (:data:`SWEEPS` in :mod:`repro.eval.runner`, run through
 (:func:`experiment_to_json`, :func:`rows_to_csv`).
 """
 
-from .metrics import geometric_mean, ratio, summarize
+from .metrics import ratio
 from .reporting import experiment_to_json, format_table, render_experiment, rows_to_csv
 from .experiments import (
     ExperimentResult,
@@ -17,13 +17,11 @@ from .experiments import (
     spva_microbenchmark_experiment,
     utilization_experiment,
 )
-from .runner import SWEEPS, available_sweeps, register_sweep
+from .runner import SWEEPS, register_sweep
 from .sweeps import optimization_ablation
 
 __all__ = [
-    "geometric_mean",
     "ratio",
-    "summarize",
     "experiment_to_json",
     "format_table",
     "render_experiment",
@@ -36,7 +34,6 @@ __all__ = [
     "spva_microbenchmark_experiment",
     "utilization_experiment",
     "SWEEPS",
-    "available_sweeps",
     "register_sweep",
     "optimization_ablation",
 ]

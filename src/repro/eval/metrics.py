@@ -2,36 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
-
-import numpy as np
-
 
 def ratio(numerator: float, denominator: float) -> float:
     """Safe ratio: returns ``inf`` for a zero denominator with non-zero numerator."""
     if denominator == 0:
         return float("inf") if numerator else 1.0
     return numerator / denominator
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values (ignores an empty input gracefully)."""
-    values = np.asarray(list(values), dtype=np.float64)
-    if values.size == 0:
-        return 0.0
-    if np.any(values <= 0):
-        raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(values))))
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """Mean / standard deviation / min / max of a sequence."""
-    values = np.asarray(list(values), dtype=np.float64)
-    if values.size == 0:
-        return {"mean": 0.0, "std": 0.0, "min": 0.0, "max": 0.0}
-    return {
-        "mean": float(np.mean(values)),
-        "std": float(np.std(values)),
-        "min": float(np.min(values)),
-        "max": float(np.max(values)),
-    }

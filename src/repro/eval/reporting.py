@@ -3,8 +3,8 @@
 The experiments return lists of row dictionaries; :func:`format_table`
 renders them as aligned ASCII tables so that the benchmark harness can print
 the same rows/series the paper's figures report.  :func:`experiment_to_json`
-and :func:`rows_to_csv` provide machine-readable exports used by the
-``repro.cli sweep`` subcommand.
+and :func:`rows_to_csv` provide the machine-readable exports of
+``repro.cli run --format json|csv``.
 """
 
 from __future__ import annotations

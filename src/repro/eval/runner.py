@@ -6,8 +6,8 @@ instances registered in :data:`SWEEPS`: a named
 schema and a headline finalizer.  Nothing here knows *how* points are
 executed: :meth:`repro.session.Session.run` collects a registered sweep
 and :meth:`~repro.session.Session.run_plan` streams it, both on the
-session's shared pool, and the ``repro.cli sweep``/``plan`` subcommands
-operate on the same registry.
+session's shared pool, and ``repro.cli run --scenario NAME`` runs one
+from the command line.
 
 Execution guarantees (inherited from :mod:`repro.plan` and
 :func:`repro.backends.execute`):
@@ -138,8 +138,8 @@ def register_sweep(spec: SweepSpec) -> SweepSpec:
     """Register a spec under its name; later registrations replace earlier.
 
     A registered sweep is a first-class scenario: ``Session.run(name)``,
-    ``Session.run_plan(name)``, ``repro.cli sweep``/``plan`` and
-    ``repro.cli run --scenario`` all look it up here.
+    ``Session.run_plan(name)`` and ``repro.cli run --scenario`` all look it
+    up here.
     """
     SWEEPS[spec.name] = spec
     return spec
@@ -231,21 +231,15 @@ register_sweep(SweepSpec(
 ))
 
 
-def available_sweeps() -> List[str]:
-    """Names accepted by ``Session.run``/``run_plan`` and ``repro.cli sweep``."""
-    return sorted(SWEEPS)
-
-
 def get_sweep(name: str) -> SweepSpec:
     """The registered spec for ``name`` (KeyError lists the alternatives)."""
     if name not in SWEEPS:
-        raise KeyError(f"unknown sweep {name!r}; available: {', '.join(available_sweeps())}")
+        raise KeyError(f"unknown sweep {name!r}; available: {', '.join(sorted(SWEEPS))}")
     return SWEEPS[name]
 
 
 __all__ = [
     "SWEEPS",
-    "available_sweeps",
     "get_sweep",
     "register_sweep",
 ]

@@ -1,58 +1,32 @@
 """Sparse spike-tensor representations.
 
-The paper compares three ways of representing the binary input feature maps
-(ifmaps) of an SNN:
+The paper compares two ways of storing the binary input feature maps
+(ifmaps) of an SNN besides the dense HWC layout (:mod:`repro.formats.dense`):
+the address-event representation (AER) used by neuromorphic processors, and
+the CSR-derived fiber-tree compression proposed by SpikeStream
+(:mod:`repro.formats.csr_fiber`).
 
-* the dense HWC layout (:mod:`repro.formats.dense`),
-* the address-event representation (AER) used by neuromorphic processors
-  (:mod:`repro.formats.aer`),
-* the CSR-derived fiber-tree compression proposed by SpikeStream
-  (:mod:`repro.formats.csr_fiber`), and additionally
-* the bitmap representation used by LSMCore (:mod:`repro.formats.bitmap`).
-
-:mod:`repro.formats.convert` provides lossless conversions between all of
-them and :mod:`repro.formats.footprint` the memory-footprint model behind
-Figure 3a.
+:mod:`repro.formats.convert` converts dense maps to and from the CSR-derived
+format, and :mod:`repro.formats.footprint` holds the closed-form
+memory-footprint model of both formats behind Figure 3a.
 """
 
-from .aer import AEREvent, AERStream
-from .bitmap import BitmapIfmap
 from .csr_fiber import CompressedIfmap, CompressedVector
 from .convert import (
-    aer_to_dense,
-    bitmap_to_dense,
     compress_ifmap,
     compress_vector,
-    dense_to_aer,
-    dense_to_bitmap,
     decompress_ifmap,
     decompress_vector,
 )
-from .footprint import (
-    aer_footprint_bytes,
-    bitmap_footprint_bytes,
-    csr_footprint_bytes,
-    dense_footprint_bytes,
-    footprint_report,
-)
+from .footprint import aer_footprint_bytes, csr_footprint_bytes
 
 __all__ = [
-    "AEREvent",
-    "AERStream",
-    "BitmapIfmap",
     "CompressedIfmap",
     "CompressedVector",
-    "aer_to_dense",
-    "bitmap_to_dense",
     "compress_ifmap",
     "compress_vector",
-    "dense_to_aer",
-    "dense_to_bitmap",
     "decompress_ifmap",
     "decompress_vector",
     "aer_footprint_bytes",
-    "bitmap_footprint_bytes",
     "csr_footprint_bytes",
-    "dense_footprint_bytes",
-    "footprint_report",
 ]

@@ -1,17 +1,14 @@
-"""Lossless conversions between spike-tensor representations.
+"""Lossless conversions between dense spike tensors and the CSR-derived format.
 
-All conversions round-trip exactly (verified by property-based tests): a
-dense map converted to any format and back yields the identical boolean
-tensor.
+Both conversions round-trip exactly (verified by property-based tests): a
+dense map compressed and expanded again yields the identical boolean tensor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..types import INDEX_BYTES_DEFAULT, TensorShape
-from .aer import AEREvent, AERStream
-from .bitmap import BitmapIfmap
+from ..types import INDEX_BYTES_DEFAULT
 from .csr_fiber import CompressedIfmap, CompressedVector, index_dtype
 from .dense import as_dense_spikes, shape_of
 
@@ -62,49 +59,3 @@ def decompress_vector(compressed: CompressedVector) -> np.ndarray:
     dense = np.zeros(compressed.length, dtype=bool)
     dense[compressed.idcs.astype(np.int64)] = True
     return dense
-
-
-def dense_to_aer(
-    dense: np.ndarray, timestep: int = 0, index_bytes: int = INDEX_BYTES_DEFAULT
-) -> AERStream:
-    """Convert a dense spike map into an AER event stream for one timestep."""
-    dense = as_dense_spikes(dense)
-    shape = shape_of(dense)
-    rows, cols, channels = np.nonzero(dense)
-    events = [
-        AEREvent(row=int(r), col=int(c), channel=int(ch), timestep=timestep)
-        for r, c, ch in zip(rows, cols, channels)
-    ]
-    return AERStream(shape=shape, events=events, index_bytes=index_bytes)
-
-
-def aer_to_dense(stream: AERStream) -> np.ndarray:
-    """Convert an AER event stream back into a dense boolean HWC tensor."""
-    shape = stream.shape
-    dense = np.zeros(shape.as_tuple(), dtype=bool)
-    for event in stream:
-        dense[event.row, event.col, event.channel] = True
-    return dense
-
-
-def dense_to_bitmap(dense: np.ndarray) -> BitmapIfmap:
-    """Convert a dense spike map into the LSMCore-style bitmap format."""
-    dense = as_dense_spikes(dense)
-    return BitmapIfmap(shape=shape_of(dense), bits=dense.copy())
-
-
-def bitmap_to_dense(bitmap: BitmapIfmap) -> np.ndarray:
-    """Convert a bitmap spike map back into a dense boolean tensor."""
-    return bitmap.bits.copy()
-
-
-def empty_compressed_ifmap(
-    shape: TensorShape, index_bytes: int = INDEX_BYTES_DEFAULT
-) -> CompressedIfmap:
-    """Return a compressed ifmap with no spikes for the given dense shape."""
-    return CompressedIfmap(
-        shape=shape,
-        c_idcs=np.zeros(0, dtype=index_dtype(index_bytes)),
-        s_ptr=np.zeros(shape.spatial_size + 1, dtype=np.int64),
-        index_bytes=index_bytes,
-    )

@@ -169,10 +169,6 @@ class CompressedIfmapBuilder:
         self._indices[pos].append(channel)
         self._counts[pos] += 1
 
-    def worst_case_bytes(self) -> int:
-        """SPM bytes reserved assuming a fully dense (zero-sparsity) output."""
-        return (self.shape.numel + self.shape.spatial_size + 1) * self.index_bytes
-
     def finalize(self) -> CompressedIfmap:
         """Return the compressed ofmap accumulated so far."""
         s_ptr = np.zeros(self.shape.spatial_size + 1, dtype=np.int64)

@@ -36,11 +36,3 @@ def shape_of(dense: np.ndarray) -> TensorShape:
     height, width, channels = dense.shape
     return TensorShape(height=height, width=width, channels=channels)
 
-
-def firing_rate(dense: np.ndarray) -> float:
-    """Fraction of active neurons in a dense spike map."""
-    dense = as_dense_spikes(dense)
-    if dense.size == 0:
-        return 0.0
-    return float(np.count_nonzero(dense)) / dense.size
-

@@ -4,24 +4,25 @@ The paper measures the bytes needed to store the ifmaps of each S-VGG11 layer
 under the AER format and the proposed CSR-derived format, assuming 16-bit
 indices and coordinates, and reports an average footprint reduction of about
 2.75x in favour of the CSR format.
+
+Neuromorphic processors such as Loihi and ODIN exchange spikes as
+address-events (AER): each spike travels as the absolute coordinates of the
+firing neuron plus a timestamp.  The CSR-derived format processes ifmaps
+sequentially and therefore needs neither timestamps nor absolute spatial
+coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from ..types import INDEX_BYTES_DEFAULT, TensorShape
 
-import numpy as np
+AER_FIELDS_PER_EVENT = 3
+"""16-bit fields stored per AER event.
 
-from ..types import INDEX_BYTES_DEFAULT, Precision, TensorShape
-from .aer import AER_FIELDS_PER_EVENT
-from .convert import compress_ifmap, dense_to_aer
-from .dense import as_dense_spikes, firing_rate, shape_of
-
-
-def dense_footprint_bytes(shape: TensorShape, precision: Precision = Precision.FP16) -> int:
-    """Bytes for an uncompressed dense activation tensor at a given precision."""
-    return shape.numel * precision.bytes
+Following the paper's assumption of 16-bit values, an event is modeled as
+three fields: the packed spatial coordinate, the channel index and the
+timestamp.
+"""
 
 
 def csr_footprint_bytes(
@@ -45,80 +46,3 @@ def aer_footprint_bytes(nnz: int, index_bytes: int = INDEX_BYTES_DEFAULT) -> int
         raise ValueError(f"nnz must be non-negative, got {nnz}")
     return nnz * AER_FIELDS_PER_EVENT * index_bytes
 
-
-def bitmap_footprint_bytes(shape: TensorShape) -> int:
-    """Bytes for the LSMCore bitmap format (one bit per neuron)."""
-    return (shape.numel + 7) // 8
-
-
-@dataclass(frozen=True)
-class FootprintReport:
-    """Footprints of one spike map under every supported format."""
-
-    shape: TensorShape
-    nnz: int
-    firing_rate: float
-    dense_bytes: int
-    csr_bytes: int
-    aer_bytes: int
-    bitmap_bytes: int
-
-    @property
-    def csr_over_aer_reduction(self) -> float:
-        """How many times smaller the CSR format is compared to AER."""
-        if self.csr_bytes == 0:
-            return float("inf") if self.aer_bytes else 1.0
-        return self.aer_bytes / self.csr_bytes
-
-    def as_dict(self) -> Dict[str, float]:
-        """Return the report as a flat dictionary (for tabular output)."""
-        return {
-            "shape": str(self.shape),
-            "nnz": self.nnz,
-            "firing_rate": self.firing_rate,
-            "dense_bytes": self.dense_bytes,
-            "csr_bytes": self.csr_bytes,
-            "aer_bytes": self.aer_bytes,
-            "bitmap_bytes": self.bitmap_bytes,
-            "csr_over_aer_reduction": self.csr_over_aer_reduction,
-        }
-
-
-def footprint_report(
-    dense: Optional[np.ndarray] = None,
-    *,
-    shape: Optional[TensorShape] = None,
-    nnz: Optional[int] = None,
-    index_bytes: int = INDEX_BYTES_DEFAULT,
-    precision: Precision = Precision.FP16,
-) -> FootprintReport:
-    """Build a :class:`FootprintReport` either from a dense map or from (shape, nnz).
-
-    Passing an actual dense map verifies the analytic formulas against the
-    concrete representations; passing ``shape``/``nnz`` uses the closed-form
-    model (useful for sweeps that never materialize tensors).
-    """
-    if dense is not None:
-        dense = as_dense_spikes(dense)
-        shape = shape_of(dense)
-        compressed = compress_ifmap(dense, index_bytes=index_bytes)
-        aer = dense_to_aer(dense, index_bytes=index_bytes)
-        nnz = compressed.nnz
-        csr_bytes = compressed.footprint_bytes()
-        aer_bytes = aer.footprint_bytes()
-        rate = firing_rate(dense)
-    else:
-        if shape is None or nnz is None:
-            raise ValueError("either a dense map or both shape and nnz must be provided")
-        csr_bytes = csr_footprint_bytes(shape, nnz, index_bytes=index_bytes)
-        aer_bytes = aer_footprint_bytes(nnz, index_bytes=index_bytes)
-        rate = nnz / shape.numel if shape.numel else 0.0
-    return FootprintReport(
-        shape=shape,
-        nnz=int(nnz),
-        firing_rate=float(rate),
-        dense_bytes=dense_footprint_bytes(shape, precision=precision),
-        csr_bytes=int(csr_bytes),
-        aer_bytes=int(aer_bytes),
-        bitmap_bytes=bitmap_footprint_bytes(shape),
-    )

@@ -64,21 +64,6 @@ class Instruction:
         return self.op in FP_ALU_OPS or self.op in FP_LOAD_OPS or self.op in FP_STORE_OPS
 
     @property
-    def is_load(self) -> bool:
-        """Whether the instruction reads memory."""
-        return self.op in INT_LOAD_OPS or self.op in FP_LOAD_OPS
-
-    @property
-    def is_store(self) -> bool:
-        """Whether the instruction writes memory."""
-        return self.op in INT_STORE_OPS or self.op in FP_STORE_OPS
-
-    @property
-    def is_branch(self) -> bool:
-        """Whether the instruction may redirect control flow."""
-        return self.op in BRANCH_OPS
-
-    @property
     def destination(self) -> str:
         """Destination register name, or an empty string if none."""
         if self.op in INT_ALU_OPS or self.op in INT_LOAD_OPS or self.op in FP_LOAD_OPS:

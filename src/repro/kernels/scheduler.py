@@ -53,21 +53,6 @@ class StealingSchedule:
             return 0.0
         return float(np.max(self.core_finish_cycles))
 
-    @property
-    def imbalance(self) -> float:
-        """Ratio between the slowest and the average core busy time (>= 1)."""
-        busy = self.core_busy_cycles
-        if busy.size == 0 or np.all(busy == 0):
-            return 1.0
-        mean = float(np.mean(busy))
-        if mean == 0:
-            return 1.0
-        return float(np.max(busy)) / mean
-
-    def rf_count(self) -> int:
-        """Total number of receptive fields processed."""
-        return sum(len(a) for a in self.assignments)
-
 
 @dataclass
 class BatchStealingSchedule:

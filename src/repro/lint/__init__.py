@@ -7,7 +7,8 @@ Two halves:
   suppressions with an unused-suppression check) enforcing the repo's own
   invariants: lock discipline, seeded RNG on golden paths, dtype
   discipline, picklable sweep points, frozen-array integrity,
-  registry/README consistency, mutable defaults, ``__all__`` hygiene.
+  registry/README consistency, mutable defaults, ``__all__`` hygiene,
+  socket discipline, ``with``-scoped trace spans and unused imports.
 * :mod:`repro.lint.locktrace` — a runtime lock-order tracer
   (:class:`LockTracer`) detecting acquisition-order cycles (potential
   deadlocks) and unguarded shared-state access in the live serving stack.

@@ -30,6 +30,7 @@ __all__ = [
     "SpanDisciplineRule",
     "UnpicklablePointRule",
     "UnseededRngRule",
+    "UnusedImportRule",
 ]
 
 
@@ -1055,3 +1056,79 @@ class SpanDisciplineRule(Rule):
                     )
                 )
         return findings
+
+
+# --------------------------------------------------------------------------- #
+# R11 — every import is read
+# --------------------------------------------------------------------------- #
+@register
+class UnusedImportRule(Rule):
+    """Every name a module imports must be read somewhere in it.
+
+    An import nothing reads is what a half-finished deletion leaves behind:
+    it keeps the imported module loading (import time, and a dependency
+    edge the code no longer has) and tells a reader the module still uses
+    something it does not.  A name counts as read when a ``Name`` loads it,
+    when a string annotation mentions it, or when ``__all__`` lists it (a
+    deliberate re-export).  Package ``__init__.py`` modules exist to
+    re-export, and ``from __future__`` imports are compiler directives, so
+    both are exempt.
+    """
+
+    name = "unused-import"
+    description = (
+        "every imported name is read in its module (__all__ re-exports "
+        "count; package __init__ and __future__ imports are exempt)"
+    )
+
+    @staticmethod
+    def _string_annotation_names(annotation: Optional[ast.expr]) -> Iterator[str]:
+        if annotation is None:
+            return
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                for inner in ast.walk(parsed):
+                    if isinstance(inner, ast.Name):
+                        yield inner.id
+
+    def check_module(self, module: ParsedModule, project: Project) -> Iterable[Finding]:
+        if module.path.name == "__init__.py":
+            return ()
+        imported: Dict[str, ast.alias] = {}
+        read: Set[str] = set()
+        for node in module.nodes:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported[alias.asname or alias.name] = alias
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.arg):
+                read.update(self._string_annotation_names(node.annotation))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                read.update(self._string_annotation_names(node.returns))
+            elif isinstance(node, ast.AnnAssign):
+                read.update(self._string_annotation_names(node.annotation))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ) and isinstance(node.value, (ast.List, ast.Tuple)):
+                read.update(
+                    element.value for element in node.value.elts
+                    if isinstance(element, ast.Constant)
+                    and isinstance(element.value, str)
+                )
+        return [
+            module.finding(
+                self.name, alias, f"{name!r} is imported but never read"
+            )
+            for name, alias in imported.items()
+            if name not in read
+        ]

@@ -47,7 +47,7 @@ Failure semantics:
 * **stalled worker** — still heartbeating but sitting on a batch: rescued
   when the batch has been in flight longer than ``stall_timeout_s`` (when
   set), or — deadline-aware — when a request's deadline is closer than
-  ``deadline_margin_s``.  The slow worker's late results are *not*
+  :data:`DEADLINE_MARGIN_S`.  The slow worker's late results are *not*
   discarded: they land in the result store, where the re-queued
   requests' dispatch-time store check resolves them without a second
   engine pass; double resolution is absorbed by
@@ -87,6 +87,23 @@ __all__ = ["Coordinator", "DispatchedBatch"]
 #: ``DISPATCH_ERRORS`` in :mod:`repro.backends`: infrastructure death, never
 #: a request error).
 _LINK_ERRORS = (FrameError, OSError)
+
+#: Interval workers are told to heartbeat at (handed to them in the
+#: ``registered`` ack), in seconds.
+HEARTBEAT_INTERVAL_S = 0.2
+
+#: Deadline-aware rescue: a batch still in flight when a request's deadline
+#: is closer than this margin is re-queued (once per request) so a healthy
+#: worker can still beat the deadline.
+DEADLINE_MARGIN_S = 0.5
+
+#: Idle pacing of the dispatcher: how long it blocks waiting for traffic or
+#: freed credit before re-checking.
+PULL_WAIT_S = 0.2
+
+#: Upper bound :meth:`Coordinator.close` (``drain=True``) waits for queued
+#: and in-flight work to finish.
+DRAIN_TIMEOUT_S = 30.0
 
 
 def _caller_copy(result: InferenceResult) -> InferenceResult:
@@ -167,25 +184,12 @@ class Coordinator(InferenceServer):
     host / port:
         Listen address; ``port=0`` picks a free port — read it back from
         :attr:`address`.
-    heartbeat_interval_s:
-        Interval workers are told to heartbeat at (handed to them in the
-        ``registered`` ack).
     liveness_timeout_s:
         A worker whose last heartbeat is older than this is declared dead
         and its in-flight batches are rescued.
     stall_timeout_s:
         Rescue any batch in flight longer than this even if its worker
         still heartbeats (``None`` disables the flat bound).
-    deadline_margin_s:
-        Deadline-aware rescue: a batch still in flight when a request's
-        deadline is closer than this margin is re-queued (once per
-        request) so a healthy worker can still beat the deadline.
-    pull_wait_s:
-        Idle pacing of the dispatcher: how long it blocks waiting for
-        traffic or freed credit before re-checking.
-    drain_timeout_s:
-        Upper bound :meth:`close(drain=True) <close>` waits for queued and
-        in-flight work to finish.
     """
 
     _MIN_WORKERS = 0  # execution happens in remote worker processes, not threads
@@ -201,12 +205,8 @@ class Coordinator(InferenceServer):
         default_deadline_s: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
         default_numerics: Optional[NumericsPolicy] = None,
-        heartbeat_interval_s: float = 0.2,
         liveness_timeout_s: float = 1.5,
         stall_timeout_s: Optional[float] = None,
-        deadline_margin_s: float = 0.5,
-        pull_wait_s: float = 0.2,
-        drain_timeout_s: float = 30.0,
         tracer=None,
     ):
         super().__init__(
@@ -220,12 +220,8 @@ class Coordinator(InferenceServer):
             default_numerics=default_numerics,
             tracer=tracer,
         )
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.liveness_timeout_s = liveness_timeout_s
         self.stall_timeout_s = stall_timeout_s
-        self.deadline_margin_s = deadline_margin_s
-        self.pull_wait_s = pull_wait_s
-        self.drain_timeout_s = drain_timeout_s
         #: one cache across every link: a blob registered while encoding
         #: for one worker answers any worker's ``__need_blob__``
         self.blob_cache = BlobCache()
@@ -307,7 +303,7 @@ class Coordinator(InferenceServer):
             connection.send(
                 "registered",
                 worker_id=worker_id,
-                heartbeat_interval_s=self.heartbeat_interval_s,
+                heartbeat_interval_s=HEARTBEAT_INTERVAL_S,
                 coordinator_pid=os.getpid(),
                 cluster=self.session.cluster,
                 costs=self.session.costs,
@@ -408,14 +404,14 @@ class Coordinator(InferenceServer):
         popped batch is between the queue and a link's in-flight table.
         """
         while not self._stop_dispatch.is_set():
-            if not self.queue.wait_nonempty(self.pull_wait_s):
+            if not self.queue.wait_nonempty(PULL_WAIT_S):
                 continue
             if self._pick_worker() is None:
                 # Traffic is waiting but every credit window is full (or no
                 # worker is up yet): block until results/registration free
                 # capacity rather than spinning on the queue head.
                 self.metrics.counter("net.credit_stalls").inc()
-                self._dispatch_wake.wait(self.pull_wait_s)
+                self._dispatch_wake.wait(PULL_WAIT_S)
                 self._dispatch_wake.clear()
                 continue
             with self._net_lock:
@@ -631,7 +627,7 @@ class Coordinator(InferenceServer):
             and now - batch.dispatched_at >= self.stall_timeout_s
         ):
             return True
-        if batch.deadline is not None and now >= batch.deadline - self.deadline_margin_s:
+        if batch.deadline is not None and now >= batch.deadline - DEADLINE_MARGIN_S:
             # Deadline-aware rescue fires once per request: the trigger is
             # absolute time, so without this guard a re-dispatched batch
             # would be "rescued" again every monitor tick until the
@@ -792,7 +788,7 @@ class Coordinator(InferenceServer):
     def close(self, drain: bool = True) -> None:
         """Drain (by default), shut every worker down, release the port.
 
-        ``drain=True`` waits — bounded by ``drain_timeout_s`` — until the
+        ``drain=True`` waits — bounded by :data:`DRAIN_TIMEOUT_S` — until the
         queue is empty and no batch is in flight (rescues keep running
         throughout, so a worker dying mid-drain cannot wedge it), then
         broadcasts ``shutdown``.  ``drain=False`` fails queued requests
@@ -804,7 +800,7 @@ class Coordinator(InferenceServer):
             self._closed = True
         self.queue.close()
         if drain:
-            self._wait_drained(self.drain_timeout_s)
+            self._wait_drained(DRAIN_TIMEOUT_S)
         else:
             cancelled = self.queue.cancel_pending()
             self.metrics.counter("serve.cancelled").inc(cancelled)

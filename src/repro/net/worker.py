@@ -63,6 +63,9 @@ _LINK_ERRORS = (FrameError, OSError)
 #: cost when a worker dies with a full window.
 DEFAULT_CREDIT = 2
 
+#: Seconds a worker waits for the coordinator to accept its connection.
+CONNECT_TIMEOUT_S = 10.0
+
 
 def _wire_error(error: BaseException) -> BaseException:
     """An exception safe to pickle onto the wire.
@@ -89,9 +92,6 @@ class NetWorker:
         The coordinator's ``(host, port)``.
     worker_id:
         Requested registration name; the coordinator may uniquify it.
-    heartbeat_interval_s:
-        Fallback heartbeat cadence; the coordinator's ``registered`` ack
-        overrides it so the whole cluster agrees.
     credit:
         Advertised credit window (outstanding batches the coordinator may
         push to this worker); clamped to at least 1.
@@ -105,8 +105,6 @@ class NetWorker:
         self,
         address: Tuple[str, int],
         worker_id: Optional[str] = None,
-        heartbeat_interval_s: float = 0.2,
-        connect_timeout_s: float = 10.0,
         credit: int = DEFAULT_CREDIT,
         chaos_hang_after: Optional[int] = None,
         chaos_exit_after: Optional[int] = None,
@@ -114,8 +112,6 @@ class NetWorker:
         self.address = address
         self.requested_id = worker_id
         self.worker_id = worker_id or ""
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.connect_timeout_s = connect_timeout_s
         self.credit = max(1, int(credit))
         self.blob_cache = BlobCache()
         self.chaos_hang_after = chaos_hang_after
@@ -142,7 +138,7 @@ class NetWorker:
         served).
         """
         connection = FramedConnection.connect(
-            self.address, timeout=self.connect_timeout_s,
+            self.address, timeout=CONNECT_TIMEOUT_S,
             blob_cache=self.blob_cache,
         )
         self._connection = connection
@@ -159,11 +155,10 @@ class NetWorker:
                 cluster=ack["cluster"], costs=ack["costs"], energy=ack["energy"]
             )
             self.batcher = MicroBatcher(session, tracer=self.tracer)
-            interval = ack.get("heartbeat_interval_s")
-            if interval is not None:
-                self.heartbeat_interval_s = float(interval)
+            # The coordinator sets the cadence, so the whole cluster agrees.
             self._heartbeat_thread = threading.Thread(
                 target=self._heartbeat_loop,
+                args=(float(ack["heartbeat_interval_s"]),),
                 name=f"repro-net-heartbeat-{self.worker_id}",
                 daemon=True,
             )
@@ -202,8 +197,8 @@ class NetWorker:
             # unknown kinds: ignored (forward compatibility inside one
             # wire version)
 
-    def _heartbeat_loop(self) -> None:
-        while not self._stop.wait(self.heartbeat_interval_s):
+    def _heartbeat_loop(self, interval_s: float) -> None:
+        while not self._stop.wait(interval_s):
             try:
                 connection = self._connection
                 stats = dict(self.counters)

@@ -130,10 +130,6 @@ class ParameterSpace:
     def __iter__(self) -> Iterator[Dict[str, object]]:
         return iter(self.points())
 
-    def describe(self) -> str:
-        """Compact human-readable axis summary, e.g. ``rate x6 · cores x4``."""
-        raise NotImplementedError
-
 
 class _GridSpace(ParameterSpace):
     def __init__(self, axes: Mapping[str, object]):
@@ -160,9 +156,6 @@ class _GridSpace(ParameterSpace):
         axes = dict(self._axes)
         axes[name] = values
         return _GridSpace(axes)
-
-    def describe(self) -> str:
-        return " · ".join(f"{name} x{len(values)}" for name, values in self._axes.items())
 
 
 class _ChainSpace(ParameterSpace):
@@ -196,9 +189,6 @@ class _ChainSpace(ParameterSpace):
             for part in self._parts
         ]
         return _ChainSpace(parts)
-
-    def describe(self) -> str:
-        return " + ".join(part.describe() for part in self._parts)
 
 
 # --------------------------------------------------------------------------- #
@@ -302,18 +292,6 @@ class SweepSpec:
         task["seed"] = self.task_seed(seed, params)
         task["batch"] = batch_size
         return task
-
-    def describe(self) -> Dict[str, object]:
-        """Name, axis summary, point count and accepted keywords."""
-        return {
-            "name": self.name,
-            "axes": self.space.describe(),
-            "points": len(self.space),
-            "parameters": tuple(sorted(self.kwarg_axes)),
-            "columns": self.row_schema,
-            "seeded": self.seeded,
-            "description": self.description,
-        }
 
 
 # --------------------------------------------------------------------------- #

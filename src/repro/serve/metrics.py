@@ -21,7 +21,6 @@ state.
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 import zlib
@@ -261,6 +260,3 @@ class MetricsRegistry:
             data[name] = dict(values)
         return data
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """The snapshot as a JSON document."""
-        return json.dumps(self.snapshot(), sort_keys=True, indent=indent)

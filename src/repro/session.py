@@ -448,8 +448,10 @@ def frames_fingerprint(frames) -> str:
 
 #: LIF threshold of the functional scenario's S-VGG11.  The trained CIFAR-10
 #: weights are not public; a lowered threshold keeps spike activity
-#: propagating through all eleven randomly-initialized layers so the
-#: recorded firing profile resembles a trained model's.
+#: propagating through all eleven randomly-initialized layers.  The recorded
+#: input densities do not follow Figure 3a's profile: at batch 8, seed 2025,
+#: conv2 reads 0.28 against 0.45 and conv5-fc3 read 0.38-0.67 against
+#: 0.03-0.15.  Calibrating them is open work (ROADMAP).
 _FUNCTIONAL_V_THRESHOLD = 0.25
 
 

@@ -3,11 +3,11 @@
 This package provides the functional SNN model that SpikeStream accelerates:
 Leaky Integrate-and-Fire neuron dynamics, spiking convolutional / fully
 connected / pooling layers, the S-VGG11 network used throughout the paper's
-evaluation, a NumPy golden-reference implementation, synthetic
-CIFAR-10-like data and firing-rate statistics.
+evaluation, a NumPy golden-reference implementation and synthetic
+CIFAR-10-like data.
 """
 
-from .neuron import IzhikevichParameters, LIFParameters, LIFState, lif_step, lif_step_batch
+from .neuron import LIFParameters, LIFState, lif_step, lif_step_batch
 from .numerics import (
     CLASSIFICATION_AGREEMENT_BOUND,
     FORWARD_PATHS,
@@ -40,17 +40,8 @@ from .datasets import (
     synthetic_compressed_ifmap,
     synthetic_layer_activity,
 )
-from .stats import ActivityStats, collect_activity_stats
-from .training import (
-    SurrogateGradientTrainer,
-    TrainingConfig,
-    TrainingHistory,
-    make_two_moons,
-    surrogate_gradient,
-)
 
 __all__ = [
-    "IzhikevichParameters",
     "LIFParameters",
     "LIFState",
     "lif_step",
@@ -77,11 +68,4 @@ __all__ = [
     "SyntheticCIFAR10",
     "synthetic_compressed_ifmap",
     "synthetic_layer_activity",
-    "ActivityStats",
-    "collect_activity_stats",
-    "SurrogateGradientTrainer",
-    "TrainingConfig",
-    "TrainingHistory",
-    "make_two_moons",
-    "surrogate_gradient",
 ]

@@ -63,18 +63,6 @@ class LayerRecord:
     input_currents: Optional[np.ndarray]
     output_spikes: np.ndarray
 
-    @property
-    def input_firing_rate(self) -> float:
-        """Fraction of active input neurons (1.0 for the dense encoding layer)."""
-        if self.input_spikes is None:
-            return 1.0
-        return float(np.count_nonzero(self.input_spikes)) / max(self.input_spikes.size, 1)
-
-    @property
-    def output_firing_rate(self) -> float:
-        """Fraction of active output neurons."""
-        return float(np.count_nonzero(self.output_spikes)) / max(self.output_spikes.size, 1)
-
 
 @dataclass
 class NetworkActivity:
@@ -85,15 +73,6 @@ class NetworkActivity:
     def for_layer(self, layer_index: int) -> List[LayerRecord]:
         """Records of a specific weighted layer across timesteps."""
         return [r for r in self.records if r.layer_index == layer_index]
-
-    def for_timestep(self, timestep: int) -> List[LayerRecord]:
-        """Records of all weighted layers for a specific timestep."""
-        return [r for r in self.records if r.timestep == timestep]
-
-    @property
-    def weighted_layer_indices(self) -> List[int]:
-        """Sorted indices of weighted layers that produced records."""
-        return sorted({r.layer_index for r in self.records})
 
 
 @dataclass
@@ -329,8 +308,8 @@ class SpikingNetwork:
         FP32 forward passes would otherwise re-cast S-VGG11's several
         hundred MB of FP64 weights on every call.  The cache key mirrors the
         fingerprint memo: an entry is only reused while the layer still
-        binds the *same* weight array (`is`), so :meth:`initialize` or a
-        training rebind invalidates it naturally.  Cast copies are frozen so
+        binds the *same* weight array (`is`), so :meth:`initialize` or any
+        other rebind invalidates it naturally.  Cast copies are frozen so
         a caller can never mutate the cache behind the layer's back.
         """
         if weights.dtype == dtype:
@@ -529,7 +508,7 @@ class SpikingNetwork:
         time, and the serving path (:mod:`repro.serve`) fingerprints the
         network on *every* request admission, so the *weight-bytes* digest
         is memoized against the identity of the layers' weight arrays: any
-        rebinding — :meth:`initialize`, a training step — invalidates it.
+        rebinding — e.g. :meth:`initialize` — invalidates it.
         The cheap metadata digest (architecture, every non-weight layer
         field) is recomputed on every call, so mutating e.g. a layer's LIF
         parameters is never masked by the memo.  To keep the weight memo
@@ -541,8 +520,8 @@ class SpikingNetwork:
         owning copy bound back onto the layer — freezing a shared base
         buffer would make *unrelated* data read-only, and leaving the base
         writable would let mutations dodge the freeze.  Changing weights
-        means rebinding (``layer.weights = new_array``), exactly what the
-        training loop does.
+        means rebinding (``layer.weights = new_array``), as
+        :meth:`initialize` does.
         """
         meta = hashlib.sha256()
         meta.update(repr((self.name, self.input_shape.as_tuple())).encode())

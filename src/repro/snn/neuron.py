@@ -1,4 +1,4 @@
-"""Spiking neuron models.
+"""The spiking neuron model.
 
 The Leaky Integrate-and-Fire (LIF) model of Eq. (1) in the paper is the
 workhorse of every S-VGG11 layer:
@@ -8,14 +8,11 @@ workhorse of every S-VGG11 layer:
     i_m(t)   &= \\sum_n s_{i,n}(t) \\, w_n \\\\
     v_m(t)   &= \\alpha \\, v_m(t-1) + r \\, i_m(t) - v_{rst} \\, s_{o,m}(t) \\\\
     s_{o,m}(t) &= 1 \\ \\text{if} \\ v_m(t) \\ge v_{th} \\ \\text{else} \\ 0
-
-The Izhikevich model used by ODIN is included for completeness (it is only
-needed by the accelerator comparison substrate).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -157,47 +154,3 @@ def lif_step_batch(
         np.subtract(v, term, out=v)
     return LIFState(membrane=membrane), spikes
 
-
-@dataclass(frozen=True)
-class IzhikevichParameters:
-    """Parameters of the Izhikevich neuron model used by the ODIN accelerator."""
-
-    a: float = 0.02
-    b: float = 0.2
-    c: float = -65.0
-    d: float = 8.0
-    v_threshold: float = 30.0
-
-
-@dataclass
-class IzhikevichState:
-    """Membrane potential and recovery variable of an Izhikevich population."""
-
-    v: np.ndarray
-    u: np.ndarray
-
-    @classmethod
-    def resting(cls, shape: Tuple[int, ...], params: IzhikevichParameters) -> "IzhikevichState":
-        """Initialize the population at the resting potential."""
-        v = np.full(shape, params.c, dtype=np.float64)
-        u = params.b * v
-        return cls(v=v, u=u)
-
-
-def izhikevich_step(
-    state: IzhikevichState,
-    input_current: np.ndarray,
-    params: IzhikevichParameters,
-    dt: float = 1.0,
-) -> Tuple[IzhikevichState, np.ndarray]:
-    """Advance an Izhikevich population by one timestep of length ``dt`` ms."""
-    input_current = np.asarray(input_current)
-    v, u = state.v, state.u
-    dv = 0.04 * v * v + 5.0 * v + 140.0 - u + input_current
-    du = params.a * (params.b * v - u)
-    v = v + dt * dv
-    u = u + dt * du
-    spikes = v >= params.v_threshold
-    v = np.where(spikes, params.c, v)
-    u = np.where(spikes, u + params.d, u)
-    return IzhikevichState(v=v, u=u), spikes

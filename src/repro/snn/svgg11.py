@@ -165,11 +165,6 @@ def svgg11_layer_shapes() -> List[Dict[str, object]]:
     return descriptions
 
 
-def svgg11_conv_ifmap_shapes() -> List[TensorShape]:
-    """Padded conv-layer ifmap shapes as listed on the x-axis of Figure 3a."""
-    return [d["padded_input_shape"] for d in svgg11_layer_shapes() if d["kind"] == "conv"]
-
-
 def layer_names(include_fc: bool = True) -> Sequence[str]:
     """Names of the weighted layers in network order."""
     names = [d["name"] for d in svgg11_layer_shapes()]

@@ -1,13 +1,11 @@
 """Small shared utilities: quantization, RNG helpers, serialization."""
 
-from .quantize import dtype_for, quantize, quantization_error
+from .quantize import quantize
 from .rng import make_rng, spawn_rngs
 from .serialization import atomic_write_text, canonical_json, json_default
 
 __all__ = [
-    "dtype_for",
     "quantize",
-    "quantization_error",
     "atomic_write_text",
     "canonical_json",
     "json_default",

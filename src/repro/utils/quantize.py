@@ -19,20 +19,6 @@ _FP8_MIN_EXPONENT = -6
 _FP8_MAX = float((2 - 2.0 ** -_FP8_MANTISSA_BITS) * 2.0 ** _FP8_MAX_EXPONENT)
 
 
-def dtype_for(precision: Precision) -> np.dtype:
-    """Return the NumPy dtype used to *store* values of ``precision``.
-
-    FP8 has no NumPy dtype; values are kept in float32 containers after being
-    rounded to the FP8 grid by :func:`quantize`.
-    """
-    return {
-        Precision.FP64: np.dtype(np.float64),
-        Precision.FP32: np.dtype(np.float32),
-        Precision.FP16: np.dtype(np.float16),
-        Precision.FP8: np.dtype(np.float32),
-    }[precision]
-
-
 def _quantize_fp8(values: np.ndarray) -> np.ndarray:
     """Round ``values`` to an E4M3-like FP8 grid, keeping a float32 container."""
     out = np.asarray(values, dtype=np.float64).copy()
@@ -62,12 +48,3 @@ def quantize(values: np.ndarray, precision: Precision) -> np.ndarray:
     if precision is Precision.FP16:
         return values.astype(np.float16).astype(np.float32)
     return _quantize_fp8(values)
-
-
-def quantization_error(values: np.ndarray, precision: Precision) -> float:
-    """Return the mean absolute quantization error for ``values``."""
-    values = np.asarray(values, dtype=np.float64)
-    quantized = quantize(values, precision).astype(np.float64)
-    if values.size == 0:
-        return 0.0
-    return float(np.mean(np.abs(values - quantized)))

@@ -48,12 +48,6 @@ class TestTcdmAllocation:
 
 
 class TestTcdmConflicts:
-    def test_bank_mapping_interleaves_words(self):
-        tcdm = Tcdm()
-        assert tcdm.bank_of(0) == 0
-        assert tcdm.bank_of(8) == 1
-        assert tcdm.bank_of(8 * 32) == 0
-
     def test_single_requester_never_stalls(self):
         assert Tcdm().conflict_stall_factor(1) == pytest.approx(1.0)
 
@@ -68,21 +62,8 @@ class TestTcdmConflicts:
         with pytest.raises(ValueError):
             Tcdm().conflict_stall_factor(0)
 
-    def test_record_accesses(self):
-        tcdm = Tcdm()
-        tcdm.record_accesses(10)
-        tcdm.record_accesses(5)
-        assert tcdm.total_accesses == 15
-        with pytest.raises(ValueError):
-            tcdm.record_accesses(-1)
-
 
 class TestInstructionCache:
-    def test_kernel_fits(self):
-        icache = InstructionCache()
-        assert icache.kernel_fits(4 * 1024)
-        assert not icache.kernel_fits(16 * 1024)
-
     def test_miss_cycles_grow_with_instructions_and_tiles(self):
         icache = InstructionCache()
         small = icache.miss_cycles(1_000, tiles=1)

@@ -18,11 +18,6 @@ class TestClusterParams:
         assert params.num_indirect_stream_registers == 2
         assert params.max_affine_dims == 4
 
-    def test_derived_quantities(self):
-        assert DEFAULT_CLUSTER.cycle_time_s == pytest.approx(1e-9)
-        assert DEFAULT_CLUSTER.dma_bus_bytes == 64
-        assert DEFAULT_CLUSTER.bank_bytes == 4 * 1024
-
     def test_indirect_cannot_exceed_total_srs(self):
         with pytest.raises(ValueError):
             ClusterParams(num_stream_registers=2, num_indirect_stream_registers=3)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.config import baseline_config, spikestream_config
-from repro.core.codegen import generate_spva_program, spva_pseudocode
 from repro.core.layer_mapping import KernelKind, LayerPlan
 from repro.core.optimizer import SpikeStreamOptimizer
 from repro.kernels.conv import ConvLayerSpec
@@ -99,36 +98,3 @@ class TestLayerPlanValidation:
                 name="c", kernel=KernelKind.CONV, spec=spec, precision=Precision.FP16,
                 streaming=True, firing_rate=1.5,
             )
-
-
-class TestCodegen:
-    def _conv_plan(self, streaming=True):
-        config = spikestream_config() if streaming else baseline_config()
-        return SpikeStreamOptimizer(config).plan_svgg11()[1]
-
-    def test_streaming_program_uses_frep(self):
-        program = generate_spva_program(self._conv_plan(streaming=True))
-        ops = [i.op for i in program]
-        assert "frep" in ops and "ssr.cfg.indirect" in ops
-
-    def test_baseline_program_has_eight_instruction_loop(self):
-        program = generate_spva_program(self._conv_plan(streaming=False))
-        assert len(program) == 8
-
-    def test_encode_layer_has_no_spva(self):
-        plans = SpikeStreamOptimizer(spikestream_config()).plan_svgg11()
-        with pytest.raises(ValueError, match="no SpVA"):
-            generate_spva_program(plans[0])
-
-    def test_pseudocode_mentions_streaming_primitives(self):
-        text = spva_pseudocode(self._conv_plan(streaming=True))
-        assert "sr_set_indir" in text and "frep" in text
-
-    def test_pseudocode_for_baseline_shows_indirection(self):
-        text = spva_pseudocode(self._conv_plan(streaming=False))
-        assert "c_idcs" in text and "frep" not in text
-
-    def test_pseudocode_for_encode_layer(self):
-        plans = SpikeStreamOptimizer(spikestream_config()).plan_svgg11()
-        text = spva_pseudocode(plans[0])
-        assert "affine" in text

@@ -74,7 +74,6 @@ class TestInferenceResult:
         with pytest.raises(KeyError):
             result.layer("missing")
         assert [l.name for l in result.conv_layers] == ["conv1", "conv2"]
-        assert [l.name for l in result.fc_layers] == ["fc1"]
 
     def test_network_utilization_is_cycle_weighted(self):
         result = self._result()

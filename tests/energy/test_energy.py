@@ -84,14 +84,6 @@ class TestEnergyModel:
         long = model.layer_energy(_stats(cycles=1e7), Precision.FP16, streaming=False)
         assert long.breakdown_j["background"] > short.breakdown_j["background"]
 
-    def test_total_energy_helper(self):
-        model = EnergyModel()
-        reports = [
-            model.layer_energy(_stats(label=f"l{i}"), Precision.FP16, streaming=False)
-            for i in range(3)
-        ]
-        assert model.total_energy(reports) == pytest.approx(sum(r.energy_j for r in reports))
-
     def test_report_units(self):
         report = EnergyReport(label="x", energy_j=2e-3, runtime_s=1e-2, breakdown_j={})
         assert report.energy_mj == pytest.approx(2.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval.metrics import geometric_mean, ratio, summarize
+from repro.eval.metrics import ratio
 from repro.eval.reporting import format_table, render_experiment
 from repro.eval.experiments import (
     memory_footprint_experiment,
@@ -20,20 +20,6 @@ class TestMetrics:
         assert ratio(10, 2) == 5
         assert ratio(1, 0) == float("inf")
         assert ratio(0, 0) == 1.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
-
-    def test_summarize(self):
-        stats = summarize([1.0, 2.0, 3.0])
-        assert stats["mean"] == 2.0
-        assert stats["min"] == 1.0
-        assert stats["max"] == 3.0
-        assert summarize([])["mean"] == 0.0
-
 
 class TestReporting:
     def test_format_table_alignment_and_content(self):

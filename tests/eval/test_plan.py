@@ -60,9 +60,6 @@ class TestParameterSpace:
         with pytest.raises(ValueError, match="no values"):
             ParameterSpace.grid(a=())
 
-    def test_describe_is_compact(self):
-        assert ParameterSpace.grid(a=(1, 2), b=("x",)).describe() == "a x2 · b x1"
-
 
 # --------------------------------------------------------------------------- #
 # SweepSpec semantics
@@ -99,13 +96,6 @@ class TestSweepSpec:
         assert spec.task_seed(11, params) == point_seed(11, "double", {"n": 3})
         unseeded = _spec(seeded=False)
         assert unseeded.task_seed(11, {"n": 3}) == 11
-
-    def test_describe_reports_axes_and_parameters(self):
-        info = _spec().describe()
-        assert info["name"] == "double"
-        assert info["points"] == 3
-        assert info["parameters"] == ("ns",)
-        assert "n" in info["axes"]
 
     def test_builtin_sweeps_are_specs(self):
         for name, spec in SWEEPS.items():

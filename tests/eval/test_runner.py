@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.eval.runner import SWEEPS, available_sweeps
+from repro.eval.runner import SWEEPS
 from repro.plan import point_seed
 from repro.session import Session
 from repro.types import Precision
@@ -45,8 +45,8 @@ class TestPointSeed:
 class TestRunSweep:
     def test_available_sweeps_registered(self):
         assert {"firing_rate", "core_count", "precision", "stream_length",
-                "strided_indirect"} <= set(available_sweeps())
-        assert all(name in SWEEPS for name in available_sweeps())
+                "strided_indirect"} <= set(SWEEPS)
+        assert all(name == spec.name for name, spec in SWEEPS.items())
 
     def test_unknown_sweep_rejected(self):
         with pytest.raises(KeyError, match="unknown scenario"):

@@ -113,15 +113,6 @@ class TestCompressedIfmapBuilder:
         assert np.array_equal(built.c_idcs, direct.c_idcs)
         assert np.array_equal(built.s_ptr, direct.s_ptr)
 
-    def test_worst_case_bytes_covers_dense_output(self):
-        shape = TensorShape(2, 2, 3)
-        builder = CompressedIfmapBuilder(shape=shape)
-        for row in range(2):
-            for col in range(2):
-                for channel in range(3):
-                    builder.add_spike(row, col, channel)
-        assert builder.finalize().footprint_bytes() <= builder.worst_case_bytes()
-
     def test_rejects_out_of_range_channel(self):
         builder = CompressedIfmapBuilder(shape=TensorShape(2, 2, 3))
         with pytest.raises(ValueError):

@@ -5,30 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.formats.footprint import (
-    aer_footprint_bytes,
-    bitmap_footprint_bytes,
-    csr_footprint_bytes,
-    dense_footprint_bytes,
-    footprint_report,
-)
-from repro.types import Precision, TensorShape
+from repro.formats.convert import compress_ifmap
+from repro.formats.footprint import aer_footprint_bytes, csr_footprint_bytes
+from repro.types import TensorShape
 
 
 class TestClosedFormFormulas:
-    def test_dense_footprint(self):
-        shape = TensorShape(4, 4, 8)
-        assert dense_footprint_bytes(shape, Precision.FP16) == 4 * 4 * 8 * 2
-
     def test_csr_footprint(self):
         shape = TensorShape(4, 4, 8)
         assert csr_footprint_bytes(shape, nnz=10) == 10 * 2 + (16 + 1) * 2
 
     def test_aer_footprint(self):
         assert aer_footprint_bytes(10) == 10 * 3 * 2
-
-    def test_bitmap_footprint_rounds_up(self):
-        assert bitmap_footprint_bytes(TensorShape(1, 1, 9)) == 2
 
     def test_csr_rejects_nnz_above_numel(self):
         with pytest.raises(ValueError):
@@ -41,23 +29,13 @@ class TestClosedFormFormulas:
 
 class TestFootprintReport:
     def test_report_from_dense_matches_formulas(self, rng):
+        # Figure 3a costs CSR with the closed form; it must equal the bytes
+        # of the real compressed structure for the same map.
         dense = rng.random((6, 6, 32)) < 0.3
-        report = footprint_report(dense)
+        compressed = compress_ifmap(dense)
         nnz = int(np.count_nonzero(dense))
-        assert report.nnz == nnz
-        assert report.csr_bytes == csr_footprint_bytes(report.shape, nnz)
-        assert report.aer_bytes == aer_footprint_bytes(nnz)
-        assert report.bitmap_bytes == bitmap_footprint_bytes(report.shape)
-
-    def test_report_from_shape_and_nnz(self):
-        shape = TensorShape(10, 10, 64)
-        report = footprint_report(shape=shape, nnz=1000)
-        assert report.nnz == 1000
-        assert report.firing_rate == pytest.approx(1000 / shape.numel)
-
-    def test_report_requires_input(self):
-        with pytest.raises(ValueError):
-            footprint_report()
+        assert compressed.nnz == nnz
+        assert compressed.footprint_bytes() == csr_footprint_bytes(compressed.shape, nnz)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -69,16 +47,15 @@ class TestFootprintReport:
         """The CSR format is never larger than AER for non-degenerate maps."""
         shape = TensorShape(spatial, spatial, channels)
         nnz = int(shape.numel * rate)
-        report = footprint_report(shape=shape, nnz=nnz)
         # With 16-bit fields, CSR stores 1 index/spike + pointers; AER stores
         # 3 fields/spike.  As long as there is at least ~1 spike per two
         # spatial positions the CSR representation wins.
         if nnz >= shape.spatial_size:
-            assert report.csr_bytes < report.aer_bytes
+            assert csr_footprint_bytes(shape, nnz) < aer_footprint_bytes(nnz)
 
     def test_reduction_close_to_paper_for_typical_layer(self):
         """For a mid-network layer the reduction is in the ~2-4x band of Fig. 3a."""
         shape = TensorShape(18, 18, 256)
         nnz = int(shape.numel * 0.25)
-        report = footprint_report(shape=shape, nnz=nnz)
-        assert 2.0 < report.csr_over_aer_reduction < 4.0
+        reduction = aer_footprint_bytes(nnz) / csr_footprint_bytes(shape, nnz)
+        assert 2.0 < reduction < 4.0

@@ -15,9 +15,6 @@ class TestInstruction:
 
     def test_classification_flags(self):
         assert Instruction("fadd.d", ("fa0", "ft1", "fa0")).is_fp
-        assert Instruction("lw", ("t0", 0, "a0")).is_load
-        assert Instruction("sw", ("t0", 0, "a0")).is_store
-        assert Instruction("bne", ("t0", "t1", "loop")).is_branch
         assert not Instruction("addi", ("t0", "t0", 1)).is_fp
 
     def test_destination_and_sources(self):

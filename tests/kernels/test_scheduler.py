@@ -14,7 +14,6 @@ class TestWorkloadStealing:
         schedule = workload_stealing_schedule(costs, num_cores=8)
         processed = sorted(i for core in schedule.assignments for i in core)
         assert processed == list(range(50))
-        assert schedule.rf_count() == 50
 
     def test_busy_cycles_sum_to_total_work(self, rng):
         costs = rng.integers(1, 100, size=64).astype(float)
@@ -52,12 +51,11 @@ class TestWorkloadStealing:
     def test_more_cores_than_work(self):
         schedule = workload_stealing_schedule([10.0, 20.0], num_cores=8)
         assert schedule.makespan == pytest.approx(20.0)
-        assert schedule.rf_count() == 2
+        assert sum(len(core) for core in schedule.assignments) == 2
 
     def test_empty_work(self):
         schedule = workload_stealing_schedule([], num_cores=4)
         assert schedule.makespan == 0.0
-        assert schedule.imbalance == 1.0
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

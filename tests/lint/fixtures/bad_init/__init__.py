@@ -1,4 +1,10 @@
-"""Seeded violation for the all-exports rule (R8): unexported public def."""
+"""Seeded violation for the all-exports rule (R8): unexported public def.
+
+The unread ``json`` import is allowed: package ``__init__`` modules are
+exempt from the unused-import rule (R11).
+"""
+
+import json
 
 __all__ = []
 

@@ -38,6 +38,7 @@ FIXTURE_MATRIX = {
     "all-exports": ("bad_exports.py", 1),
     "socket-discipline": ("bad_socket.py", 5),
     "span-discipline": ("bad_span.py", 3),
+    "unused-import": ("bad_import.py", 2),
 }
 
 
@@ -67,6 +68,16 @@ def test_all_exports_flags_unexported_public_def_in_init():
         root=FIXTURES, rule_names=["all-exports"], paths=("bad_init",)
     )
     assert any("forgotten" in finding.message for finding in result.findings)
+
+
+def test_unused_import_reads_annotations_all_and_exempts_init():
+    result = check_project(
+        root=FIXTURES, rule_names=["unused-import"],
+        paths=("bad_import.py", "bad_init"),
+    )
+    # Exactly json and os: string annotations and __all__ count as reads,
+    # __future__ is exempt, and so is the package __init__.
+    assert sorted(f.message.split("'")[1] for f in result.findings) == ["json", "os"]
 
 
 def test_lock_discipline_honors_init_and_locked_suffix():

@@ -106,7 +106,7 @@ class TestRegistry:
         registry.counter("served").inc(3)
         registry.gauge("depth").set(2)
         registry.histogram("latency").observe(1.5)
-        snapshot = json.loads(registry.to_json())
+        snapshot = json.loads(json.dumps(registry.snapshot()))
         assert snapshot["served"] == 3
         assert snapshot["depth"] == 2
         assert snapshot["latency"]["count"] == 1

@@ -8,7 +8,6 @@ from repro.snn.datasets import (
     synthetic_compressed_ifmap,
     synthetic_layer_activity,
 )
-from repro.snn.stats import collect_activity_stats, summarize_records
 from repro.snn.svgg11 import SVGG11_LAYER_FIRING_RATES
 from repro.types import TensorShape
 
@@ -76,24 +75,3 @@ class TestSyntheticActivity:
         batch = synthetic_layer_activity(batch_size=1, layers=["conv3"], seed=1)
         sample = batch[0][0]
         assert sample.firing_rate == SVGG11_LAYER_FIRING_RATES["conv3"]
-
-
-class TestStats:
-    def test_collect_activity_stats(self, tiny_network, rng):
-        activities = [tiny_network.forward(rng.random((8, 8, 3))) for _ in range(3)]
-        stats = collect_activity_stats(activities)
-        names = {s.layer_name for s in stats}
-        assert names == {"conv1", "conv2", "fc1"}
-        for entry in stats:
-            assert entry.samples == 3
-            assert 0.0 <= entry.mean_firing_rate <= 1.0
-            assert entry.std_firing_rate >= 0.0
-
-    def test_summarize_records(self, tiny_network, rng):
-        activity = tiny_network.forward(rng.random((8, 8, 3)))
-        summary = summarize_records(activity.records)
-        assert summary["records"] == 3
-        assert 0.0 <= summary["mean_output_rate"] <= 1.0
-
-    def test_summarize_empty(self):
-        assert summarize_records([])["records"] == 0

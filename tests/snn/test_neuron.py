@@ -1,18 +1,11 @@
-"""Tests for the spiking neuron models."""
+"""Tests for the spiking neuron model."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.snn.neuron import (
-    IzhikevichParameters,
-    IzhikevichState,
-    LIFParameters,
-    LIFState,
-    izhikevich_step,
-    lif_step,
-)
+from repro.snn.neuron import LIFParameters, LIFState, lif_step
 
 
 class TestLIFParameters:
@@ -94,33 +87,3 @@ class TestLIFStep:
         state, spikes = lif_step(LIFState(membrane=np.array([membrane])), np.array([current]), params)
         if not spikes[0]:
             assert state.membrane[0] < params.v_threshold
-
-
-class TestIzhikevich:
-    def test_resting_state_does_not_spike_without_input(self):
-        params = IzhikevichParameters()
-        state = IzhikevichState.resting((10,), params)
-        for _ in range(20):
-            state, spikes = izhikevich_step(state, np.zeros(10), params)
-            assert not spikes.any()
-
-    def test_strong_input_produces_spike(self):
-        params = IzhikevichParameters()
-        state = IzhikevichState.resting((1,), params)
-        fired = False
-        for _ in range(200):
-            state, spikes = izhikevich_step(state, np.full(1, 20.0), params)
-            fired = fired or bool(spikes[0])
-        assert fired
-
-    def test_reset_after_spike(self):
-        params = IzhikevichParameters()
-        state = IzhikevichState.resting((1,), params)
-        for _ in range(200):
-            new_state, spikes = izhikevich_step(state, np.full(1, 20.0), params)
-            if spikes[0]:
-                assert new_state.v[0] == pytest.approx(params.c)
-                break
-            state = new_state
-        else:  # pragma: no cover - defensive
-            pytest.fail("neuron never spiked")

@@ -7,7 +7,6 @@ from repro.snn.svgg11 import (
     SVGG11_LAYER_FIRING_RATES,
     build_svgg11,
     layer_names,
-    svgg11_conv_ifmap_shapes,
     svgg11_layer_shapes,
 )
 from repro.types import TensorShape
@@ -22,7 +21,9 @@ class TestLayerShapes:
 
     def test_padded_ifmap_shapes_match_figure_3a(self):
         """The first six conv ifmaps are exactly those listed on the x-axis of Fig. 3a."""
-        shapes = svgg11_conv_ifmap_shapes()
+        shapes = [
+            d["padded_input_shape"] for d in svgg11_layer_shapes() if d["kind"] == "conv"
+        ]
         expected = [
             TensorShape(34, 34, 3),
             TensorShape(34, 34, 64),

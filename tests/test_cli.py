@@ -88,27 +88,27 @@ class TestCli:
             assert flag in err
 
     def test_sweep_json_output(self, capsys):
-        assert main(["sweep", "--sweep", "stream_length", "--format", "json"]) == 0
+        assert main(["run", "--scenario", "stream_length", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["name"] == "parallel_stream_length_sweep"
         assert payload["rows"] and "speedup" in payload["rows"][0]
         assert "asymptotic_speedup" in payload["headline"]
 
     def test_sweep_csv_output(self, capsys):
-        assert main(["sweep", "--sweep", "firing_rate", "--format", "csv"]) == 0
+        assert main(["run", "--scenario", "firing_rate", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("firing_rate,")
         assert len(lines) >= 2
 
     def test_sweep_table_output_parallel(self, capsys):
-        assert main(["sweep", "--sweep", "firing_rate", "--jobs", "2",
+        assert main(["run", "--scenario", "firing_rate", "--jobs", "2",
                      "--backend", "thread"]) == 0
         output = capsys.readouterr().out
         assert "firing_rate" in output and "headline" in output
 
     def test_sweep_output_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
-        argv = ["sweep", "--sweep", "stream_length", "--format", "json",
+        argv = ["run", "--scenario", "stream_length", "--format", "json",
                 "--output", str(out)]
         assert main(argv) == 0
         assert "wrote" in capsys.readouterr().out
@@ -120,7 +120,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", "memory_footprint", "--batch", "0"],
         ["run", "--batch", "-3"],
-        ["sweep", "--sweep", "precision", "--batch", "0"],
+        ["run", "--scenario", "precision", "--batch", "0"],
         ["run", "--scenario", "accelerator_comparison", "--timesteps", "0"],
     ])
     def test_non_positive_batch_rejected_at_parse_time(self, argv, capsys):
@@ -128,14 +128,33 @@ class TestCli:
             main(argv)
         assert "positive integer" in capsys.readouterr().err
 
-    def test_sweep_unknown_name_rejected(self):
+    @pytest.mark.parametrize("argv, message", [
+        (["serve", "--trace-sample", "2"], "must be in [0, 1]"),
+        (["serve", "--arrival-rate", "0"], "must be a positive number"),
+        (["serve", "--max-wait-ms", "-1"], "must be a non-negative number"),
+        (["serve", "--deadline-ms", "-5"], "must be a positive number"),
+        (["run", "--cache-limit", "bogus"], "unrecognized cache_limit"),
+        (["run", "--cache-limit", "0"], "must be positive"),
+        (["serve", "--cache-limit", "disk:0mb"], "must be positive"),
+    ])
+    def test_out_of_range_flag_rejected_at_parse_time(self, argv, message, capsys):
+        # argparse's one-line usage error, before any session, server or
+        # worker starts.
         with pytest.raises(SystemExit):
-            main(["sweep", "--sweep", "bogus"])
+            main(argv)
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_sweep_unknown_name_rejected(self):
+        # A misspelt sweep name is rejected, not run as some other scenario.
+        with pytest.raises(SystemExit, match="unknown scenario 'firing_rates'"):
+            main(["run", "--scenario", "firing_rates"])
 
     def test_sweep_unwritable_output_is_clean_error(self):
         with pytest.raises(SystemExit, match="cannot write"):
-            main(["sweep", "--sweep", "stream_length",
-                  "--output", "/nonexistent-dir/out.json"])
+            main(["run", "--scenario", "firing_rate", "--format", "csv",
+                  "--output", "/nonexistent-dir/out.csv"])
 
     def test_unknown_figure_rejected(self):
         # Figure labels are not scenario names: each figure is its scenario.
@@ -147,38 +166,14 @@ class TestCli:
             main([])
 
 
-class TestPlanCli:
-    def test_plan_list_shows_every_spec(self, capsys):
-        assert main(["plan", "--list"]) == 0
-        output = capsys.readouterr().out
-        for name in ("firing_rate", "core_count", "precision", "stream_length",
-                     "strided_indirect"):
-            assert name in output
-        assert "axes" in output
-
-    def test_plan_default_action_is_list(self, capsys):
-        assert main(["plan"]) == 0
-        assert "firing_rate" in capsys.readouterr().out
-
-    def test_plan_describe_shows_axes_and_columns(self, capsys):
-        assert main(["plan", "--describe", "core_count"]) == 0
-        output = capsys.readouterr().out
-        assert "cores x4" in output
-        assert "parallel_efficiency" in output
-
-    def test_plan_describe_unknown_rejected(self):
-        with pytest.raises(SystemExit, match="unknown sweep"):
-            main(["plan", "--describe", "bogus"])
-
-
 class TestSweepBackendsCli:
     def test_sweep_process_matches_serial_bit_for_bit(self, capsys):
         # The process pool and the serial path must render byte-identical
         # machine-readable output.
-        assert main(["sweep", "--sweep", "firing_rate", "--backend", "process",
+        assert main(["run", "--scenario", "firing_rate", "--backend", "process",
                      "--jobs", "2", "--format", "json"]) == 0
         parallel = capsys.readouterr().out
-        assert main(["sweep", "--sweep", "firing_rate", "--backend", "serial",
+        assert main(["run", "--scenario", "firing_rate", "--backend", "serial",
                      "--format", "json"]) == 0
         serial = capsys.readouterr().out
         assert parallel == serial
@@ -186,7 +181,7 @@ class TestSweepBackendsCli:
 
     def test_backend_accepts_only_pool_kinds(self, capsys):
         with pytest.raises(SystemExit):
-            main(["sweep", "--sweep", "stream_length", "--backend", "net"])
+            main(["run", "--scenario", "stream_length", "--backend", "net"])
         assert "invalid choice" in capsys.readouterr().err
 
 

@@ -35,7 +35,8 @@ class TestRunConfig:
 
     def test_as_baseline_round_trip(self):
         config = spikestream_config()
-        assert config.as_baseline().as_spikestream().optimizations == config.optimizations
+        restored = config.as_baseline().with_optimizations(OptimizationFlag.spikestream())
+        assert restored.optimizations == config.optimizations
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -1,8 +1,9 @@
-"""CI smoke check: tier-1 tests, sweep, backends, engines, serving, store.
+"""CI smoke check: tier-1 tests, sweep, examples, backends, engines, serving, store.
 
-Runs the repository's tier-1 pytest suite, exercises the ``repro.cli
-sweep`` path end-to-end (stream-length sweep, two workers, JSON output,
-machine-readable payload), runs one declarative
+Runs the repository's tier-1 pytest suite, exercises ``repro.cli run
+--scenario`` on a sweep end-to-end (stream-length sweep, two workers, JSON
+output, machine-readable payload), runs every script under ``examples/`` as
+a subprocess (each must exit 0), runs one declarative
 :class:`~repro.plan.SweepSpec` through EVERY execution backend
 (serial / thread / process) asserting bit-for-bit row equality,
 checks the batched *functional* engine against its per-frame reference loop
@@ -79,11 +80,11 @@ def run_tier1_tests() -> int:
 
 def run_fast_sweep() -> int:
     """One fast sweep through the parallel runner, validated as JSON."""
-    print("== fast sweep (repro.cli sweep) ==", flush=True)
+    print("== fast sweep (repro.cli run --scenario stream_length) ==", flush=True)
     proc = subprocess.run(
         [
-            sys.executable, "-m", "repro.cli", "sweep",
-            "--sweep", "stream_length", "--jobs", "2", "--backend", "thread",
+            sys.executable, "-m", "repro.cli", "run",
+            "--scenario", "stream_length", "--jobs", "2", "--backend", "thread",
             "--format", "json",
         ],
         cwd=REPO_ROOT,
@@ -104,6 +105,26 @@ def run_fast_sweep() -> int:
         return 1
     print(f"sweep ok: {len(payload['rows'])} rows, "
           f"asymptotic_speedup={payload['headline']['asymptotic_speedup']:.3g}")
+    return 0
+
+
+def run_examples() -> int:
+    """Every ``examples/*.py`` script as a subprocess; each must exit 0."""
+    scripts = sorted((REPO_ROOT / "examples").glob("*.py"))
+    print(f"== examples ({len(scripts)} scripts) ==", flush=True)
+    for script in scripts:
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=REPO_ROOT,
+            env=_env_with_src(),
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stdout + proc.stderr)
+            print(f"example {script.name} exited {proc.returncode}", file=sys.stderr)
+            return proc.returncode
+    print(f"examples ok: {len(scripts)} scripts exited 0")
     return 0
 
 
@@ -523,6 +544,7 @@ def cluster_check(seed: int = 53) -> None:
     from repro.eval.sweeps import functional_network
     from repro.lint.locktrace import instrument_coordinator
     from repro.net import Coordinator, spawn_worker
+    from repro.net.coordinator import HEARTBEAT_INTERVAL_S
     from repro.session import Session
     from repro.snn.datasets import SyntheticCIFAR10
     from repro.snn.layers import (
@@ -627,7 +649,7 @@ def cluster_check(seed: int = 53) -> None:
 
         big_served += [("big-fc", 4 + index, result)
                        for index, result in enumerate(_big_wave(4))]
-        time.sleep(3 * coordinator.heartbeat_interval_s)
+        time.sleep(3 * HEARTBEAT_INTERVAL_S)
         after_wave4 = coordinator.stats()
         assert (after_wave4["net.blob"]["misses"]
                 == after_wave3["net.blob"]["misses"]), (
@@ -833,7 +855,7 @@ def run_check() -> int:
 
 
 def main() -> int:
-    for step in (run_tier1_tests, run_fast_sweep, run_backend_matrix,
+    for step in (run_tier1_tests, run_fast_sweep, run_examples, run_backend_matrix,
                  run_functional_equivalence, run_serve_smoke,
                  run_precision_matrix, run_cluster, run_obs,
                  run_session_store_check, run_check):
