@@ -10,9 +10,12 @@ execution paths of :class:`~repro.core.pipeline.SpikeStreamInference`:
 asserts at every batch size that their
 :class:`~repro.core.results.InferenceResult` objects are **bit-for-bit
 identical**, and reports one row of wall-clock times and speedup per size.
-Each row also carries ``draw_s``: the best time of
-``statistical_workloads`` alone, the per-frame spike-count draw that the
-engine's time includes.
+Each row also carries ``draw_s`` and ``cost_s``: the best times of
+``statistical_workloads`` alone (the per-frame spike-count draw) and of
+``run_workloads`` alone on drawn workloads (the costing), the two halves of
+the engine's time.  ``cold_b1_s`` is the median batch-1 time of a first call
+under each of ``COSTER_CACHE_SIZE + 12`` distinct cost models, so every
+compiled-coster lookup misses and compiles.  All three are reported only.
 The acceptance bar (>= 3x) applies at batch 128 only, the paper's batch
 size; batch 1 and 16 are reported so that a slow single-request path shows.
 
@@ -25,11 +28,15 @@ row in the schema ``benchmarks/bench_functional.py`` also emits (with
 such row per batch size.
 """
 
+import dataclasses
+import statistics
 import sys
 import time
 
+from repro.arch.params import DEFAULT_COSTS
 from repro.config import spikestream_config
 from repro.core.pipeline import SpikeStreamInference
+from repro.kernels.batch_stats import COSTER_CACHE_SIZE
 
 #: The paper's batch size: the speedup bar applies here.
 FULL_BATCH = 128
@@ -57,9 +64,10 @@ def compare_engines(batch_size: int = FULL_BATCH, seed: int = SEED, repeats: int
         repeats, lambda: engine.run_statistical(batch_size=batch_size, seed=seed)
     )
     plans = engine.optimizer.plan_svgg11()
-    _, draw_s = _best_of(
+    workloads, draw_s = _best_of(
         repeats, lambda: engine.statistical_workloads(plans, batch_size, seed)
     )
+    _, cost_s = _best_of(repeats, lambda: engine.run_workloads(workloads))
     reference, looped_s = _best_of(
         repeats, lambda: engine.run_statistical_reference(batch_size=batch_size, seed=seed)
     )
@@ -68,22 +76,41 @@ def compare_engines(batch_size: int = FULL_BATCH, seed: int = SEED, repeats: int
         "batch_size": batch_size,
         "vectorized_s": vectorized_s,
         "draw_s": draw_s,
+        "cost_s": cost_s,
         "looped_s": looped_s,
         "speedup": looped_s / vectorized_s if vectorized_s > 0 else float("inf"),
         "identical": vectorized.identical_to(reference),
     }
 
 
+def cold_batch1_s(seed: int = SEED) -> float:
+    """Median time of a batch-1 run that compiles every layer's coster.
+
+    Each of ``COSTER_CACHE_SIZE + 12`` cost models, which differ only in the
+    DMA setup cycles, runs once: every kernel's memo misses and compiles,
+    and evicts its least recently used entries once it is full.
+    """
+    times = []
+    for index in range(COSTER_CACHE_SIZE + 12):
+        costs = dataclasses.replace(DEFAULT_COSTS, dma_setup_cycles=20.0 + index / 64)
+        engine = SpikeStreamInference(spikestream_config(batch_size=1, seed=seed), costs=costs)
+        start = time.perf_counter()
+        engine.run_statistical(batch_size=1, seed=seed)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def compare_batch_sizes(seed: int = SEED):
     """One :func:`compare_engines` row per batch size of :data:`BATCH_REPEATS`.
 
-    The top level is the batch-128 row, except that ``identical`` holds only
-    when every size matched.
+    The top level is the batch-128 row plus ``cold_b1_s``, except that
+    ``identical`` holds only when every size matched.
     """
     rows = [compare_engines(size, seed, repeats) for size, repeats in BATCH_REPEATS.items()]
     result = dict(rows[-1])
     result["identical"] = all(row["identical"] for row in rows)
     result["rows"] = rows
+    result["cold_b1_s"] = cold_batch1_s(seed)
     return result
 
 
@@ -105,15 +132,20 @@ def test_batch_engine_equivalent_and_faster(benchmark):
 def _pretty(result) -> str:
     lines = [
         "S-VGG11 statistical run, per-frame loop vs batch engine (best of N runs):",
-        f"  {'batch':>5}  {'loop (ms)':>10}  {'engine (ms)':>11}  {'of which draw':>13}"
-        f"  {'speedup':>8}  bit-for-bit",
+        f"  {'batch':>5}  {'loop (ms)':>10}  {'engine (ms)':>11}  {'draw (ms)':>9}"
+        f"  {'costing (ms)':>12}  {'speedup':>8}  bit-for-bit",
     ]
     for row in result["rows"]:
         lines.append(
             f"  {row['batch_size']:>5}  {row['looped_s'] * 1e3:>10.1f}  "
-            f"{row['vectorized_s'] * 1e3:>11.1f}  {row['draw_s'] * 1e3:>13.1f}  "
+            f"{row['vectorized_s'] * 1e3:>11.2f}  {row['draw_s'] * 1e3:>9.2f}  "
+            f"{row['cost_s'] * 1e3:>12.2f}  "
             f"{row['speedup']:>7.2f}x  {'yes' if row['identical'] else 'NO'}"
         )
+    lines.append(
+        f"  batch 1, every coster compiled afresh (median of "
+        f"{COSTER_CACHE_SIZE + 12} cost models): {result['cold_b1_s'] * 1e3:.2f} ms"
+    )
     lines.append(f"  acceptance bar: >= {SPEEDUP_BAR}x at batch {FULL_BATCH}")
     return "\n".join(lines)
 

@@ -43,14 +43,23 @@ class InstructionCache:
         instruction counts of a batch against per-frame tile counts); the
         result has their broadcast shape.
         """
-        if _any_negative(instructions_executed):
-            raise ValueError("instructions_executed must be non-negative")
+        steady = self.steady_miss_cycles(instructions_executed)
+        return self.cold_miss_cycles(tiles) + steady
+
+    def cold_miss_cycles(self, tiles: Union[int, np.ndarray]) -> Union[float, np.ndarray]:
+        """The cold-start half of :meth:`miss_cycles`."""
         if _any_negative(tiles):
             raise ValueError("tiles must be non-negative")
-        cold = tiles * self.costs.icache_cold_miss_lines * self.costs.icache_miss_penalty_cycles
-        steady = (
+        return tiles * self.costs.icache_cold_miss_lines * self.costs.icache_miss_penalty_cycles
+
+    def steady_miss_cycles(
+        self, instructions_executed: Union[float, np.ndarray]
+    ) -> Union[float, np.ndarray]:
+        """The residual-miss half of :meth:`miss_cycles`."""
+        if _any_negative(instructions_executed):
+            raise ValueError("instructions_executed must be non-negative")
+        return (
             instructions_executed
             * self.costs.icache_capacity_miss_rate
             * self.costs.icache_miss_penalty_cycles
         )
-        return cold + steady

@@ -10,7 +10,7 @@ batch of executions as arrays with a leading batch axis, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -192,17 +192,6 @@ class ClusterStats:
         }
 
 
-def _core_sum(values: np.ndarray) -> np.ndarray:
-    """Sum ``(batch, cores)`` counters over the cores, adding in core order.
-
-    :func:`numpy.cumsum` adds strictly in sequence, as the per-frame
-    :class:`ClusterStats` totals do (:func:`numpy.sum` would pair the cores
-    up), so every frame's total is bit-for-bit its :class:`ClusterStats`
-    total even where the counters are not integral.
-    """
-    return values.cumsum(axis=1)[:, -1]
-
-
 @dataclass
 class BatchClusterStats:
     """:class:`ClusterStats` of a batch of kernel executions, as arrays.
@@ -265,12 +254,32 @@ class BatchClusterStats:
         per_core = np.array(
             [tuple(vars(core).values())[1:] for core in stats.core_stats], dtype=np.float64
         ).reshape(stats.num_cores, len(cls.CORE_FIELDS))
-        shape = (batch_size, stats.num_cores)
-        cluster = (stats.dma_cycles, stats.dma_bytes, stats.dma_exposed_cycles, stats.total_cycles)
+        cluster = np.array(
+            [stats.dma_cycles, stats.dma_bytes, stats.dma_exposed_cycles, stats.total_cycles]
+        )
+        core_shape = (len(cls.CORE_FIELDS), batch_size, stats.num_cores)
         return cls(
-            *(np.broadcast_to(column, shape) for column in per_core.T),
-            *(np.broadcast_to(np.float64(value), (batch_size,)) for value in cluster),
+            *np.broadcast_to(per_core.T[:, None], core_shape),
+            *np.broadcast_to(cluster[:, None], (len(cls.CLUSTER_FIELDS), batch_size)),
             label=stats.label,
+        )
+
+    @classmethod
+    def concatenate(cls, batches: Sequence["BatchClusterStats"]) -> "BatchClusterStats":
+        """The frames of ``batches``, in order, as one batch.
+
+        Every batch must have the same core count; the label is the first
+        batch's.  A single batch comes back as it is, more than one as new
+        arrays.
+        """
+        if len(batches) == 1:
+            return batches[0]
+        return cls(
+            *(
+                np.concatenate([getattr(batch, name) for batch in batches])
+                for name in cls.CORE_FIELDS + cls.CLUSTER_FIELDS
+            ),
+            label=batches[0].label,
         )
 
     def frame(self, index: int) -> ClusterStats:
@@ -301,41 +310,69 @@ class BatchClusterStats:
             label=self.label,
         )
 
+    def core_sums(self) -> np.ndarray:
+        """Per-frame sums over the cores, shape ``(6, batch)``: integer, FP
+        and all SPM accesses, core cycles, FPU-busy cycles and instructions.
+
+        One :func:`numpy.cumsum` over the stacked quantities adds every row
+        strictly in core order, as the per-frame :class:`ClusterStats`
+        totals do (:func:`numpy.sum` would pair the cores up), so every
+        frame's sum is bit-for-bit its :class:`ClusterStats` total even
+        where the counters are not integral.
+        """
+        stacked = np.empty((6,) + self.core_cycles.shape)
+        stacked[0] = self.int_instructions
+        stacked[1] = self.fp_instructions
+        np.add(self.spm_accesses, self.ssr_spm_accesses, out=stacked[2])
+        stacked[3] = self.core_cycles
+        stacked[4] = self.fpu_busy_cycles
+        np.add(self.int_instructions, self.fp_instructions, out=stacked[5])
+        return stacked.cumsum(axis=2)[:, :, -1]
+
     @property
     def total_int_instructions(self) -> np.ndarray:
         """Integer instructions retired across the cluster, per frame."""
-        return _core_sum(self.int_instructions)
+        return self.core_sums()[0]
 
     @property
     def total_fp_instructions(self) -> np.ndarray:
         """FP instructions retired across the cluster, per frame."""
-        return _core_sum(self.fp_instructions)
+        return self.core_sums()[1]
 
     @property
     def total_spm_accesses(self) -> np.ndarray:
         """Scratchpad accesses (core loads/stores plus SSR streams), per frame."""
-        return _core_sum(self.spm_accesses + self.ssr_spm_accesses)
+        return self.core_sums()[2]
 
     @property
     def total_core_cycles(self) -> np.ndarray:
         """Per-core total cycles summed over the cores in core order, per frame."""
-        return _core_sum(self.core_cycles)
+        return self.core_sums()[3]
 
     @property
     def fpu_utilization(self) -> np.ndarray:
         """Per-frame :attr:`ClusterStats.fpu_utilization`."""
-        busy = _core_sum(self.fpu_busy_cycles)
-        return np.minimum(1.0, self._per_core_cycle(busy))
+        return self.utilization_and_ipc()[0]
 
     @property
     def ipc(self) -> np.ndarray:
         """Per-frame :attr:`ClusterStats.ipc`."""
-        return self._per_core_cycle(_core_sum(self.int_instructions + self.fp_instructions))
+        return self.utilization_and_ipc()[1]
 
-    def _per_core_cycle(self, totals: np.ndarray) -> np.ndarray:
-        """``totals / (total_cycles * num_cores)``, or 0 where a frame took no cycles."""
+    def utilization_and_ipc(self, core_sums: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-frame FPU utilization and IPC, shape ``(2, batch)``.
+
+        Each is a :meth:`core_sums` total over ``total_cycles * num_cores``,
+        or 0 where a frame took no cycles; pass :meth:`core_sums` if it is
+        already at hand.
+        """
+        sums = self.core_sums() if core_sums is None else core_sums
         cycles = self.total_cycles * self.num_cores
-        return np.divide(totals, cycles, out=np.zeros_like(totals), where=cycles > 0)
+        ratios = np.divide(
+            sums[4:], cycles, out=np.zeros((2, len(cycles))), where=cycles > 0
+        )
+        np.minimum(ratios[0], 1.0, out=ratios[0])
+        return ratios
 
     def runtime_seconds(self, clock_hz: float) -> np.ndarray:
         """Per-frame wall-clock runtime at the given clock frequency."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from typing import List, Union
@@ -70,6 +71,14 @@ class LayerPlan:
                 f"layer {self.name!r}: kernel {self.kernel.value} requires a "
                 f"{expected_spec.__name__}, got {type(self.spec).__name__}"
             )
+
+    def copy(self) -> "LayerPlan":
+        """An independent copy: changing it, its spec or its stream list
+        never changes this plan (the specs' other fields are immutable)."""
+        duplicate = copy.copy(self)
+        duplicate.spec = copy.copy(self.spec)
+        duplicate.stream_kinds = list(self.stream_kinds)
+        return duplicate
 
     @property
     def uses_indirect_stream(self) -> bool:

@@ -17,7 +17,8 @@ The optimizer also checks the plan against the hardware's capabilities
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Tuple
 
 from ..arch.params import ClusterParams, DEFAULT_CLUSTER
 from ..config import RunConfig
@@ -26,7 +27,7 @@ from ..kernels.encode import EncodeLayerSpec
 from ..kernels.fc import FcLayerSpec
 from ..snn.network import SpikingNetwork
 from ..snn.svgg11 import SVGG11_LAYER_FIRING_RATES, svgg11_layer_shapes
-from ..types import LayerKind, StreamKind
+from ..types import LayerKind, Precision, StreamKind
 from .layer_mapping import KernelKind, LayerPlan
 
 LayerDescription = Dict[str, object]
@@ -60,7 +61,21 @@ class SpikeStreamOptimizer:
 
         ``firing_rates`` overrides the Figure 3a rate of the layers it names;
         a name that is not an S-VGG11 layer raises ``ValueError`` instead of
-        being ignored.
+        being ignored.  The plans are copies of :meth:`shared_svgg11_plans`,
+        so the caller may change them freely.
+        """
+        return [plan.copy() for plan in self.shared_svgg11_plans(firing_rates)]
+
+    def shared_svgg11_plans(
+        self, firing_rates: Optional[Dict[str, float]] = None
+    ) -> Tuple[LayerPlan, ...]:
+        """The S-VGG11 plans of :meth:`plan_svgg11`, shared: read, never change.
+
+        They are built once per precision, streaming switch and set of
+        rates, memoised by value, and every engine in the process gets the
+        same objects — the engine's own runs and the serving micro-batcher,
+        which only read them, take them from here instead of paying for
+        fresh plans on every batch.
         """
         rates = dict(SVGG11_LAYER_FIRING_RATES)
         if firing_rates:
@@ -71,21 +86,9 @@ class SpikeStreamOptimizer:
                     f"valid names: {list(rates)}"
                 )
             rates.update(firing_rates)
-        return self.plan_descriptions(svgg11_layer_shapes(), rates)
-
-    def plan_descriptions(
-        self,
-        descriptions: Sequence[LayerDescription],
-        firing_rates: Optional[Dict[str, float]] = None,
-    ) -> List[LayerPlan]:
-        """Plan from shape descriptions (see :func:`repro.snn.svgg11.svgg11_layer_shapes`)."""
-        firing_rates = firing_rates or {}
-        plans = []
-        for description in descriptions:
-            name = str(description["name"])
-            rate = float(firing_rates.get(name, description.get("firing_rate", 1.0)))
-            plans.append(self._plan_one(description, rate))
-        return plans
+        return _svgg11_plans(
+            self.config.precision, self.config.streaming_enabled, tuple(rates.items())
+        )
 
     def plan_network(self, network: SpikingNetwork) -> List[LayerPlan]:
         """Plan an arbitrary :class:`~repro.snn.network.SpikingNetwork`.
@@ -122,78 +125,93 @@ class SpikeStreamOptimizer:
                     "encodes_input": False,
                     "lif": layer.lif,
                 }
-            plans.append(self._plan_one(description, rate))
+            plans.append(
+                _plan_layer(
+                    description, rate, self.config.precision, self.config.streaming_enabled
+                )
+            )
         return plans
 
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-    def _plan_one(self, description: LayerDescription, firing_rate: float) -> LayerPlan:
-        streaming = self.config.streaming_enabled
-        name = str(description["name"])
-        kind = str(description["kind"])
-        lif = description.get("lif")
-        lif_kwargs = {"lif": lif} if lif is not None else {}
 
-        if kind == "conv" and bool(description.get("encodes_input", False)):
-            spec = EncodeLayerSpec(
-                name=name,
-                input_shape=description["input_shape"],
-                in_channels=int(description["in_channels"]),
-                out_channels=int(description["out_channels"]),
-                kernel_size=int(description.get("kernel_size", 3)),
-                stride=int(description.get("stride", 1)),
-                padding=int(description.get("padding", 1)),
-                **lif_kwargs,
-            )
-            streams = [StreamKind.AFFINE, StreamKind.AFFINE] if streaming else []
-            return LayerPlan(
-                name=name,
-                kernel=KernelKind.ENCODE,
-                spec=spec,
-                precision=self.config.precision,
-                streaming=streaming,
-                stream_kinds=streams,
-                firing_rate=1.0,
-                notes="dense spike-encoding layer: im2row matmul with two affine streams",
-            )
-        if kind == "conv":
-            spec = ConvLayerSpec(
-                name=name,
-                input_shape=description["input_shape"],
-                in_channels=int(description["in_channels"]),
-                out_channels=int(description["out_channels"]),
-                kernel_size=int(description.get("kernel_size", 3)),
-                stride=int(description.get("stride", 1)),
-                padding=int(description.get("padding", 1)),
-                **lif_kwargs,
-            )
-            streams = [StreamKind.INDIRECT] if streaming else []
-            return LayerPlan(
-                name=name,
-                kernel=KernelKind.CONV,
-                spec=spec,
-                precision=self.config.precision,
-                streaming=streaming,
-                stream_kinds=streams,
-                firing_rate=firing_rate,
-                notes="compressed convolution: one indirect stream per SpVA",
-            )
-        if kind == "linear":
-            in_features = int(description["in_channels"])
-            out_features = int(description["out_channels"])
-            spec = FcLayerSpec(
-                name=name, in_features=in_features, out_features=out_features, **lif_kwargs
-            )
-            streams = [StreamKind.INDIRECT] if streaming else []
-            return LayerPlan(
-                name=name,
-                kernel=KernelKind.FC,
-                spec=spec,
-                precision=self.config.precision,
-                streaming=streaming,
-                stream_kinds=streams,
-                firing_rate=firing_rate,
-                notes="compressed fully connected layer: one SpVA per SIMD output group",
-            )
-        raise ValueError(f"cannot plan layer {name!r} of kind {kind!r}")
+@lru_cache(maxsize=64)
+def _svgg11_plans(
+    precision: Precision, streaming: bool, rates: Tuple[Tuple[str, float], ...]
+) -> Tuple[LayerPlan, ...]:
+    """The S-VGG11 plans under one precision, streaming switch and rates."""
+    rates_by_name = dict(rates)
+    return tuple(
+        _plan_layer(description, float(rates_by_name[description["name"]]), precision, streaming)
+        for description in svgg11_layer_shapes()
+    )
+
+
+def _plan_layer(
+    description: LayerDescription, firing_rate: float, precision: Precision, streaming: bool
+) -> LayerPlan:
+    name = str(description["name"])
+    kind = str(description["kind"])
+    lif = description.get("lif")
+    lif_kwargs = {"lif": lif} if lif is not None else {}
+
+    if kind == "conv" and bool(description.get("encodes_input", False)):
+        spec = EncodeLayerSpec(
+            name=name,
+            input_shape=description["input_shape"],
+            in_channels=int(description["in_channels"]),
+            out_channels=int(description["out_channels"]),
+            kernel_size=int(description.get("kernel_size", 3)),
+            stride=int(description.get("stride", 1)),
+            padding=int(description.get("padding", 1)),
+            **lif_kwargs,
+        )
+        streams = [StreamKind.AFFINE, StreamKind.AFFINE] if streaming else []
+        return LayerPlan(
+            name=name,
+            kernel=KernelKind.ENCODE,
+            spec=spec,
+            precision=precision,
+            streaming=streaming,
+            stream_kinds=streams,
+            firing_rate=1.0,
+            notes="dense spike-encoding layer: im2row matmul with two affine streams",
+        )
+    if kind == "conv":
+        spec = ConvLayerSpec(
+            name=name,
+            input_shape=description["input_shape"],
+            in_channels=int(description["in_channels"]),
+            out_channels=int(description["out_channels"]),
+            kernel_size=int(description.get("kernel_size", 3)),
+            stride=int(description.get("stride", 1)),
+            padding=int(description.get("padding", 1)),
+            **lif_kwargs,
+        )
+        streams = [StreamKind.INDIRECT] if streaming else []
+        return LayerPlan(
+            name=name,
+            kernel=KernelKind.CONV,
+            spec=spec,
+            precision=precision,
+            streaming=streaming,
+            stream_kinds=streams,
+            firing_rate=firing_rate,
+            notes="compressed convolution: one indirect stream per SpVA",
+        )
+    if kind == "linear":
+        in_features = int(description["in_channels"])
+        out_features = int(description["out_channels"])
+        spec = FcLayerSpec(
+            name=name, in_features=in_features, out_features=out_features, **lif_kwargs
+        )
+        streams = [StreamKind.INDIRECT] if streaming else []
+        return LayerPlan(
+            name=name,
+            kernel=KernelKind.FC,
+            spec=spec,
+            precision=precision,
+            streaming=streaming,
+            stream_kinds=streams,
+            firing_rate=firing_rate,
+            notes="compressed fully connected layer: one SpVA per SIMD output group",
+        )
+    raise ValueError(f"cannot plan layer {name!r} of kind {kind!r}")

@@ -23,21 +23,25 @@ engine (:meth:`SpikeStreamInference._run_layer_batches`) iterates
 layer-major, takes each layer's whole-batch workload — stacked padded
 spike-count maps for conv layers, per-frame nnz for FC layers, a plain
 frame count for the dense encoding layer — and costs it through the
-kernels' ``*_perf_batch`` entry points.  Each kernel compiles its layer's
-frame-independent costing state once per configuration — the per-count
-SpVA tables, the channel-group count, the tile layout, the icache model and
-the encoding layer's whole row — memoised by value in the kernel module
-(:mod:`repro.kernels.batch_stats`), so a fresh engine per batch and every
-thread share it, and a call does only the work the spike counts decide:
-table reads, batched window aggregation, and a workload-stealing
-simulation that takes, per frame, a closed-form round-robin when every item
-costs the same, the heap when few frames remain, and a numpy loop across
-frames otherwise.  Each returns one columnar
-:class:`~repro.arch.trace.BatchClusterStats` — per-core counters as
-``(batch, cores)`` arrays, cluster counters as ``(batch,)`` arrays — from
-which the engine computes timestep scaling, energy, FPU utilization, IPC
-and power as whole-batch arrays; no per-frame
-:class:`~repro.arch.trace.ClusterStats` is built.
+kernels' ``*_perf_batch`` entry points.  Everything about a layer that does
+not depend on the frames is compiled once per configuration and memoised by
+value in the kernel module (:mod:`repro.kernels.batch_stats`), so a fresh
+engine per batch and every thread share it: the per-count SpVA tables and
+per-RF constants, the tile plans of every compressed input size with their
+DMA and cold-miss cycles, the icache model, and the encoding layer's whole
+row.  A call then does only the work the spike counts decide — a table
+read, batched window sums, a workload-stealing schedule (per frame, a
+closed-form round-robin when every item costs the same, the heap when few
+frames remain, and a numpy loop across frames otherwise), one bincount to a
+(metric, core) matrix and a few element-wise steps — and returns one
+columnar :class:`~repro.arch.trace.BatchClusterStats`: per-core counters
+as ``(batch, cores)`` arrays, cluster counters as ``(batch,)`` arrays.  The
+engine then scales by the timesteps and evaluates energy (its coefficients
+compiled too, :func:`repro.energy.model._batch_steps`), FPU utilization,
+IPC and power once for all the layers that share those formulas, stacked
+along the batch axis; no per-frame :class:`~repro.arch.trace.ClusterStats`
+is built.  The S-VGG11 plans are memoised as well
+(:meth:`~repro.core.optimizer.SpikeStreamOptimizer.shared_svgg11_plans`).
 The two modes differ only in where those spike counts come from:
 
 * statistical draws them from per-frame RNG streams
@@ -78,6 +82,7 @@ from ..kernels.fc import fc_layer_perf, fc_layer_perf_batch
 from ..obs.tracer import layer_profiler_hook
 from ..snn.network import BatchNetworkActivity, NetworkActivity, SpikingNetwork
 from ..snn.numerics import NumericsPolicy, resolve as resolve_numerics
+from ..types import Precision
 from ..utils.rng import SeedLike, binomial_rows, spawn_rngs
 from .layer_mapping import KernelKind, LayerPlan
 from .optimizer import SpikeStreamOptimizer
@@ -261,48 +266,71 @@ class SpikeStreamInference:
         :class:`~repro.arch.trace.BatchClusterStats`, then timestep scaling
         (statistical mode only — functional activity already carries one
         entry per timestep), the energy model, FPU utilization, IPC and
-        power, each evaluated once over the layer's ``(batch,)`` arrays and
-        stored straight into its :class:`LayerResult`.  The two public modes
-        differ *only* in how they build ``workloads``.
+        power.  Those are per-frame formulas, so the layers that share one
+        (same precision, streaming switch, MAC energy and core count) are
+        evaluated together: their stats are stacked along the batch axis
+        (:meth:`~repro.arch.trace.BatchClusterStats.concatenate`) and each
+        metric is computed once over all their frames, every frame exactly
+        as on its own.  The two public modes differ *only* in how they build
+        ``workloads``.
         """
-        clock_hz = self.cluster.clock_hz
-        layers = []
         profile = layer_profiler_hook()
-        for work in workloads:
+        costed = []
+        groups: Dict[tuple, List[int]] = {}
+        for index, work in enumerate(workloads):
             plan = work.plan
             layer_started = time.monotonic() if profile is not None else 0.0
             stats = self._cost_layer_batch(work)
+            if profile is not None:
+                profile(plan.name, layer_started, time.monotonic(), "layer")
+            costed.append(stats)
+            uses_mac = plan.kernel is KernelKind.ENCODE
+            key = (plan.precision, plan.streaming, uses_mac, stats.num_cores)
+            groups.setdefault(key, []).append(index)
+        layers: List[Optional[LayerResult]] = [None] * len(workloads)
+        for (precision, streaming, uses_mac, _), members in groups.items():
+            stats = BatchClusterStats.concatenate([costed[index] for index in members])
             if timesteps > 1:
                 stats = stats.scaled(timesteps)
-            energy_j = self.energy_model.batch_energy_j(
-                stats,
-                precision=plan.precision,
-                streaming=plan.streaming,
-                uses_mac=plan.kernel is KernelKind.ENCODE,
-            )
-            runtime_s = stats.runtime_seconds(clock_hz)
-            # Copies: the result owns its arrays, and some kernels' stats are
-            # read-only broadcasts of one row.
-            layers.append(
-                LayerResult(
+            metrics = self._frame_metrics(stats, precision, streaming, uses_mac)
+            stop = 0
+            for index in members:
+                start, stop = stop, stop + costed[index].batch_size
+                plan = workloads[index].plan
+                layers[index] = LayerResult(
                     name=plan.name,
                     kernel=plan.kernel.value,
                     precision=plan.precision,
                     streaming=plan.streaming,
-                    cycles=np.array(stats.total_cycles),
-                    fpu_utilization=stats.fpu_utilization,
-                    ipc=stats.ipc,
-                    energy_j=energy_j,
-                    power_w=np.divide(
-                        energy_j, runtime_s, out=np.zeros_like(energy_j), where=runtime_s > 0
-                    ),
-                    dma_bytes=np.array(stats.dma_bytes),
-                    clock_hz=clock_hz,
+                    clock_hz=self.cluster.clock_hz,
+                    **{name: values[start:stop] for name, values in metrics.items()},
                 )
-            )
-            if profile is not None:
-                profile(plan.name, layer_started, time.monotonic(), "layer")
-        return InferenceResult(config=self.config, layers=layers, clock_hz=clock_hz)
+        return InferenceResult(config=self.config, layers=layers, clock_hz=self.cluster.clock_hz)
+
+    def _frame_metrics(
+        self, stats: BatchClusterStats, precision: Precision, streaming: bool, uses_mac: bool
+    ) -> Dict[str, np.ndarray]:
+        """Every :data:`~repro.core.results.PER_FRAME_METRICS` array of ``stats``.
+
+        The arrays are new: cycles and DMA bytes are copies, since a
+        kernel's stats may be read-only broadcasts of one row.
+        """
+        sums = stats.core_sums()
+        energy_j = self.energy_model.batch_energy_j(
+            stats, precision, streaming, uses_mac=uses_mac, core_sums=sums
+        )
+        fpu_utilization, ipc = stats.utilization_and_ipc(sums)
+        runtime_s = stats.runtime_seconds(self.cluster.clock_hz)
+        return {
+            "cycles": np.array(stats.total_cycles),
+            "fpu_utilization": fpu_utilization,
+            "ipc": ipc,
+            "energy_j": energy_j,
+            "power_w": np.divide(
+                energy_j, runtime_s, out=np.zeros(len(energy_j)), where=runtime_s > 0
+            ),
+            "dma_bytes": np.array(stats.dma_bytes),
+        }
 
     # -- public workload API (used by repro.serve's micro-batcher) --------- #
     def statistical_workloads(
@@ -406,6 +434,14 @@ class SpikeStreamInference:
                 workloads.append(_LayerBatch(plan, batch=batch_size))
         return workloads
 
+    def _plans(
+        self, plans: Optional[Sequence[LayerPlan]], firing_rates: Optional[Dict[str, float]]
+    ) -> Sequence[LayerPlan]:
+        """``plans`` as given, or the shared S-VGG11 plans (only read here)."""
+        if plans is not None:
+            return list(plans)
+        return self.optimizer.shared_svgg11_plans(firing_rates)
+
     def run_statistical(
         self,
         plans: Optional[Sequence[LayerPlan]] = None,
@@ -431,7 +467,7 @@ class SpikeStreamInference:
         a ``batch_size`` or ``timesteps`` below 1 raises ``ValueError``.
         """
         check_run_size(batch_size, timesteps)
-        plans = list(plans) if plans is not None else self.optimizer.plan_svgg11(firing_rates)
+        plans = self._plans(plans, firing_rates)
         batch_size = self.config.batch_size if batch_size is None else batch_size
         timesteps = self.config.timesteps if timesteps is None else timesteps
         seed = seed if seed is not None else self.config.seed
@@ -455,7 +491,7 @@ class SpikeStreamInference:
         :class:`~repro.core.results.InferenceResult` as the vectorized path.
         """
         check_run_size(batch_size, timesteps)
-        plans = list(plans) if plans is not None else self.optimizer.plan_svgg11(firing_rates)
+        plans = self._plans(plans, firing_rates)
         batch_size = self.config.batch_size if batch_size is None else batch_size
         timesteps = self.config.timesteps if timesteps is None else timesteps
         seed = seed if seed is not None else self.config.seed

@@ -36,9 +36,14 @@ class LayerResult:
     clock_hz: float = 1.0e9
 
     def __post_init__(self) -> None:
+        lengths = set()
         for name in PER_FRAME_METRICS:
-            setattr(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64)))
-        if len({len(getattr(self, name)) for name in PER_FRAME_METRICS}) != 1:
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            if values.ndim == 0:
+                values = values.reshape(1)
+            setattr(self, name, values)
+            lengths.add(len(values))
+        if len(lengths) != 1:
             raise ValueError(f"per-frame arrays of layer {self.name!r} have inconsistent lengths")
 
     @property

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
+from functools import lru_cache
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -18,9 +19,10 @@ _PJ = 1.0e-12
 def _add_in_order(terms):
     """Sum energy terms one addition at a time, in the given order.
 
-    Works on floats and arrays alike.  Builtin :func:`sum` compensates float
-    rounding from Python 3.12 on, which arrays cannot follow; a plain loop
-    keeps a frame's batch energy bit-for-bit its single-execution energy.
+    Builtin :func:`sum` compensates float rounding from Python 3.12 on,
+    which :meth:`EnergyModel.batch_energy_j`'s cumulative sum cannot follow;
+    a plain loop keeps a frame's batch energy bit-for-bit its
+    single-execution energy.
     """
     total = 0.0
     for term in terms:
@@ -59,16 +61,42 @@ class EnergyReport:
         }
 
 
+@lru_cache(maxsize=64)
+def _batch_steps(
+    params: EnergyParams, clock_hz: float, precision: Precision, uses_mac: bool
+) -> Tuple[np.ndarray, ...]:
+    """:meth:`EnergyModel._breakdown` as four element-wise steps (memoised).
+
+    Row ``t`` of :meth:`EnergyModel.batch_energy_j`'s term matrix holds the
+    activity total of term ``t`` (after a leading zero row), and the steps
+    turn it into joules: multiply by the first ``(7, 1)`` column, by the
+    second, divide by the third, multiply by the fourth.  Each term takes
+    exactly the operations of its :meth:`~EnergyModel._breakdown` formula, in
+    order: a product ``(total * pj) * 1e-12``, the SSR power
+    ``(cycles * watts) / clock`` and the background ``watts * (cycles /
+    clock)``; the steps it does not take multiply or divide by 1, which is
+    exact.
+    """
+    fp_pj = params.fp_instruction_pj(precision, is_mac=uses_mac)
+    steps = np.array([
+        # zero, integer, fpu, spm, ssr, dma, background
+        [1.0, params.integer_instruction_pj, fp_pj, params.spm_access_pj,
+         params.ssr_active_power_w_per_core, params.dma_byte_pj, 1.0],
+        [1.0, _PJ, _PJ, _PJ, 1.0, _PJ, 1.0],
+        [1.0, 1.0, 1.0, 1.0, clock_hz, 1.0, clock_hz],
+        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0, params.cluster_background_power_w],
+    ])
+    steps.setflags(write=False)
+    return tuple(steps[:, :, None])
+
+
 @dataclass
 class EnergyModel:
     """Maps :class:`~repro.arch.trace.ClusterStats` activity to energy.
 
-    The formula (:meth:`_breakdown`) reads only totals that
-    :class:`~repro.arch.trace.ClusterStats` and
-    :class:`~repro.arch.trace.BatchClusterStats` both provide, so one
-    evaluation covers a single execution (floats, :meth:`layer_energy`) or a
-    whole batch (``(batch,)`` arrays, :meth:`batch_energy_j`) with the same
-    operations in the same order.
+    One formula (:meth:`_breakdown`) covers a single execution
+    (:meth:`layer_energy`); :meth:`batch_energy_j` evaluates it over a whole
+    batch (``(batch,)`` arrays) with the same operations in the same order.
     """
 
     params: EnergyParams = DEFAULT_ENERGY
@@ -76,18 +104,16 @@ class EnergyModel:
 
     def _breakdown(
         self,
-        stats: Union[ClusterStats, BatchClusterStats],
+        stats: ClusterStats,
         precision: Precision,
         streaming: bool,
         uses_mac: bool = False,
-    ) -> Dict[str, Union[float, np.ndarray]]:
+    ) -> Dict[str, float]:
         """Energy in joules of each activity class of one layer execution.
 
         ``uses_mac`` marks the dense first layer whose FP instructions are
         multiply-accumulates rather than plain adds (its power is visibly
-        higher in Figure 4).  Values are floats for a
-        :class:`~repro.arch.trace.ClusterStats` and ``(batch,)`` arrays for a
-        :class:`~repro.arch.trace.BatchClusterStats`.
+        higher in Figure 4).
         """
         runtime_s = stats.runtime_seconds(self.cluster.clock_hz)
         ssr_busy_core_cycles = stats.total_core_cycles if streaming else 0.0
@@ -126,10 +152,28 @@ class EnergyModel:
         precision: Precision,
         streaming: bool,
         uses_mac: bool = False,
+        core_sums: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Per-frame energy in joules of a batch of layer executions.
 
         Frame ``i`` equals ``layer_energy(stats.frame(i), ...).energy_j`` bit
-        for bit: the terms are added in the same order.
+        for bit: every term takes the operations of :meth:`_breakdown`
+        (compiled once per configuration by :func:`_batch_steps`), and one
+        :func:`numpy.cumsum` adds the terms in order.  Pass
+        ``stats.core_sums()`` as ``core_sums`` if it is already at hand.
         """
-        return _add_in_order(self._breakdown(stats, precision, streaming, uses_mac).values())
+        sums = stats.core_sums() if core_sums is None else core_sums
+        scale, unit, divisor, factor = _batch_steps(
+            self.params, self.cluster.clock_hz, precision, uses_mac
+        )
+        terms = np.empty((7, stats.batch_size))
+        terms[0] = 0.0
+        terms[1:4] = sums[:3]
+        terms[4] = sums[3] if streaming else 0.0
+        terms[5] = stats.dma_bytes
+        terms[6] = stats.total_cycles
+        terms *= scale
+        terms *= unit
+        terms /= divisor
+        terms *= factor
+        return terms.cumsum(axis=0)[-1].copy()  # not a view holding every term

@@ -179,6 +179,7 @@ register_sweep(SweepSpec(
     point=_run_precision_point,
     row_schema=("precision", "simd_width", "runtime_ms", "energy_mj", "fpu_util"),
     finalize=lambda rows, tasks, run_point: fp8_over_fp16_headline(rows),
+    batched=True,
     kwarg_axes={"precisions": "precision"},
     normalize={"precision": _precision_name},
 ))

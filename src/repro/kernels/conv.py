@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dataclass_fields
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,10 +34,10 @@ from ..formats.csr_fiber import CompressedIfmap, CompressedIfmapBuilder
 from ..snn.neuron import LIFParameters
 from ..types import Precision, TensorShape
 from .activation import activation_cost_per_group, fused_lif_activation
-from .batch_stats import COSTER_CACHE_SIZE, cluster_stats_from_batch, layer_label
+from .batch_stats import COSTER_CACHE_SIZE, LayerTail, core_sums, layer_label
 from .scheduler import workload_stealing_schedule, workload_stealing_schedule_batch
 from .spva import SpvaCost, spva_cost, spva_gather_accumulate
-from .tiling import TileLayout, conv_tile_layout, plan_conv_tiles
+from .tiling import conv_tile_layout, plan_conv_tiles
 
 
 @dataclass
@@ -188,36 +188,31 @@ def _position_spva_cost(
     return spva_cost(counts, costs, streaming, conflict_factor, per_element)
 
 
-def _rf_metrics(
-    rf_spva: Sequence[np.ndarray],
-    groups: int,
-    precision: Precision,
-    costs: CostModelParams,
-) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-    """Per-RF cycles and the per-RF metric rows (in ``METRIC_ROWS`` order).
+def _rf_constants(
+    groups: int, precision: Precision, costs: CostModelParams
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The per-RF constants of the six metric rows, as ``(fixed, offset)``.
 
-    ``rf_spva`` holds the six :class:`SpvaCost` metrics summed over each RF
-    window, in field order.
+    RF row ``m`` (cycles, then the metrics in ``METRIC_ROWS`` order) is
+    ``offset[m] + groups * (rf_spva[m] + fixed[m])``, where ``rf_spva[m]`` is
+    :class:`SpvaCost` field ``m`` summed over the RF's window: every channel
+    group pays its SpVAs, its overhead and the fused activation, and every
+    RF its own overhead.  A zero entry leaves its row exact, since every
+    row is non-negative.
     """
-    spva_cycles, spva_int, spva_fp, spva_fp_busy, spva_spm, spva_ssr = rf_spva
     act_int, act_fp = activation_cost_per_group(precision, costs)
-    group_fixed_cycles = costs.group_overhead_int_instrs + act_int + act_fp
-    group_fixed_int = costs.group_overhead_int_instrs + act_int
-    group_fixed_fp = act_fp
-
-    rf_cycles = (
-        costs.rf_overhead_int_instrs
-        + groups * (spva_cycles + group_fixed_cycles)
-    )
-    rf_int = costs.rf_overhead_int_instrs + groups * (spva_int + group_fixed_int)
-    rf_fp = groups * (spva_fp + group_fixed_fp)
-    rf_fp_busy = groups * (spva_fp_busy + group_fixed_fp)
-    rf_spm = groups * (spva_spm + 4.0)  # membrane load/store + ofmap append
-    rf_ssr = groups * spva_ssr
-    return rf_cycles, (rf_int, rf_fp, rf_fp_busy, rf_spm, rf_ssr)
+    group_int = costs.group_overhead_int_instrs + act_int
+    fixed = np.array([group_int + act_fp, group_int, act_fp, act_fp, 4.0, 0.0])
+    # The 4.0 is the membrane load/store plus the ofmap append.
+    rf_overhead = float(costs.rf_overhead_int_instrs)
+    offset = np.array([rf_overhead, rf_overhead, 0.0, 0.0, 0.0, 0.0])
+    return fixed, offset
 
 
-def _check_count_bound(spec: ConvLayerSpec, spike_counts: np.ndarray) -> None:
+def _check_counts(spec: ConvLayerSpec, spike_counts: np.ndarray, integral: bool) -> None:
+    """Reject counts outside ``0..in_channels`` (and, if ``integral``, non-integers)."""
+    if integral and ((spike_counts < 0).any() or (np.floor(spike_counts) != spike_counts).any()):
+        raise ValueError("spike_counts must be non-negative integers")
     if (spike_counts > spec.in_channels).any():
         raise ValueError(
             f"spike_counts must not exceed in_channels ({spec.in_channels}) at any position"
@@ -259,7 +254,7 @@ def conv_layer_perf(
             f"spike_counts has shape {spike_counts.shape}, expected "
             f"{(padded.height, padded.width)}"
         )
-    _check_count_bound(spec, spike_counts)
+    _check_counts(spec, spike_counts, integral=False)
     num_cores = num_active_cores or params.num_worker_cores
     output_shape = spec.output_shape
     simd = precision.simd_width
@@ -272,18 +267,17 @@ def conv_layer_perf(
     position_cost = _position_spva_cost(
         spike_counts.reshape(-1), costs, streaming, strided_indirect, conflict_factor
     )
-    rf_cycles, (rf_int, rf_fp, rf_fp_busy, rf_spm, rf_ssr) = _rf_metrics(
-        [
-            window_sum(
-                getattr(position_cost, metric.name).reshape(padded.height, padded.width),
-                spec.kernel_size,
-                spec.stride,
-            ).reshape(-1)
-            for metric in dataclass_fields(SpvaCost)
-        ],
-        groups,
-        precision,
-        costs,
+    fixed, offset = _rf_constants(groups, precision, costs)
+    rf_spva = np.stack([
+        window_sum(
+            getattr(position_cost, metric.name).reshape(padded.height, padded.width),
+            spec.kernel_size,
+            spec.stride,
+        ).reshape(-1)
+        for metric in dataclass_fields(SpvaCost)
+    ])
+    rf_cycles, rf_int, rf_fp, rf_fp_busy, rf_spm, rf_ssr = (
+        offset[:, None] + groups * (rf_spva + fixed[:, None])
     )
 
     # ---- workload stealing over receptive fields --------------------------
@@ -352,22 +346,47 @@ class _ConvCoster:
 
     ``spva`` is the read-only ``(6, in_channels + 1)`` per-count table of
     the SpVA cost of one position: one row per :class:`SpvaCost` field, in
-    order, one column per spike count ``0..in_channels``.
+    order, one column per spike count ``0..in_channels``.  ``fixed`` and
+    ``offset`` are :func:`_rf_constants` as ``(6, 1, 1)`` columns, the
+    integer-instruction offset counting each RF's atomic claim, and
+    ``ifmap_index_bytes`` the compressed ifmap's bytes beyond its spike
+    indices (the per-position offsets).
     """
 
     spva: np.ndarray
     kernel_size: int
     stride: int
     groups: int
-    tiles: TileLayout
-    icache: InstructionCache
+    fixed: np.ndarray
+    offset: np.ndarray
+    num_cores: int
+    index_bytes: int
+    ifmap_index_bytes: int
+    tail: LayerTail
+
+    def stats(self, counts: np.ndarray, label: str) -> BatchClusterStats:
+        """Cost the ``(B, Hp, Wp)`` integer count stack (each in
+        ``0..in_channels``) as :func:`conv_layer_perf` costs each frame."""
+        rows = self.rf_spva(counts)
+        rows += self.fixed
+        rows *= self.groups
+        rows += self.offset
+        schedule = workload_stealing_schedule_batch(
+            rows[0], self.num_cores, atomic_cost_cycles=self.tail.atomic_operation_cycles
+        )
+        nnz = counts.reshape(len(counts), -1).sum(axis=1)
+        return self.tail.stats(
+            core_sums(rows[1:], schedule),
+            schedule,
+            nnz * self.index_bytes + self.ifmap_index_bytes,
+            label,
+        )
 
     def rf_spva(self, counts: np.ndarray) -> np.ndarray:
         """The six SpVA metrics summed over every RF, ``(6, B, RFs)``.
 
-        ``counts`` is the ``(B, Hp, Wp)`` integer count stack.  The metric
-        maps of up to :data:`_WINDOW_CHUNK_BYTES` worth of frames are
-        stacked as ``(6 * frames, Hp, Wp)`` and summed in one
+        The metric maps of up to :data:`_WINDOW_CHUNK_BYTES` worth of frames
+        are stacked as ``(6 * frames, Hp, Wp)`` and summed in one
         :func:`window_sum_batch` call, each map exactly as on its own.
         """
         batch, height, width = counts.shape
@@ -418,16 +437,31 @@ def _conv_coster(
     )
     table = np.stack([getattr(per_count, metric.name) for metric in dataclass_fields(SpvaCost)])
     table.setflags(write=False)
+    groups = (spec.out_channels + precision.simd_width - 1) // precision.simd_width
+    fixed, offset = _rf_constants(groups, precision, costs)
+    offset[1] += 1.0  # each RF's claim is one atomic integer instruction
+    for constants in (fixed, offset):
+        constants.setflags(write=False)
     padded = spec.padded_input_shape
+    ifmap_index_bytes = (padded.spatial_size + 1) * index_bytes
     return _ConvCoster(
         spva=table,
         kernel_size=spec.kernel_size,
         stride=spec.stride,
-        groups=(spec.out_channels + precision.simd_width - 1) // precision.simd_width,
-        tiles=conv_tile_layout(
-            padded, spec.output_shape, spec.kernel_size, precision, index_bytes, params
+        groups=groups,
+        fixed=fixed.reshape(-1, 1, 1),
+        offset=offset.reshape(-1, 1, 1),
+        num_cores=num_cores,
+        index_bytes=index_bytes,
+        ifmap_index_bytes=ifmap_index_bytes,
+        tail=LayerTail.compile(
+            conv_tile_layout(
+                padded, spec.output_shape, spec.kernel_size, precision, index_bytes, params
+            ),
+            padded.numel * index_bytes + ifmap_index_bytes,
+            InstructionCache(params, costs),
+            costs,
         ),
-        icache=InstructionCache(params, costs),
     )
 
 
@@ -450,53 +484,40 @@ def conv_layer_perf_batch(
     hardware model is compiled once per configuration (:func:`_conv_coster`,
     memoised by value): a call reads the six per-position SpVA metrics from
     the per-count table with :func:`numpy.take`, sums them over the RF
-    windows in chunked :func:`window_sum_batch` calls, schedules all frames
-    in one :func:`~repro.kernels.scheduler.workload_stealing_schedule_batch`
-    call, completes the tile layout for the ``(B,)`` compressed ifmap sizes
-    and reduces per core in
-    :func:`~repro.kernels.batch_stats.cluster_stats_from_batch`.  Frame ``i``
-    of the returned :class:`~repro.arch.trace.BatchClusterStats` is
-    bit-for-bit identical to calling :func:`conv_layer_perf` on that frame's
-    map alone (the reduction relies on integral counts; see
+    windows in chunked :func:`window_sum_batch` calls, adds the per-RF
+    constants in place, schedules all frames in one
+    :func:`~repro.kernels.scheduler.workload_stealing_schedule_batch` call,
+    sums each core's metrics and completes the counters from the compiled
+    :class:`~repro.kernels.batch_stats.LayerTail`.  Frame ``i`` of the
+    returned :class:`~repro.arch.trace.BatchClusterStats` is bit-for-bit
+    identical to calling :func:`conv_layer_perf` on that frame's map alone
+    (the reduction relies on integral counts; see
     :mod:`repro.kernels.batch_stats`).
     """
     if strided_indirect and not streaming:
         raise ValueError("strided_indirect requires streaming=True")
     spike_counts = np.asarray(spike_counts, dtype=np.float64)
-    padded = spec.padded_input_shape
-    if spike_counts.ndim != 3 or spike_counts.shape[1:] != (padded.height, padded.width):
+    pad = 2 * spec.padding
+    padded = (spec.input_shape.height + pad, spec.input_shape.width + pad)
+    if spike_counts.ndim != 3 or spike_counts.shape[1:] != padded:
         raise ValueError(
-            f"spike_counts has shape {spike_counts.shape}, expected "
-            f"(batch, {padded.height}, {padded.width})"
+            f"spike_counts has shape {spike_counts.shape}, expected (batch, {padded[0]}, "
+            f"{padded[1]})"
         )
-    if (spike_counts < 0).any() or (np.floor(spike_counts) != spike_counts).any():
-        raise ValueError("spike_counts must be non-negative integers")
-    _check_count_bound(spec, spike_counts)
-    batch = spike_counts.shape[0]
-    num_cores = num_active_cores or params.num_worker_cores
+    # min/max reject NaN, infinities and counts out of range; the
+    # comparison then rejects fractions, which the cast truncated.
+    if spike_counts.size and not 0 <= spike_counts.min() <= spike_counts.max() <= spec.in_channels:
+        _check_counts(spec, spike_counts, integral=True)
+    counts = spike_counts.astype(np.intp)
+    if (counts != spike_counts).any():
+        _check_counts(spec, spike_counts, integral=True)
     coster = _conv_coster(
         (spec.input_shape, spec.in_channels, spec.out_channels, spec.kernel_size,
          spec.stride, spec.padding),
-        precision, streaming, strided_indirect, num_cores, index_bytes, params, costs,
+        precision, streaming, strided_indirect,
+        num_active_cores or params.num_worker_cores, index_bytes, params, costs,
     )
-    rf_cycles, metric_rows = _rf_metrics(
-        coster.rf_spva(spike_counts.astype(np.intp)), coster.groups, precision, costs
-    )
-    schedule = workload_stealing_schedule_batch(
-        rf_cycles, num_cores, atomic_cost_cycles=costs.atomic_operation_cycles
-    )
-    nnz = spike_counts.reshape(batch, -1).sum(axis=1)
-    compressed_bytes = (nnz * index_bytes + (padded.spatial_size + 1) * index_bytes).astype(
-        np.int64
-    )
-    return cluster_stats_from_batch(
-        metric_rows,
-        schedule,
-        costs,
-        coster.icache,
-        coster.tiles.plan(compressed_bytes),
-        layer_label(spec.name, streaming, precision),
-    )
+    return coster.stats(counts, layer_label(spec.name, streaming, precision))
 
 
 def conv_layer_functional(

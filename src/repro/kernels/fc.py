@@ -23,10 +23,10 @@ from ..formats.csr_fiber import CompressedVector
 from ..snn.neuron import LIFParameters
 from ..types import Precision
 from .activation import activation_cost_per_group, fused_lif_activation
-from .batch_stats import COSTER_CACHE_SIZE, cluster_stats_from_batch, layer_label
-from .scheduler import workload_stealing_schedule, workload_stealing_schedule_batch
+from .batch_stats import COSTER_CACHE_SIZE, LayerTail, layer_label
+from .scheduler import uniform_schedule_batch, workload_stealing_schedule
 from .spva import SpvaCost, spva_cost
-from .tiling import TileLayout, fc_tile_layout, plan_fc_tiles
+from .tiling import fc_tile_layout, plan_fc_tiles
 
 
 @dataclass
@@ -149,14 +149,35 @@ class _FcCoster:
     """The frame-independent costing state of one FC layer configuration.
 
     ``per_count`` is the read-only ``(6, in_features + 1)`` table of the
-    per-group cycles and metric rows (:func:`_group_metrics`) per input
-    spike count.
+    per-group cycles and metric rows (:func:`_group_metrics`, the integer
+    instructions counting the group's claim) per input spike count.
     """
 
     per_count: np.ndarray
     groups: int
-    tiles: TileLayout
-    icache: InstructionCache
+    num_cores: int
+    index_bytes: int
+    tail: LayerTail
+
+    def stats(self, nnz: np.ndarray, label: str) -> BatchClusterStats:
+        """Cost the ``(B,)`` spiking input counts as :func:`fc_layer_perf`
+        costs each frame."""
+        values = np.take(self.per_count, nnz, axis=1)
+        # Every group of a frame costs the same, so the scheduler deals them
+        # round-robin in closed form and a core's sum of a metric is its
+        # claim count times the frame's value (exact: both are integers).
+        schedule = uniform_schedule_batch(
+            values[0],
+            self.groups,
+            self.num_cores,
+            atomic_cost_cycles=self.tail.atomic_operation_cycles,
+        )
+        return self.tail.stats(
+            values[1:, :, None] * schedule.atomic_operations_per_core,
+            schedule,
+            nnz * self.index_bytes + self.index_bytes,
+            label,
+        )
 
 
 @lru_cache(maxsize=COSTER_CACHE_SIZE)
@@ -176,12 +197,19 @@ def _fc_coster(
         np.arange(in_features + 1, dtype=np.float64), costs, streaming, conflict_factor
     )
     per_count = np.stack(_group_metrics(spva, precision, costs))
+    per_count[1] += 1.0  # each group's claim is one atomic integer instruction
     per_count.setflags(write=False)
     return _FcCoster(
         per_count=per_count,
         groups=(out_features + precision.simd_width - 1) // precision.simd_width,
-        tiles=fc_tile_layout(in_features, out_features, precision, index_bytes, params),
-        icache=InstructionCache(params, costs),
+        num_cores=num_cores,
+        index_bytes=index_bytes,
+        tail=LayerTail.compile(
+            fc_tile_layout(in_features, out_features, precision, index_bytes, params),
+            in_features * index_bytes + index_bytes,
+            InstructionCache(params, costs),
+            costs,
+        ),
     )
 
 
@@ -200,38 +228,23 @@ def fc_layer_perf_batch(
     ``nnz`` holds the spiking input count of every frame in the batch.  All
     output-channel groups of a frame stream the same inputs, so each
     frame's group metrics are one column of the per-count table compiled
-    once per configuration (:func:`_fc_coster`, memoised by value),
-    broadcast across the groups, and the scheduler deals the groups to the
-    cores round-robin in closed form.  Frame ``i`` of the returned
-    :class:`~repro.arch.trace.BatchClusterStats` is bit-for-bit identical to
-    a per-frame :func:`fc_layer_perf` call.
+    once per configuration (:func:`_fc_coster`, memoised by value, with
+    the layer's :class:`~repro.kernels.batch_stats.LayerTail`), the
+    scheduler deals the groups to the cores round-robin in closed form, and
+    each core's metric sums are the column times its claim count.  Frame
+    ``i`` of the returned :class:`~repro.arch.trace.BatchClusterStats` is
+    bit-for-bit identical to a per-frame :func:`fc_layer_perf` call.
     """
     nnz_array = np.asarray(nnz, dtype=np.int64)
     if nnz_array.ndim != 1:
         raise ValueError(f"nnz must be 1-D (batch,), got shape {nnz_array.shape}")
-    if (nnz_array < 0).any() or (nnz_array > spec.in_features).any():
+    if nnz_array.size and not 0 <= nnz_array.min() <= nnz_array.max() <= spec.in_features:
         raise ValueError(f"every nnz must be in [0, {spec.in_features}]")
-    num_cores = num_active_cores or params.num_worker_cores
     coster = _fc_coster(
-        spec.in_features, spec.out_features, precision, streaming, num_cores, index_bytes,
-        params, costs,
+        spec.in_features, spec.out_features, precision, streaming,
+        num_active_cores or params.num_worker_cores, index_bytes, params, costs,
     )
-    # Every group of a frame costs the same: one column per metric, broadcast.
-    group_cycles, *metric_rows = np.broadcast_to(
-        np.take(coster.per_count, nnz_array[:, None], axis=1),
-        (len(coster.per_count), len(nnz_array), coster.groups),
-    )
-    schedule = workload_stealing_schedule_batch(
-        group_cycles, num_cores, atomic_cost_cycles=costs.atomic_operation_cycles
-    )
-    return cluster_stats_from_batch(
-        metric_rows,
-        schedule,
-        costs,
-        coster.icache,
-        coster.tiles.plan(nnz_array * index_bytes + index_bytes),
-        layer_label(spec.name, streaming, precision),
-    )
+    return coster.stats(nnz_array, layer_label(spec.name, streaming, precision))
 
 
 def fc_layer_functional(

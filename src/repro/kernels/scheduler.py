@@ -6,12 +6,13 @@ paper therefore lets each core, once it finishes its RF, atomically claim the
 next unprocessed RF.  :func:`workload_stealing_schedule` simulates that policy
 over one vector of per-RF costs with a heap of core availability times; it is
 the oracle.  :func:`workload_stealing_schedule_batch` produces the same
-schedule for a whole batch of cost vectors, picking per frame the cheapest
-exact method its input allows: a closed-form round-robin for frames whose
-items all cost the same, the heap once per frame for small batches (the
-oracle's own loop, :func:`_heap_claims`, on costs validated once for the
-whole batch), and a numpy loop over the items, vectorised across frames,
-for large ones.
+schedule for a whole batch of cost vectors with the cheapest exact method
+the batch allows: a closed-form round-robin when every frame's items all
+cost the same (:func:`uniform_schedule_batch`, which the FC kernel calls
+directly with one cost per frame), else the heap once per frame for small
+batches (the oracle's own loop, :func:`_heap_claims`, on costs validated
+once for the whole batch), and a numpy loop over the items, vectorised
+across frames, for large ones.
 
 The batched kernels read their per-item costs from per-count tables
 compiled once per layer (see :mod:`repro.kernels.batch_stats`).  Such a
@@ -94,9 +95,10 @@ class BatchStealingSchedule:
 def _checked_costs(values, name: str) -> np.ndarray:
     """``values`` as float64, rejecting negative and non-finite costs."""
     costs = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(costs).all():
-        raise ValueError(f"{name} must be finite")
-    if (costs < 0).any():
+    # A NaN fails both bounds; the checks below then say what is wrong.
+    if costs.size and not 0 <= costs.min() <= costs.max() < np.inf:
+        if not np.isfinite(costs).all():
+            raise ValueError(f"{name} must be finite")
         raise ValueError(f"{name} must be non-negative")
     return costs
 
@@ -110,14 +112,14 @@ def workload_stealing_schedule_batch(
 
     ``item_costs`` has shape ``(batch, num_items)``: one cost vector per
     frame.  Every frame's outcome is bit-for-bit identical to
-    :func:`workload_stealing_schedule` on that row; each frame takes the
-    first of three exact methods that applies to it:
+    :func:`workload_stealing_schedule` on that row, by the first of three
+    exact methods that applies:
 
-    * frames whose items all cost the same are dealt round-robin
-      (:func:`_round_robin_rows`);
-    * if fewer than :data:`SMALL_BATCH` frames remain, each is simulated
+    * if every frame's items all cost the same, they are dealt round-robin
+      (:func:`uniform_schedule_batch`, unless some frame breaks it);
+    * otherwise, below :data:`SMALL_BATCH` frames, each frame is simulated
       with the heap;
-    * otherwise the remaining frames are simulated together by
+    * and above, all frames are simulated together by
       :func:`_stealing_loop`.
     """
     if num_cores <= 0:
@@ -125,40 +127,75 @@ def workload_stealing_schedule_batch(
     costs = _checked_costs(item_costs, "item_costs")
     if costs.ndim != 2:
         raise ValueError(f"item_costs must be 2-D (batch, items), got shape {costs.shape}")
-    batch, num_items = costs.shape
-    core_of_item = np.empty((batch, num_items), dtype=np.int64)
-    busy = np.zeros((batch, num_cores), dtype=np.float64)
-    finish = np.zeros((batch, num_cores), dtype=np.float64)
-    claims = np.zeros((batch, num_cores), dtype=np.float64)
-
-    closed = np.zeros(batch, dtype=bool)
-    uniform = np.flatnonzero((costs == costs[:, :1]).all(axis=1))
-    if len(uniform):
-        exact, rr_busy, rr_finish, rr_claims = _round_robin_rows(
-            costs[uniform, :1], num_items, num_cores, atomic_cost_cycles
+    if (costs == costs[:, :1]).all():  # every frame's items cost the same
+        # A frame without items shares cost 0.
+        return uniform_schedule_batch(
+            costs.max(axis=1, initial=0.0), costs.shape[1], num_cores, atomic_cost_cycles
         )
-        rows = uniform[exact]
-        core_of_item[rows] = np.arange(num_items) % num_cores
-        busy[rows], finish[rows], claims[rows] = rr_busy[exact], rr_finish[exact], rr_claims
-        closed[rows] = True
-    rest = np.flatnonzero(~closed)
-    if len(rest) < SMALL_BATCH:
-        for frame in rest:
-            core_of_item[frame], finish[frame] = _heap_claims(
-                costs[frame].tolist(), num_cores, atomic_cost_cycles
-            )
-            busy[frame] = np.bincount(core_of_item[frame], costs[frame], num_cores)
-            claims[frame] = np.bincount(core_of_item[frame], minlength=num_cores)
-    else:
-        core_of_item[rest], busy[rest], finish[rest], claims[rest] = _stealing_loop(
-            costs[rest], num_cores, atomic_cost_cycles
+    return _simulated(costs, num_cores, atomic_cost_cycles)
+
+
+def uniform_schedule_batch(
+    item_cost: np.ndarray,
+    num_items: int,
+    num_cores: int,
+    atomic_cost_cycles: float = 0.0,
+) -> BatchStealingSchedule:
+    """:func:`workload_stealing_schedule_batch` of frames whose items all cost the same.
+
+    Frame ``b`` has ``num_items`` items of cost ``item_cost[b]``; the cost
+    matrix is built only if some frame breaks the closed-form round-robin
+    (:func:`_round_robin_rows`), and then every frame is simulated.
+    """
+    if num_cores <= 0:
+        raise ValueError(f"num_cores must be positive, got {num_cores}")
+    cost = _checked_costs(item_cost, "item_cost")
+    exact, busy, finish, claims = _round_robin_rows(
+        cost[:, None], num_items, num_cores, atomic_cost_cycles
+    )
+    if not exact.all():
+        return _simulated(
+            np.repeat(cost[:, None], num_items, axis=1), num_cores, atomic_cost_cycles
         )
     return BatchStealingSchedule(
         num_cores=num_cores,
-        core_of_item=core_of_item,
+        core_of_item=np.repeat((np.arange(num_items) % num_cores)[None], len(cost), axis=0),
         core_busy_cycles=busy,
         core_finish_cycles=finish,
-        atomic_operations_per_core=claims,
+        atomic_operations_per_core=np.repeat(claims[None], len(cost), axis=0),
+    )
+
+
+def _simulated(
+    costs: np.ndarray, num_cores: int, atomic_cost_cycles: float
+) -> BatchStealingSchedule:
+    """Every frame of ``costs`` simulated: with the heap one by one below
+    :data:`SMALL_BATCH` frames, else together by :func:`_stealing_loop`.
+
+    Each core's busy cycles and claims are counted by
+    :func:`numpy.bincount`, which adds a core's items in item order, as the
+    heap does.
+    """
+    frames, num_items = costs.shape
+    if frames < SMALL_BATCH:
+        core_of_item = np.empty((frames, num_items), dtype=np.int64)
+        finish = np.empty((frames, num_cores))
+        for frame, row in enumerate(costs):
+            core_of_item[frame], finish[frame] = _heap_claims(
+                row.tolist(), num_cores, atomic_cost_cycles
+            )
+    else:
+        core_of_item, finish = _stealing_loop(costs, num_cores, atomic_cost_cycles)
+    bins = (np.arange(0, frames * num_cores, num_cores)[:, None] + core_of_item).ravel()
+    size = frames * num_cores
+    busy = np.bincount(bins, weights=costs.ravel(), minlength=size)
+    claims = np.bincount(bins, minlength=size).astype(np.float64)
+    return BatchStealingSchedule(
+        num_cores=num_cores,
+        core_of_item=core_of_item,
+        core_busy_cycles=busy.reshape(frames, num_cores),
+        core_finish_cycles=finish,
+        atomic_operations_per_core=claims.reshape(frames, num_cores),
     )
 
 
@@ -174,18 +211,17 @@ def _round_robin_rows(
     finish time after ``r`` rounds is accumulated sequentially as
     ``(end + atomic) + cost`` and the busy time as ``busy + cost``, the
     heap's operations in its order.  Returns the mask of frames for which
-    the round-robin holds (the others need a full simulation) plus, for all
-    frames, the per-core busy and finish times and the claim counts.
+    the round-robin holds (the others need a full simulation), their
+    per-core busy and finish times, and the ``(cores,)`` claim counts every
+    frame shares.
     """
-    frames = len(cost)
     rounds = -(-num_items // num_cores)
-    steps = np.zeros((frames, 2 * rounds + 1), dtype=np.float64)
+    steps = np.empty((len(cost), 2 * rounds + 1), dtype=np.float64)
+    steps[:, 0] = 0.0
     steps[:, 1::2] = atomic_cost_cycles
     steps[:, 2::2] = cost
-    ends = np.cumsum(steps, axis=1)[:, ::2]
-    work = np.zeros((frames, rounds + 1), dtype=np.float64)
-    work[:, 1:] = cost
-    done = np.cumsum(work, axis=1)
+    ends = steps.cumsum(axis=1)[:, ::2]
+    done = steps[:, ::2].cumsum(axis=1)
     exact = (ends[:, 1:] > ends[:, :-1]).all(axis=1)
     per_core = num_items // num_cores + (np.arange(num_cores) < num_items % num_cores)
     return exact, done[:, per_core], ends[:, per_core], per_core.astype(np.float64)
@@ -193,38 +229,27 @@ def _round_robin_rows(
 
 def _stealing_loop(
     costs: np.ndarray, num_cores: int, atomic_cost_cycles: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Simulate all frames of ``costs`` together, one item at a time.
 
     The heap keeps one entry per core, so popping the smallest
     ``(available_at, core)`` is an argmin over the per-core availability
     with ties to the lowest core id, which is what :func:`numpy.argmin`
     returns.  Only availability and the claiming core are carried through
-    the loop.  Each core's finish time is its final availability, and
-    :func:`numpy.bincount` adds the busy cycles of a core in item order, as
-    the heap does.  Returns ``(core_of_item, busy, finish, claims)``.
+    the loop; each core's finish time is its final availability.  Returns
+    ``(core_of_item, finish)``.
     """
     frames, num_items = costs.shape
     available = np.zeros((frames, num_cores), dtype=np.float64)
     flat_available = available.reshape(-1)
     offsets = np.arange(frames) * num_cores
-    core_by_item = np.empty((num_items, frames), dtype=np.int64)
+    core_of_item = np.empty((frames, num_items), dtype=np.int64)
     for item, cost in enumerate(np.ascontiguousarray(costs.T)):
         chosen = available.argmin(axis=1)
         slots = offsets + chosen
         flat_available[slots] = flat_available[slots] + atomic_cost_cycles + cost
-        core_by_item[item] = chosen
-    core_of_item = core_by_item.T
-    bins = (offsets[:, None] + core_of_item).reshape(-1)
-    size = frames * num_cores
-    busy = np.bincount(bins, weights=costs.reshape(-1), minlength=size)
-    claims = np.bincount(bins, minlength=size).astype(np.float64)
-    return (
-        core_of_item,
-        busy.reshape(frames, num_cores),
-        available,
-        claims.reshape(frames, num_cores),
-    )
+        core_of_item[:, item] = chosen
+    return core_of_item, available
 
 
 def workload_stealing_schedule(

@@ -17,7 +17,9 @@ depend on the input size become ``(batch,)`` arrays, each element equal to
 the plan of that frame alone.  Each planner is the composition of a
 frame-independent :class:`TileLayout` (:func:`conv_tile_layout`,
 :func:`fc_tile_layout`) and its :meth:`TileLayout.plan` for the input
-size(s); the batched kernels keep the layout and redo only the second half.
+size(s).  The batched kernels go one step further and keep
+:meth:`TileLayout.tabulate`'s :class:`TileTable`: the plans of every input
+size a layer can see, one per band count.
 """
 
 from __future__ import annotations
@@ -148,6 +150,49 @@ class TileLayout:
             dma_bytes_out=int(self.ofmap_worst_case_bytes // 2 + self.membrane_bytes),
             num_dma_transfers=_as_int(num_dma_transfers),
         )
+
+    def tabulate(self, max_input_bytes: int) -> "TileTable":
+        """The plans of every compressed input size in ``0..max_input_bytes``.
+
+        A conv layout bands by ``size // input_rows`` only, so planning each
+        multiple of ``input_rows`` visits every band count the range
+        reaches, and the first size of each count opens its class.  An FC
+        layout has one class.
+        """
+        step = self.input_rows or max_input_bytes + 1
+        sizes = np.arange(max_input_bytes // step + 1, dtype=np.int64) * step
+        plan = self.plan(sizes)
+        bands = np.broadcast_to(plan.num_ifmap_bands, sizes.shape)
+        firsts = np.concatenate(([0], np.flatnonzero(np.diff(bands)) + 1))
+
+        def per_class(values) -> np.ndarray:
+            return np.broadcast_to(values, sizes.shape)[firsts]
+
+        return TileTable(
+            steps=sizes[firsts[1:]],
+            num_tiles=per_class(plan.num_tiles),
+            fixed_dma_bytes=per_class(plan.total_dma_bytes - sizes),
+            num_dma_transfers=per_class(plan.num_dma_transfers),
+        )
+
+
+@dataclass(frozen=True)
+class TileTable:
+    """A :class:`TileLayout`'s plans for every input size, one per band count.
+
+    The band count is a step function of the compressed input size, and
+    everything else a plan derives from the size follows it: the tile
+    count, the DMA descriptors and the DMA bytes beyond the input itself.
+    So a layer's plans fall into a few *classes*, one per band count;
+    ``steps[k]`` is the smallest size of class ``k + 1`` (so
+    ``numpy.searchsorted(steps, size, side="right")`` is the class of
+    ``size``), and the other arrays hold one integer entry per class.
+    """
+
+    steps: np.ndarray
+    num_tiles: np.ndarray
+    fixed_dma_bytes: np.ndarray
+    num_dma_transfers: np.ndarray
 
 
 def _check_budget_fraction(weight_budget_fraction: float) -> None:

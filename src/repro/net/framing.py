@@ -566,6 +566,11 @@ class FramedConnection:
 
     def __init__(self, sock: socket.socket, *,
                  blob_cache: Optional[BlobCache] = None):
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # Every frame is one sendmsg of a whole message, so Nagle can
+            # only delay it: a lone result would otherwise wait behind an
+            # unacknowledged heartbeat for the peer's delayed ACK (~40 ms).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock = sock
         self._blob_cache = blob_cache
         self._send_lock = threading.Lock()

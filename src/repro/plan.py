@@ -239,6 +239,9 @@ class SweepSpec:
     #: whether points consume randomness (False skips per-point seed
     #: derivation: every point receives the base seed)
     seeded: bool = True
+    #: whether points read the task's ``batch`` (only then does the sweep's
+    #: scenario accept ``batch_size``)
+    batched: bool = False
     compute_params: Tuple[str, ...] = DEFAULT_COMPUTE_PARAMS
     kwarg_axes: Mapping[str, str] = field(default_factory=dict)
     normalize: Mapping[str, Callable[[object], object]] = field(default_factory=dict)

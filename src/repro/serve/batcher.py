@@ -259,7 +259,7 @@ class MicroBatcher:
                         r.frames_count * first.config.timesteps for r in requests
                     ]
                 else:
-                    plans = engine.optimizer.plan_svgg11(first.firing_rates)
+                    plans = engine.optimizer.shared_svgg11_plans(first.firing_rates)
                     workloads = [
                         engine.statistical_workloads(plans, r.batch_size, r.seed)
                         for r in requests

@@ -44,6 +44,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -73,6 +74,19 @@ from .snn.numerics import NumericsPolicy, resolve as resolve_numerics
 from .utils.serialization import atomic_write_text, canonical_json
 
 _SIZE_SUFFIXES = {"b": 1, "kb": 1024, "mb": 1024**2, "gb": 1024**3}
+
+
+@lru_cache(maxsize=32)
+def _models_payload(
+    cluster: ClusterParams, costs: CostModelParams, energy: EnergyParams
+) -> Dict[str, Dict[str, object]]:
+    """The hardware models as fingerprint payload entries, memoised by value.
+
+    Serialising the three frozen parameter sets is most of a fingerprint's
+    cost, and a serving session fingerprints every request twice.  The
+    dicts are shared: :func:`canonical_json` only reads them.
+    """
+    return {"cluster": asdict(cluster), "costs": asdict(costs), "energy": asdict(energy)}
 
 
 def _parse_size(text: str, original: object) -> int:
@@ -503,12 +517,15 @@ def _sweep_scenario(spec: SweepSpec) -> Scenario:
             executor=session.shared_executor(),
         )
 
+    # Only a sweep whose points read the batch size takes one, so the CLI
+    # warns when --batch would change nothing.
+    params = ("seed", "batch_size") if spec.batched else ("seed",)
     return Scenario(
         name=spec.name,
         kind="sweep",
         figure="sweep",
         description=spec.description or f"parallel {spec.name} sweep",
-        params=("seed", "batch_size") + tuple(sorted(spec.kwarg_axes)),
+        params=params + tuple(sorted(spec.kwarg_axes)),
         runner=runner,
     )
 
@@ -743,9 +760,7 @@ class Session:
         payload = {
             "mode": "statistical",
             "config": config.to_dict(),
-            "cluster": asdict(self.cluster),
-            "costs": asdict(self.costs),
-            "energy": asdict(self.energy),
+            **_models_payload(self.cluster, self.costs, self.energy),
             "batch_size": batch_size if batch_size is not None else config.batch_size,
             "firing_rates": sorted(firing_rates.items()) if firing_rates else None,
             "seed": seed if seed is not None else config.seed,
@@ -802,9 +817,7 @@ class Session:
         payload = {
             "mode": "functional",
             "config": config.to_dict(),
-            "cluster": asdict(self.cluster),
-            "costs": asdict(self.costs),
-            "energy": asdict(self.energy),
+            **_models_payload(self.cluster, self.costs, self.energy),
             "network": network.fingerprint(),
             "frames": frames_fingerprint(frames),
             "numerics": resolve_numerics(numerics).key(),

@@ -11,6 +11,7 @@ change what the coordinator stored, and the ``net.*`` telemetry surface is
 complete.
 """
 
+import socket
 import threading
 import time
 
@@ -228,6 +229,24 @@ class TestLifecycle:
         assert coordinator._accept_thread.is_alive()
         coordinator.close()
         assert not coordinator._accept_thread.is_alive()
+
+
+class TestLinkSockets:
+    def test_both_ends_of_a_worker_link_send_without_nagle_delay(self):
+        """Each frame is written whole, so neither end may hold a small one
+        back: a lone result would wait behind an unacknowledged heartbeat
+        for the peer's delayed ACK."""
+        coordinator = Coordinator()
+        worker, thread = _start_inline_worker(coordinator.address, worker_id="w0")
+        try:
+            assert coordinator.wait_for_workers(1, timeout=30)
+            ends = [worker._connection._sock, coordinator._links["w0"].connection._sock]
+            for sock in ends:
+                assert sock.family in (socket.AF_INET, socket.AF_INET6)
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            coordinator.close()
+            thread.join(timeout=10)
 
 
 class TestFlushPolicy:

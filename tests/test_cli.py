@@ -87,6 +87,24 @@ class TestCli:
         for flag in ("--baseline", "--precision", "--timesteps", "--batch"):
             assert flag in err
 
+    def test_batch_warns_only_for_sweeps_that_ignore_it(self, capsys):
+        outputs = []
+        for batch in ("2", "3"):
+            assert main(["run", "--scenario", "firing_rate", "--format", "csv",
+                         "--batch", batch]) == 0
+            captured = capsys.readouterr()
+            assert "--batch" in captured.err
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+        outputs = []
+        for batch in ("1", "2"):
+            assert main(["run", "--scenario", "precision", "--format", "csv",
+                         "--batch", batch]) == 0
+            captured = capsys.readouterr()
+            assert "--batch" not in captured.err
+            outputs.append(captured.out)
+        assert outputs[0] != outputs[1]
+
     def test_sweep_json_output(self, capsys):
         assert main(["run", "--scenario", "stream_length", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

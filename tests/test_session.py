@@ -3,12 +3,16 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from repro.arch.params import DEFAULT_COSTS
+from repro.arch.params import DEFAULT_COSTS, ClusterParams, CostModelParams
 from repro.core.pipeline import SpikeStreamInference
-from repro.config import spikestream_config
+from repro.config import baseline_config, spikestream_config
+from repro.energy.params import EnergyParams
 from repro.eval.runner import SWEEPS
+from repro.eval.sweeps import functional_network
+from repro.serve.batcher import functional_group_key, statistical_group_key
 from repro.session import SCENARIOS, ResultStore, Session
 from repro.types import Precision
 
@@ -260,3 +264,46 @@ class TestSessionModelWarnings:
     def test_default_session_models_never_warn(self, capsys):
         Session().run("stream_length", lengths=(2,))
         assert "default hardware models" not in capsys.readouterr().err
+
+
+#: Store keys the fingerprints produced before the serialised hardware
+#: models were memoised; persisted stores must keep hitting them.
+_STORED_KEYS = {
+    "default": [
+        "e6c79631a2a2ea61d4d2d94a20e7b11470c5f803c389800b75db5da2af0cc74e",
+        "768d8098e460d461ca30c606ff60681587db2c321fe1e5dfc6c898bab359548d",
+        "stat:88dffcb6c8c778882d8906c369b9c1bcb631daf92b4b66cb9b1e9b0f86ca0740",
+        "81a7eb05c620fbdc4d8de39edb6c61eb17ab11881f3a79084ea71618587f0279",
+        "func:ad7fb35c9bd39ddb3526749854cc72a80c97b930ef98e40233f1fb559a039354:(16, 16, 3):float64",
+    ],
+    "custom": [
+        "a82dbd0ad185f357c16b27093535e7fcfbf3f6a6c8fdfd4eed1421bdb946ec91",
+        "2c5c04b6ac8b163ce21de65917fd5a4e37a6a6943a4a04544326109a7e732cfa",
+        "stat:88254e66e02bb57f0bcc2f8d7df02ef69ac1eb124f5ea5daf9abc9bc6a84306f",
+        "f5b0eea16ed43c68eccdb8adc1f5f2489695216cef6472d2dca08770f412741e",
+        "func:ce5ab1a728f64cd7af4aabf3ac85085af12703d4efb9e01bb96b63447342074f:(16, 16, 3):float64",
+    ],
+}
+
+
+class TestFingerprintStability:
+    @pytest.mark.parametrize("models", ["default", "custom"])
+    def test_keys_match_the_stored_ones(self, models):
+        custom = dict(
+            cluster=ClusterParams(num_worker_cores=4),
+            costs=CostModelParams(atomic_operation_cycles=6.0),
+            energy=EnergyParams(spm_access_pj=11.0),
+        )
+        session = Session(**(custom if models == "custom" else {}))
+        config = spikestream_config(batch_size=2, seed=9)
+        network = functional_network(5)
+        frames = np.random.default_rng(5).random((2, 16, 16, 3))
+        # Twice: the second round is served by the memo.
+        for _ in range(2):
+            assert [
+                session.fingerprint(config),
+                session.fingerprint(baseline_config(Precision.FP8), 3, {"conv3": 0.2}, 11, 4),
+                statistical_group_key(session, config, {"fc1": 0.5}, 1),
+                session.functional_fingerprint(config, network, frames),
+                functional_group_key(session, config, network, frames),
+            ] == _STORED_KEYS[models]
