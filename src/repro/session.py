@@ -464,8 +464,9 @@ def frames_fingerprint(frames) -> str:
 #: weights are not public; a lowered threshold keeps spike activity
 #: propagating through all eleven randomly-initialized layers.  The recorded
 #: input densities do not follow Figure 3a's profile: at batch 8, seed 2025,
-#: conv2 reads 0.28 against 0.45 and conv5-fc3 read 0.38-0.67 against
-#: 0.03-0.15.  Calibrating them is open work (ROADMAP).
+#: with the spike layers' weights on the exact-spike grid, conv2 reads 0.28
+#: against 0.45 and conv5-fc3 read 0.38-0.67 against 0.03-0.15 (fc1 0.668,
+#: fc2 0.415).  Calibrating them is open work (ROADMAP).
 _FUNCTIONAL_V_THRESHOLD = 0.25
 
 
@@ -1022,9 +1023,16 @@ class Session:
         executor.  Scenarios whose point functions are hard-wired to the
         default hardware models (the sweeps, the accelerator comparison and
         the model-free format/ISA studies) warn when the session carries
-        custom models they cannot honor.
+        custom models they cannot honor.  A parameter the scenario does not
+        accept (not in :meth:`describe`'s ``params``) raises ``TypeError``.
         """
         scenario = self._scenario(name)
+        unknown = sorted(set(params) - set(scenario.params))
+        if unknown:
+            raise TypeError(
+                f"scenario {name!r} does not accept {', '.join(unknown)}; "
+                f"it accepts {', '.join(scenario.params)}"
+            )
         if not scenario.uses_session_models and not self._models_are_default():
             print(
                 f"warning: scenario {name!r} runs on the default hardware models; "

@@ -17,6 +17,7 @@ import numpy as np
 from ..types import LayerKind, TensorShape
 from ..utils.rng import SeedLike, make_rng
 from .neuron import LIFParameters
+from .numerics import spike_grid_weights
 from .reference import conv_output_size
 
 
@@ -66,11 +67,17 @@ class SpikingConv2d:
         return int(np.prod(self.weight_shape))
 
     def initialize(self, rng: SeedLike = None, scale: Optional[float] = None) -> None:
-        """Randomly initialize the weights (He-style scaling by fan-in)."""
+        """Randomly initialize the weights (He-style scaling by fan-in).
+
+        A spike-input layer's draw is rounded to the exact-spike grid
+        (:func:`~repro.snn.numerics.spike_grid_weights`); the encoding
+        layer reads real-valued frames and keeps its float64 draw.
+        """
         rng = make_rng(rng)
         fan_in = self.kernel_size * self.kernel_size * self.in_channels
         scale = scale if scale is not None else np.sqrt(2.0 / fan_in)
-        self.weights = rng.normal(0.0, scale, size=self.weight_shape)
+        draw = rng.normal(0.0, scale, size=self.weight_shape)
+        self.weights = draw if self.encodes_input else spike_grid_weights(draw)
 
     def output_shape(self, input_shape: TensorShape) -> TensorShape:
         """Shape of the output spike map for a given input shape."""
@@ -133,10 +140,14 @@ class SpikingLinear:
         return self.in_features * self.out_features
 
     def initialize(self, rng: SeedLike = None, scale: Optional[float] = None) -> None:
-        """Randomly initialize the weights (He-style scaling by fan-in)."""
+        """Randomly initialize the weights (He-style scaling by fan-in),
+        rounded to the exact-spike grid
+        (:func:`~repro.snn.numerics.spike_grid_weights`)."""
         rng = make_rng(rng)
         scale = scale if scale is not None else np.sqrt(2.0 / self.in_features)
-        self.weights = rng.normal(0.0, scale, size=(self.in_features, self.out_features))
+        self.weights = spike_grid_weights(
+            rng.normal(0.0, scale, size=(self.in_features, self.out_features))
+        )
 
     def output_shape(self, input_shape: TensorShape) -> TensorShape:
         """Shape of the output (a 1x1 spatial map with ``out_features`` channels)."""

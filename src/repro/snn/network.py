@@ -28,7 +28,7 @@ from ..obs.tracer import layer_profiler_hook
 from ..types import LayerKind, TensorShape
 from .layers import Flatten, SpikingAvgPool2d, SpikingConv2d, SpikingLinear, SpikingMaxPool2d
 from .neuron import LIFState, lif_step, lif_step_batch
-from .numerics import NumericsPolicy, resolve
+from .numerics import NumericsPolicy, exact_in_float32, resolve
 from .reference import (
     SPARSE_DENSITY_CROSSOVER,
     avgpool2d_hwc,
@@ -305,8 +305,9 @@ class SpikingNetwork:
     def _cast_weights(self, index: int, weights: np.ndarray, dtype: np.dtype) -> np.ndarray:
         """Weights of layer ``index`` at ``dtype``, cached by array identity.
 
-        FP32 forward passes would otherwise re-cast S-VGG11's several
-        hundred MB of FP64 weights on every call.  The cache key mirrors the
+        A pass whose GEMM dtype differs from the weights' (float64 weights
+        under an fp32 policy, or float32 weights that are not exact under
+        fp64) would otherwise re-cast them on every call.  The cache key mirrors the
         fingerprint memo: an entry is only reused while the layer still
         binds the *same* weight array (`is`), so :meth:`initialize` or any
         other rebind invalidates it naturally.  Cast copies are frozen so
@@ -325,6 +326,44 @@ class SpikingNetwork:
         cast.flags.writeable = False
         cache[key] = (weights, cast)
         return cast
+
+    def _exact_in_float32(self, index: int, weights: np.ndarray) -> bool:
+        """:func:`~repro.snn.numerics.exact_in_float32` of layer ``index``'s
+        weights, checked once per weight array.
+
+        The verdict is memoised by array identity, like the fingerprint's
+        weight digest, and only on a frozen array: an array that owns its
+        data is frozen before it is checked, so no in-place write can make
+        a kept verdict stale.  A view is checked on every call, since its
+        base may stay writable; a float64 array fails at once, unfrozen.
+        """
+        if weights.dtype != np.float32 or weights.base is not None:
+            return exact_in_float32(weights)
+        cache = getattr(self, "_exact_cache", None)
+        if cache is None:
+            cache = self._exact_cache = {}
+        entry = cache.get(index)
+        if entry is not None and entry[0] is weights and not weights.flags.writeable:
+            return entry[1]
+        weights.flags.writeable = False
+        verdict = exact_in_float32(weights)
+        cache[index] = (weights, verdict)
+        return verdict
+
+    def _gemm_weights(
+        self, index: int, layer: Layer, inputs: np.ndarray, dtype: np.dtype
+    ) -> np.ndarray:
+        """Layer ``index``'s weights for a GEMM against ``inputs``, in the
+        dtype the GEMM runs at.
+
+        A spike map (bool) against exact float32 weights keeps them as they
+        are: that GEMM equals the fp64 one byte for byte.  Anything else is
+        cast to the policy's ``dtype``.
+        """
+        weights = layer.require_weights()
+        if inputs.dtype == bool and self._exact_in_float32(index, weights):
+            return weights
+        return self._cast_weights(index, weights, dtype)
 
     def forward_batch(
         self,
@@ -359,7 +398,12 @@ class SpikingNetwork:
 
         ``policy`` selects the numerics of the pass
         (:class:`~repro.snn.numerics.NumericsPolicy`); ``None`` means the
-        FP64 dense reference, which keeps that bit-for-bit guarantee.  Under
+        FP64 dense reference, which keeps that bit-for-bit guarantee.  Its
+        GEMMs still run in float32 wherever that is exact: a spike-input
+        layer whose weights pass
+        :func:`~repro.snn.numerics.exact_in_float32` (checked once per
+        weight array) multiplies its float32 weights, the layer's only
+        copy, and casts the currents to the fp64 membrane before LIF.  Under
         ``event_sparse`` each non-encoding layer compares its measured input
         spike density against :data:`~repro.snn.reference.SPARSE_DENSITY_CROSSOVER`
         and routes sparse maps through the CSR event kernels, dense maps
@@ -405,7 +449,7 @@ class SpikingNetwork:
         for index, layer in enumerate(self.layers):
             started = time.monotonic() if profile is not None else 0.0
             if layer.kind is LayerKind.CONV:
-                weights = self._cast_weights(index, layer.require_weights(), dtype)
+                weights = self._gemm_weights(index, layer, current, dtype)
                 # The encoding layer consumes the real-valued frame (density
                 # 1.0 by definition); only spike inputs can ride the event
                 # kernels, and only when sparse enough to win.
@@ -416,14 +460,17 @@ class SpikingNetwork:
                 ):
                     currents = conv2d_hwc_batch_sparse(
                         current, weights, stride=layer.stride,
-                        padding=layer.padding, dtype=dtype,
+                        padding=layer.padding, dtype=weights.dtype,
                     )
                 else:
                     currents = conv2d_hwc_batch(
                         current, weights, stride=layer.stride,
-                        padding=layer.padding, dtype=dtype,
+                        padding=layer.padding, dtype=weights.dtype,
                     )
-                state, spikes = lif_step_batch(states[index], currents, layer.lif)
+                membrane = states[index].membrane.dtype
+                state, spikes = lif_step_batch(
+                    states[index], currents.astype(membrane, copy=False), layer.lif
+                )
                 states[index] = state
                 activity.records.append(
                     BatchLayerRecord(
@@ -443,12 +490,15 @@ class SpikingNetwork:
                 current = spikes
             elif layer.kind is LayerKind.LINEAR:
                 flat = np.asarray(current, dtype=bool).reshape(current.shape[0], -1)
-                weights = self._cast_weights(index, layer.require_weights(), dtype)
+                weights = self._gemm_weights(index, layer, current, dtype)
                 if event_sparse and spike_density(flat) < SPARSE_DENSITY_CROSSOVER:
-                    currents = linear_batch_sparse(flat, weights, dtype=dtype)
+                    currents = linear_batch_sparse(flat, weights, dtype=weights.dtype)
                 else:
-                    currents = linear_batch(current, weights, dtype=dtype)
-                state, spikes = lif_step_batch(states[index], currents, layer.lif)
+                    currents = linear_batch(current, weights, dtype=weights.dtype)
+                membrane = states[index].membrane.dtype
+                state, spikes = lif_step_batch(
+                    states[index], currents.astype(membrane, copy=False), layer.lif
+                )
                 states[index] = state
                 activity.records.append(
                     BatchLayerRecord(
@@ -504,8 +554,8 @@ class SpikingNetwork:
         lets :class:`repro.session.Session` key functional-mode results on
         the network without storing it.
 
-        Hashing S-VGG11's several-hundred-MB of FP64 weights costs real
-        time, and the serving path (:mod:`repro.serve`) fingerprints the
+        Hashing S-VGG11's 138 MB of weights costs real time, and the
+        serving path (:mod:`repro.serve`) fingerprints the
         network on *every* request admission, so the *weight-bytes* digest
         is memoized against the identity of the layers' weight arrays: any
         rebinding — e.g. :meth:`initialize` — invalidates it.

@@ -1,13 +1,25 @@
-"""Numerics policy of the golden functional model.
+"""Numerics of the golden functional model.
 
-The golden model historically had exactly one numerical identity: FP64
-dense im2row GEMMs, bit-for-bit reproducible, used both as the correctness
-reference for the cluster kernels and as the functional engine behind
-``repro.serve``.  That exactness is worth keeping — but it makes every
-functional request pay ~full dense FP64 BLAS cost even though the paper's
-core observation is that spike activations are mostly zeros.
+**What is exact.**  A spike-input layer (every weighted layer but the
+encoding conv) multiplies a 0/1 map into its weights, so each output
+current is a sum of a subset of one output channel's weights.  When every
+weight is a multiple of ``2**-WEIGHT_GRID_BITS`` and every output
+channel's sum of ``|w|`` is below :data:`CHANNEL_SUM_BOUND`, every partial
+sum is a multiple of ``2**-16`` below ``2**8`` in magnitude: 24
+significant bits, which float32 holds exactly.  Such a layer's float32
+GEMM is then exact in any summation order and equal, byte for byte once
+cast to float64, to the fp64 per-frame oracle.
+:meth:`SpikingConv2d.initialize <repro.snn.layers.SpikingConv2d.initialize>`
+and :meth:`SpikingLinear.initialize <repro.snn.layers.SpikingLinear.initialize>`
+round a spike-input layer's draw to that grid and store it as float32
+(:func:`spike_grid_weights`); the forward pass runs a layer's GEMMs in
+float32 only where :func:`exact_in_float32` says so, and LIF stays in the
+membrane's dtype.  The encoding conv reads real-valued frames, and layers
+built with explicit weights keep them as float64, so both keep the fp64
+GEMMs of the reference route.
 
-:class:`NumericsPolicy` makes the trade-off explicit and selectable:
+**The policy.**  :class:`NumericsPolicy` trades exactness for speed where
+the weights are not exact:
 
 * ``precision`` — ``"fp64"`` (the bit-for-bit reference) or ``"fp32"``
   (half the bytes through every GEMM, im2row buffer and membrane array);
@@ -18,9 +30,9 @@ core observation is that spike activations are mostly zeros.
 
 The default policy (:data:`REFERENCE`, ``fp64-dense``) is what every
 existing caller gets when it passes ``policy=None`` anywhere: all
-bit-for-bit equality gates of the batched engines are unchanged by
-construction.  Non-reference policies trade exactness for speed inside the
-accuracy bound documented in :data:`CLASSIFICATION_AGREEMENT_BOUND` /
+bit-for-bit equality gates of the batched engines hold under it.
+Non-reference policies trade exactness for speed inside the accuracy bound
+documented in :data:`CLASSIFICATION_AGREEMENT_BOUND` /
 :data:`SPIKE_COUNT_TOLERANCE` (gated by ``tests/core/test_precision_paths.py``
 and measured by ``benchmarks/bench_precision.py``).
 
@@ -38,13 +50,17 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "CHANNEL_SUM_BOUND",
     "CLASSIFICATION_AGREEMENT_BOUND",
     "FORWARD_PATHS",
     "NumericsPolicy",
     "PRECISIONS",
     "REFERENCE",
     "SPIKE_COUNT_TOLERANCE",
+    "WEIGHT_GRID_BITS",
+    "exact_in_float32",
     "resolve",
+    "spike_grid_weights",
 ]
 
 PRECISIONS: Tuple[str, ...] = ("fp64", "fp32")
@@ -137,3 +153,76 @@ def resolve(policy: Optional[NumericsPolicy]) -> NumericsPolicy:
     layer that threads a policy (network, engine, session, serve).
     """
     return REFERENCE if policy is None else policy
+
+
+#: Spike-input weights are rounded to multiples of ``2**-WEIGHT_GRID_BITS``.
+#: S-VGG11's He-scaled draw moves by at most 3.7e-4 of its layer's standard
+#: deviation.
+WEIGHT_GRID_BITS = 16
+
+#: Every output channel's sum of ``|w|`` must stay below this for a float32
+#: spike GEMM to be exact: ``2**8`` on the ``2**-16`` grid is 24 bits.
+#: S-VGG11's largest channel sums run from 29 (conv2) to 79 (conv6-conv8).
+CHANNEL_SUM_BOUND = 2.0 ** (24 - WEIGHT_GRID_BITS)
+
+#: Elements per block of the weight scans below, so that no scan holds a
+#: temporary as large as fc2's 67 MB of float32 weights.
+_SCAN_BLOCK_ELEMS = 1 << 20
+
+
+def _row_blocks(weights: np.ndarray):
+    """``weights`` as ``(fan_in, C_out)`` row blocks of at most
+    :data:`_SCAN_BLOCK_ELEMS` elements."""
+    flat = weights.reshape(-1, weights.shape[-1])
+    step = max(1, _SCAN_BLOCK_ELEMS // flat.shape[1])
+    return (flat[start:start + step] for start in range(0, flat.shape[0], step))
+
+
+def _channel_sums_below_bound(weights: np.ndarray) -> bool:
+    """Whether every output channel's sum of ``|w|`` is below
+    :data:`CHANNEL_SUM_BOUND`.
+
+    Summed in the weights' own dtype.  For grid weights that is exact while
+    a sum stays below the bound, and rounding is monotone with the bound
+    representable, so no sum at or over it can round back below: the
+    verdict holds for any summation order, float32 included.
+    """
+    sums = np.zeros(weights.shape[-1], dtype=weights.dtype)
+    for block in _row_blocks(weights):
+        sums += np.abs(block).sum(axis=0)
+    return bool(np.all(sums < CHANNEL_SUM_BOUND))
+
+
+def spike_grid_weights(draw: np.ndarray) -> np.ndarray:
+    """A spike-input layer's weights from a fresh float64 ``draw``.
+
+    Rounds ``draw`` in place to the ``2**-WEIGHT_GRID_BITS`` grid, then
+    returns it as float32 when every output channel's sum of ``|w|`` is
+    below :data:`CHANNEL_SUM_BOUND` (float32 holds those values exactly, so
+    the float32 array is the layer's only copy), and the rounded float64
+    draw otherwise.
+    """
+    draw *= 2.0 ** WEIGHT_GRID_BITS
+    np.rint(draw, out=draw)
+    draw *= 2.0 ** -WEIGHT_GRID_BITS
+    weights = draw.astype(np.float32)
+    # Summed in float32, at half the bytes: a weight float32 cannot hold
+    # exactly is at least 2**8 in magnitude and fails the bound either way.
+    return weights if _channel_sums_below_bound(weights) else draw
+
+
+def exact_in_float32(weights: np.ndarray) -> bool:
+    """Whether float32 GEMMs of 0/1 inputs against ``weights`` are exact.
+
+    True when ``weights`` is float32, every value is a multiple of
+    ``2**-WEIGHT_GRID_BITS`` and every output channel's (last axis) sum of
+    ``|w|`` is below :data:`CHANNEL_SUM_BOUND`.  Checked from the values,
+    never assumed from the dtype; NaN and infinite weights fail.
+    """
+    if weights.dtype != np.float32:
+        return False
+    for block in _row_blocks(weights):
+        scaled = block * 2.0 ** WEIGHT_GRID_BITS
+        if not np.array_equal(np.rint(scaled), scaled):
+            return False
+    return _channel_sums_below_bound(weights)

@@ -156,9 +156,12 @@ _IM2ROW_CHUNK_BYTES = 32 * 1024 * 1024
 #: Weight matrices of at least this many bytes go through one GEMM per chunk
 #: of frames, which streams each weight panel once per chunk.  Smaller ones
 #: stay cache-resident across per-frame products, so there each frame gets
-#: the oracle's own product at no cost: on S-VGG11 at batch 16, the GEMMs of
-#: conv1 (14 KB) and conv2 (590 KB) run as fast per frame, while those of
-#: conv3-conv8 (2.4-19 MB) run 13-117% slower per frame than as one.
+#: the oracle's own product at no cost: on S-VGG11 at batch 16 with fp64
+#: weights, the GEMMs of conv1 (14 KB) and conv2 (590 KB) run as fast per
+#: frame, while those of conv3-conv8 (2.4-19 MB) run 13-117% slower per frame
+#: than as one.  The per-frame product is what keeps fp64 weights (conv1,
+#: explicitly bound weights) exact; weights exact in float32 are exact in
+#: any grouping.
 _CHUNK_GEMM_MIN_BYTES = 1024 * 1024
 
 
@@ -187,10 +190,14 @@ def conv2d_hwc_batch(
     weight matrices, get one ``(P, K) @ (K, C)`` product per frame: the
     oracle's own call, equal by construction.
 
-    ``dtype`` selects the GEMM precision (the
-    :class:`~repro.snn.numerics.NumericsPolicy` knob).  The default
-    ``float64`` is the bit-for-bit reference path; ``float32`` halves every
-    buffer and weight panel, trading the last ulps of the membrane current.
+    ``dtype`` selects the GEMM precision.  For a 0/1 spike map against
+    float32 weights that pass :func:`~repro.snn.numerics.exact_in_float32`
+    (the ``2**-16`` grid, every channel's ``|w|`` summing below ``2**8``),
+    ``float32`` is exact: every partial sum fits in 24 bits, so each current
+    cast to float64 equals the oracle's byte for byte, whatever the GEMM
+    shape or order.  Otherwise the default ``float64`` is the bit-for-bit
+    path, and ``float32`` (a :class:`~repro.snn.numerics.NumericsPolicy`
+    choice) trades the last ulps of the membrane current for half the bytes.
     """
     dtype = np.dtype(dtype)
     weights = np.asarray(weights, dtype=dtype)
@@ -251,20 +258,22 @@ def linear_batch(
     """Batched :func:`linear`: ``(B, in_features)`` input -> ``(B, out_features)``.
 
     The whole batch goes through one ``(B, F) @ (F, C)`` GEMM, so the weight
-    matrix — 67 MB for S-VGG11's ``fc1``, 134 MB for ``fc2`` at FP64 —
+    matrix — 34 MB for S-VGG11's ``fc1``, 67 MB for ``fc2`` as float32 —
     streams through the memory hierarchy once per *batch* where the
     per-frame vector-matrix product streams it once per *frame*.  This is
-    the single largest win of the batched forward pass.  The GEMM's
-    per-output accumulation can differ from the scalar product in the last
-    ulp of the membrane *current*; the recorded spikes (the only quantity
-    the network consumes and the performance model reads) are gated
-    bit-for-bit against the per-frame loop by ``tests/snn`` — an ulp-level
-    current difference cannot flip a LIF threshold comparison except at an
-    exact-threshold coincidence, which the equivalence tests would surface.
+    the single largest win of the batched forward pass.
 
-    ``dtype`` selects the GEMM precision (the
-    :class:`~repro.snn.numerics.NumericsPolicy` knob); the default
-    ``float64`` is the bit-for-bit reference path.
+    Spike inputs against float32 weights that pass
+    :func:`~repro.snn.numerics.exact_in_float32` give exact sums at
+    ``dtype=float32``: every current, cast to float64, equals the per-frame
+    product byte for byte.  For other weights the GEMM's per-output
+    accumulation can differ from the scalar product in the last ulp of the
+    membrane *current*; the recorded spikes are gated bit-for-bit against
+    the per-frame loop by ``tests/snn``, where an ulp could flip a LIF
+    threshold comparison only at an exact-threshold coincidence.
+
+    ``dtype`` selects the GEMM precision; the default ``float64`` is the
+    reference path for weights that are not exact in float32.
     """
     dtype = np.dtype(dtype)
     x = np.asarray(x, dtype=dtype)
@@ -279,13 +288,16 @@ def linear_batch(
     return x @ weights
 
 
-#: Spike-map density below which the event-sparse CSR route beats the dense
-#: GEMM on this reference stack.  Measured on the paper's S-VGG11 shapes:
-#: ``scipy.sparse.csr_matrix(rows) @ W`` wins below ~10-12% active inputs
-#: (deep convs and all FC layers at the paper's firing rates, Figure 3a) and
-#: loses above (the early convs), so the adaptive ``event_sparse`` forward
-#: in :mod:`repro.snn.network` compares each layer's measured input density
-#: against this crossover before choosing a route.
+#: Spike-map density below which the adaptive ``event_sparse`` forward in
+#: :mod:`repro.snn.network` routes a layer through the CSR kernels instead
+#: of the dense GEMM.  Measured at batch 1 in float32 on S-VGG11's shapes
+#: with Bernoulli inputs (2-CPU host, medians): at 10% density the CSR
+#: route is slower on every conv layer (conv3 4.4 vs 1.2 ms dense, conv6
+#: 7.5 vs 2.9 ms, conv7 1.9 vs 1.3 ms) and only ties on conv7-conv8 at 5%;
+#: on fc1 and fc2 it wins up to about 30% (fc2 0.75 vs 1.68 ms at 10%,
+#: 1.40 vs 1.49 ms at 30%, 1.61 vs 1.51 ms at 40%).  One threshold thus
+#: fits neither kind of layer; it stays at 12.5%, where the policy's
+#: accuracy bounds and ``benchmarks/bench_precision.py`` were measured.
 SPARSE_DENSITY_CROSSOVER = 0.125
 
 

@@ -75,11 +75,13 @@ def test_render_gate_report_text():
 # --------------------------------------------------------------------------- #
 # The CLI lint gate
 # --------------------------------------------------------------------------- #
+@pytest.mark.usefixtures("shared_repo_lint")
 def test_cli_check_passes_on_the_repo(capsys):
     assert cli_main(["check"]) == 0
     assert "lint passed" in capsys.readouterr().out
 
 
+@pytest.mark.usefixtures("shared_repo_lint")
 def test_cli_check_json_emits_the_shared_schema(capsys):
     assert cli_main(["check", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)

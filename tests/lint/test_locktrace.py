@@ -222,6 +222,7 @@ def traced_server():
 
 
 @pytest.mark.smoke
+@pytest.mark.usefixtures("shared_repo_lint")
 def test_lint_repo_is_clean():
     _load_smoke().lint_repo_check()
 

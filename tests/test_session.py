@@ -49,6 +49,13 @@ class TestScenarioRegistry:
         with pytest.raises(TypeError):
             Session().run("spva_microbenchmark", bogus_param=3)
 
+    def test_param_the_scenario_does_not_accept_rejected(self):
+        # firing_rate's points never read a batch size, so one would run
+        # the same points whatever its value.
+        assert "batch_size" not in Session().describe("firing_rate")["params"]
+        with pytest.raises(TypeError, match="batch_size.*accepts seed, precision, rates"):
+            Session().run("firing_rate", batch_size=2)
+
     def test_invalid_backend_and_jobs_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             Session(backend="gpu")
@@ -267,23 +274,39 @@ class TestSessionModelWarnings:
 
 
 #: Store keys the fingerprints produced before the serialised hardware
-#: models were memoised; persisted stores must keep hitting them.
+#: models were memoised; persisted stores must keep hitting them.  The two
+#: functional keys of ``functional_network(5)`` were re-recorded when
+#: ``initialize`` began rounding spike-layer weights to the exact-spike
+#: grid; the last key, of a network with explicitly bound float64 weights,
+#: predates that and must not move.
 _STORED_KEYS = {
     "default": [
         "e6c79631a2a2ea61d4d2d94a20e7b11470c5f803c389800b75db5da2af0cc74e",
         "768d8098e460d461ca30c606ff60681587db2c321fe1e5dfc6c898bab359548d",
         "stat:88dffcb6c8c778882d8906c369b9c1bcb631daf92b4b66cb9b1e9b0f86ca0740",
-        "81a7eb05c620fbdc4d8de39edb6c61eb17ab11881f3a79084ea71618587f0279",
-        "func:ad7fb35c9bd39ddb3526749854cc72a80c97b930ef98e40233f1fb559a039354:(16, 16, 3):float64",
+        "4286a8b70f32dd752dc9d60af99f8da644b9486207bbd0b287df7e3a0d692d7c",
+        "func:f5805e17d9af112f5e86f51f3dd46e1bcc2e69c6323aa44c18a4f65afb39f13d:(16, 16, 3):float64",
+        "c6a9bc5a925f936a3eaa01405f6ba1a4de7d695f8102d7bd97eb05d78764dfcc",
     ],
     "custom": [
         "a82dbd0ad185f357c16b27093535e7fcfbf3f6a6c8fdfd4eed1421bdb946ec91",
         "2c5c04b6ac8b163ce21de65917fd5a4e37a6a6943a4a04544326109a7e732cfa",
         "stat:88254e66e02bb57f0bcc2f8d7df02ef69ac1eb124f5ea5daf9abc9bc6a84306f",
-        "f5b0eea16ed43c68eccdb8adc1f5f2489695216cef6472d2dca08770f412741e",
-        "func:ce5ab1a728f64cd7af4aabf3ac85085af12703d4efb9e01bb96b63447342074f:(16, 16, 3):float64",
+        "0964df51ebdb95e85a3d22e0d991db9e48a0f6c6c220d6a18476dfa8342de958",
+        "func:61dd1dc33a05ccb0cccc30b9e0d04b36a3b95e755f8737d8a3fdf94d461aaba3:(16, 16, 3):float64",
+        "5f4be1140d67326c9e21f7de1d60761edaac41c80155f6f1d29253f2965ce71a",
     ],
 }
+
+
+def _explicit_float64_network():
+    """``functional_network(5)``'s layers with float64 weights bound by hand."""
+    network = functional_network(5)
+    rng = np.random.default_rng(5)
+    for index in network.weighted_layers:
+        layer = network.layers[index]
+        layer.weights = rng.normal(0.0, 0.25, size=layer.weights.shape)
+    return network
 
 
 class TestFingerprintStability:
@@ -297,6 +320,7 @@ class TestFingerprintStability:
         session = Session(**(custom if models == "custom" else {}))
         config = spikestream_config(batch_size=2, seed=9)
         network = functional_network(5)
+        explicit = _explicit_float64_network()
         frames = np.random.default_rng(5).random((2, 16, 16, 3))
         # Twice: the second round is served by the memo.
         for _ in range(2):
@@ -306,4 +330,5 @@ class TestFingerprintStability:
                 statistical_group_key(session, config, {"fc1": 0.5}, 1),
                 session.functional_fingerprint(config, network, frames),
                 functional_group_key(session, config, network, frames),
+                session.functional_fingerprint(config, explicit, frames),
             ] == _STORED_KEYS[models]
